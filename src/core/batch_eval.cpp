@@ -4,7 +4,6 @@
 #include <cmath>
 #include <mutex>
 
-#include "queueing/erlang.hpp"
 #include "queueing/erlang_kernel.hpp"
 #include "util/error.hpp"
 #include "util/fault_inject.hpp"
@@ -16,18 +15,23 @@ namespace vmcons::core {
 namespace {
 
 /// Routes staged query lists through the memoized kernel's sorted batch
-/// walk when a kernel is set, else through the stateless free functions in
-/// query order. Per-query results are bit-identical either way.
+/// walk when a kernel is set, else through a call-local ErlangWalk that
+/// lives as long as the dispatch — one staff_* call — so each rho's
+/// blocking query resumes its staffing walk. Per-query results are
+/// bit-identical to the queueing::erlang_b* free functions either way.
 ///
 /// Fault-injection sites erlang.eval / staffing.inverse fire here, one draw
 /// per staged query, with the index derived from the query's own bit
 /// pattern — so an armed fault poisons the same (rho, target) no matter
 /// which shard, thread, or memoization tier answers it.
 struct ErlangDispatch {
+  explicit ErlangDispatch(queueing::ErlangKernel* memo) : kernel(memo) {}
+
   queueing::ErlangKernel* kernel = nullptr;
+  queueing::ErlangWalk walk;
 
   void servers_for_many(std::span<const queueing::StaffingQuery> queries,
-                        std::span<std::uint64_t> out) const {
+                        std::span<std::uint64_t> out) {
     if (queries.empty()) {
       return;
     }
@@ -40,16 +44,13 @@ struct ErlangDispatch {
     }
     if (kernel != nullptr) {
       kernel->servers_for_many(queries, out);
-      return;
-    }
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      out[i] = queueing::erlang_b_servers(queries[i].rho,
-                                          queries[i].target_blocking);
+    } else {
+      walk.servers_for_many(queries, out);
     }
   }
 
   void eval_many(std::span<const queueing::BlockingQuery> queries,
-                 std::span<double> out) const {
+                 std::span<double> out) {
     if (queries.empty()) {
       return;
     }
@@ -62,10 +63,8 @@ struct ErlangDispatch {
     }
     if (kernel != nullptr) {
       kernel->eval_many(queries, out);
-      return;
-    }
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      out[i] = queueing::erlang_b(queries[i].servers, queries[i].rho);
+    } else {
+      walk.eval_many(queries, out);
     }
   }
 };
@@ -77,7 +76,7 @@ namespace batch_kernels {
 void staff_dedicated(const ScenarioBatch& batch, std::size_t begin,
                      std::size_t end, queueing::ErlangKernel* kernel,
                      std::span<ModelResult> results) {
-  const ErlangDispatch erlang{kernel};
+  ErlangDispatch erlang(kernel);
   const auto arrival = batch.arrival_rate();
   const std::size_t row0 = batch.services_begin(begin);
   const std::size_t rows = batch.services_end(end - 1) - row0;
@@ -174,7 +173,7 @@ void staff_dedicated(const ScenarioBatch& batch, std::size_t begin,
 void staff_consolidated(const ScenarioBatch& batch, std::size_t begin,
                         std::size_t end, queueing::ErlangKernel* kernel,
                         std::span<ModelResult> results) {
-  const ErlangDispatch erlang{kernel};
+  ErlangDispatch erlang(kernel);
   const auto arrival = batch.arrival_rate();
   const std::size_t row0 = batch.services_begin(begin);
   const std::size_t rows = batch.services_end(end - 1) - row0;

@@ -13,7 +13,7 @@
 //   P_M, P_N      power draws under the linear model (Eq. 12-14),
 //
 // all at the same loss probability. Fig. 4's iterative algorithm is
-// implemented by queueing::erlang_b_servers.
+// queueing::erlang_b_servers; solve() runs it in lanes, bit-identically.
 //
 // Resource-demand convention: a service with mu_ij = 0 places no demand on
 // resource j and is excluded from that resource's merged stream (the paper
@@ -137,7 +137,9 @@ class UtilityAnalyticModel {
 
   /// Routes every Erlang-B evaluation through `kernel` (so sweeps over many
   /// points share one incremental recursion cache); nullptr restores the
-  /// stateless free functions. Results are bit-identical either way.
+  /// default: solve() answers through a call-local queueing::ErlangWalk,
+  /// dedicated_loss()/consolidated_loss() through the erlang.hpp free
+  /// functions. Results are bit-identical either way.
   UtilityAnalyticModel& use_kernel(queueing::ErlangKernel* kernel) {
     kernel_ = kernel;
     return *this;
@@ -171,7 +173,8 @@ class UtilityAnalyticModel {
 
  private:
   double clamped_impact(std::size_t service, dc::Resource resource) const;
-  /// Erlang-B via kernel_ when set, else the free functions.
+  /// Erlang-B for the loss queries via kernel_ when set, else the free
+  /// functions (solve() goes through the batch kernels instead).
   double eval_erlang_b(std::uint64_t servers, double rho) const;
   std::uint64_t eval_erlang_b_servers(double rho, double target) const;
 

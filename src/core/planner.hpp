@@ -120,7 +120,7 @@ class ConsolidationPlanner {
  private:
   ModelInputs make_inputs() const;
   /// plan() with every Erlang-B evaluation routed through `kernel`
-  /// (nullptr = the stateless free functions).
+  /// (nullptr = a call-local queueing::ErlangWalk per staffing pass).
   PlanReport plan_with(queueing::ErlangKernel* kernel) const;
   InventoryAssignment assign(double normalized_servers) const;
 

@@ -8,10 +8,12 @@
 // at block boundaries). The quarantine property rides along: a batch of
 // one per query must reproduce the whole-span walk exactly, because that
 // is what BatchEvaluator's cell-at-a-time fallback relies on.
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -205,6 +207,95 @@ TEST(ErlangKernelLanes, StaffingTargetsSweepSharedPrefix) {
   for (std::size_t i = 0; i < queries.size(); ++i) {
     EXPECT_EQ(out[i], erlang_b_servers(rho, queries[i].target_blocking))
         << "B=" << queries[i].target_blocking;
+  }
+}
+
+/// Cumulative stop points of a lone target-mode lane's growing block
+/// schedule: the first block, each doubling, then full kLaneBlock blocks.
+std::vector<std::uint64_t> block_edges() {
+  std::vector<std::uint64_t> edges;
+  std::size_t block = kLaneFirstBlock;
+  std::uint64_t total = 0;
+  for (int full_blocks = 0; full_blocks < 2;) {
+    total += block;
+    edges.push_back(total);
+    full_blocks += block == kLaneBlock ? 1 : 0;
+    block = std::min(2 * block, kLaneBlock);
+  }
+  return edges;
+}
+
+/// Staffing queries whose scalar stop index lands on, one before and one
+/// after every block edge: target = E_n(rho) stops exactly at n.
+std::vector<StaffingQuery> edge_queries(double rho, double rho_step) {
+  std::vector<StaffingQuery> queries;
+  for (const std::uint64_t edge : block_edges()) {
+    for (const std::uint64_t n : {edge - 1, edge, edge + 1}) {
+      queries.push_back({rho, erlang_b(n, rho)});
+      rho += rho_step;
+    }
+  }
+  return queries;
+}
+
+/// After a staffing walk, every prefix value up to a few past the stop must
+/// read back bit-identical through eval_many.
+template <typename Walk>
+void expect_prefix_exact(Walk& walk, double rho, std::uint64_t stop) {
+  std::vector<BlockingQuery> prefix;
+  for (std::uint64_t n = 0; n <= stop + 2; ++n) {
+    prefix.push_back({n, rho});
+  }
+  std::vector<double> values(prefix.size());
+  walk.eval_many(prefix, values);
+  for (std::uint64_t n = 0; n <= stop + 2; ++n) {
+    ASSERT_EQ(bits(values[n]), bits(erlang_b(n, rho)))
+        << "rho=" << rho << " n=" << n << " stop=" << stop;
+  }
+}
+
+TEST(ErlangKernelLanes, TargetStopsOnBlockEdgesMatchScalar) {
+  static_assert(kLaneFirstBlock < kLaneBlock);
+  // rho well above every edge keeps E_n far from zero and strictly
+  // decreasing there, so each target pins a unique stop index.
+  const double rho = 2500.0;
+  for (const StaffingQuery& query : edge_queries(rho, 0.0)) {
+    const std::uint64_t expected = erlang_b_servers(rho, query.target_blocking);
+    SCOPED_TRACE("stop=" + std::to_string(expected));
+    std::uint64_t walked = 0;
+    ErlangWalk walk;
+    walk.servers_for_many(std::span<const StaffingQuery>(&query, 1),
+                          std::span<std::uint64_t>(&walked, 1));
+    EXPECT_EQ(walked, expected);
+    expect_prefix_exact(walk, rho, expected);
+
+    std::uint64_t memo = 0;
+    ErlangKernel kernel;
+    kernel.servers_for_many(std::span<const StaffingQuery>(&query, 1),
+                            std::span<std::uint64_t>(&memo, 1));
+    EXPECT_EQ(memo, expected);
+    expect_prefix_exact(kernel, rho, expected);
+  }
+}
+
+TEST(ErlangKernelLanes, TargetStopsOnBlockEdgesMatchScalarInOneSpan) {
+  // The same edges as one span of distinct rhos: more tasks than lanes, so
+  // refilled lanes start their schedule while older lanes run full blocks.
+  const std::vector<StaffingQuery> queries = edge_queries(2500.0, 0.75);
+  ASSERT_GT(queries.size(), util::simd::kRecurrenceLanes);
+  std::vector<std::uint64_t> walked(queries.size());
+  std::vector<std::uint64_t> memo(queries.size());
+  ErlangWalk walk;
+  ErlangKernel kernel;
+  walk.servers_for_many(queries, walked);
+  kernel.servers_for_many(queries, memo);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const std::uint64_t expected =
+        erlang_b_servers(queries[i].rho, queries[i].target_blocking);
+    EXPECT_EQ(walked[i], expected) << "i=" << i;
+    EXPECT_EQ(memo[i], expected) << "i=" << i;
+    expect_prefix_exact(walk, queries[i].rho, expected);
+    expect_prefix_exact(kernel, queries[i].rho, expected);
   }
 }
 
