@@ -6,6 +6,8 @@
 //   * finite-queue pools vs the M/M/c/K solver;
 //   * utilization vs carried load / c.
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -21,9 +23,19 @@ namespace {
 
 struct LossCase {
   unsigned servers;
+  // Fills the four bytes the compiler would otherwise leave as padding
+  // before `lambda`. LossCase has no printer, so gtest names each instance
+  // by the object's raw bytes and gtest_discover_tests freezes those names
+  // into the CTest list at build time; uninitialised padding made them hold
+  // stack and heap leftovers that differed from build to build. The values
+  // below are the bytes the instances were first registered under, so the
+  // names are stable and unchanged.
+  std::uint32_t name_bytes;
   double lambda;
   double mu;
 };
+static_assert(sizeof(LossCase) == 24 && offsetof(LossCase, lambda) == 8,
+              "LossCase must have no padding left for the name to pick up");
 
 class SimVsErlangB : public ::testing::TestWithParam<LossCase> {};
 
@@ -51,11 +63,16 @@ TEST_P(SimVsErlangB, LossMatchesWithinConfidence) {
 
 INSTANTIATE_TEST_SUITE_P(
     LossSystems, SimVsErlangB,
-    ::testing::Values(LossCase{1, 0.5, 1.0}, LossCase{2, 1.5, 1.0},
-                      LossCase{3, 2.0, 1.0}, LossCase{4, 5.0, 1.0},
-                      LossCase{3, 130.0, 420.0},   // the paper's web numbers
-                      LossCase{3, 30.0, 100.0},    // the paper's DB numbers
-                      LossCase{8, 6.0, 1.0}, LossCase{16, 14.0, 1.0}));
+    ::testing::Values(LossCase{1, 0x00007FFF, 0.5, 1.0},
+                      LossCase{2, 0xFFFFFFFF, 1.5, 1.0},
+                      LossCase{3, 0x00000000, 2.0, 1.0},
+                      LossCase{4, 0x7AE548DD, 5.0, 1.0},
+                      // the paper's web numbers
+                      LossCase{3, 0x00000000, 130.0, 420.0},
+                      // the paper's DB numbers
+                      LossCase{3, 0xFFFFFFFF, 30.0, 100.0},
+                      LossCase{8, 0x00000000, 6.0, 1.0},
+                      LossCase{16, 0x000055B8, 14.0, 1.0}));
 
 TEST(SimVsErlangB, UtilizationMatchesCarriedLoad) {
   PoolConfig config;
