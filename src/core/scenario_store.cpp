@@ -14,23 +14,34 @@
 namespace vmcons::core {
 namespace {
 
-// File layout (host-endian, version 2):
+// File layout (host-endian, version 3):
 //   header   "VMCSTOR1" | u32 version | u32 resource_count
-//   shard*   u64 scenarios | u64 service_rows | columns (see write_shard)
+//   shard*   u64 scenarios | u64 service_rows | columns (see serialize_shard)
 //   footer   u64 shard_count | ShardInfo-per-shard as 6 x u64
 //   trailer  u64 footer_offset | u64 footer_checksum | u64 scenario_count
 //            | "VMCSEND1"
-// Version 2 appends the fleet-class columns (class_begin offsets plus the
-// per-class capacity/wattage/count/speed/name columns) to every shard
-// payload. Version-1 files are still readable: they carry no class bytes,
-// which deserializes as "no scenario owns a fleet".
+// Shard payload and footer checksums are util::digest64 (XXH64). Versions
+// 1 and 2 checksummed with FNV-1a; they are refused at open rather than
+// read, so one sweep never mixes two digest schemes in its report.
 constexpr char kHeaderMagic[8] = {'V', 'M', 'C', 'S', 'T', 'O', 'R', '1'};
 constexpr char kTrailerMagic[8] = {'V', 'M', 'C', 'S', 'E', 'N', 'D', '1'};
-constexpr std::uint32_t kFormatVersion = 2;
-constexpr std::uint32_t kOldestReadableVersion = 1;
+constexpr std::uint32_t kFormatVersion = 3;
 constexpr std::size_t kHeaderBytes = sizeof(kHeaderMagic) + 2 * sizeof(std::uint32_t);
 constexpr std::size_t kTrailerBytes = 3 * sizeof(std::uint64_t) + sizeof(kTrailerMagic);
 constexpr std::size_t kShardInfoFields = 6;
+
+// Fewest payload bytes one element of each counted column family occupies;
+// a declared count whose elements cannot fit in the bytes left is refused
+// before it sizes an allocation.
+constexpr std::size_t kPowerModelBytes =
+    2 * sizeof(double) + sizeof(std::uint32_t);
+constexpr std::size_t kScenarioBytes =
+    sizeof(double) + sizeof(std::uint32_t) + 2 * kPowerModelBytes +
+    2 * sizeof(std::uint64_t);  // loss, vms, powers, row_begin, class_begin
+constexpr std::size_t kServiceRowBytes =
+    (3 + 2 * dc::kResourceCount) * sizeof(double) + sizeof(std::uint32_t);
+constexpr std::size_t kClassRowBytes =
+    (dc::kResourceCount + 4) * sizeof(double) + sizeof(std::uint32_t);
 
 [[noreturn]] void fail(const std::string& path, const std::string& what) {
   throw IoError("scenario store '" + path + "': " + what);
@@ -93,6 +104,25 @@ class ByteSource {
   void f64_column(std::vector<double>& column, std::size_t count) {
     column.resize(count);
     raw(column.data(), count * sizeof(double));
+  }
+  std::string name() {
+    std::string text(bounded(u32(), 1, "name length"), '\0');
+    raw(text.data(), text.size());
+    return text;
+  }
+  /// `count` elements of at least `bytes_each` bytes must fit in what is
+  /// left of the payload; the checksum is no defence here, because whoever
+  /// crafted the file recomputed it.
+  std::size_t bounded(std::uint64_t count, std::size_t bytes_each,
+                      const char* field) const {
+    if (count > remaining() / bytes_each) {
+      std::ostringstream message;
+      message << "shard " << shard_ << " " << field << " " << count
+              << " overruns the " << remaining()
+              << " payload bytes left (corrupted or crafted payload)";
+      fail(path_, message.str());
+    }
+    return static_cast<std::size_t>(count);
   }
   std::size_t remaining() const { return in_.size() - pos_; }
 
@@ -164,7 +194,7 @@ std::vector<char> serialize_shard(const ScenarioBatch& batch) {
     sink.u32(static_cast<std::uint32_t>(name.size()));
     sink.raw(name.data(), name.size());
   }
-  // Version 2: fleet-class columns, mirroring the service-row scheme.
+  // Fleet-class columns, mirroring the service-row scheme.
   const std::size_t class_rows = batch.class_rows();
   sink.u64(class_rows);
   for (std::size_t s = 0; s <= scenarios; ++s) {
@@ -189,19 +219,24 @@ std::vector<char> serialize_shard(const ScenarioBatch& batch) {
 
 ScenarioBatch deserialize_shard(const std::vector<char>& bytes,
                                 const std::string& path, std::size_t shard,
-                                const ShardInfo& info,
-                                std::uint32_t version) {
+                                const ShardInfo& info) {
   ByteSource source(bytes, path, shard);
   ScenarioBatch::Columns columns;
-  const std::uint64_t scenarios = source.u64();
-  const std::uint64_t rows = source.u64();
-  if (scenarios != info.scenarios || rows != info.service_rows) {
+  const std::uint64_t declared_scenarios = source.u64();
+  const std::uint64_t declared_rows = source.u64();
+  if (declared_scenarios != info.scenarios ||
+      declared_rows != info.service_rows) {
     std::ostringstream message;
-    message << "shard " << shard << " payload declares " << scenarios
-            << " scenarios / " << rows << " rows but the footer recorded "
-            << info.scenarios << " / " << info.service_rows;
+    message << "shard " << shard << " payload declares " << declared_scenarios
+            << " scenarios / " << declared_rows
+            << " rows but the footer recorded " << info.scenarios << " / "
+            << info.service_rows;
     fail(path, message.str());
   }
+  const std::size_t scenarios =
+      source.bounded(declared_scenarios, kScenarioBytes, "scenario count");
+  const std::size_t rows =
+      source.bounded(declared_rows, kServiceRowBytes, "service row count");
   source.f64_column(columns.target_loss, scenarios);
   columns.vm_count.resize(scenarios);
   for (unsigned& v : columns.vm_count) {
@@ -224,34 +259,27 @@ ScenarioBatch deserialize_shard(const std::vector<char>& bytes,
   source.f64_column(columns.effective_rate, rows);
   columns.service_name.resize(rows);
   for (std::string& name : columns.service_name) {
-    const std::uint32_t length = source.u32();
-    name.resize(length);
-    source.raw(name.data(), length);
+    name = source.name();
   }
-  if (version >= 2) {
-    // Fleet-class columns; a version-1 payload simply ends here and
-    // from_columns defaults the absent class_begin to all-zero offsets.
-    const std::uint64_t class_rows = source.u64();
-    columns.class_begin.resize(scenarios + 1);
-    for (std::size_t& offset : columns.class_begin) {
-      offset = static_cast<std::size_t>(source.u64());
-    }
-    for (std::size_t r = 0; r < dc::kResourceCount; ++r) {
-      source.f64_column(columns.class_capacity[r], class_rows);
-    }
-    source.f64_column(columns.class_base_watts, class_rows);
-    source.f64_column(columns.class_max_watts, class_rows);
-    columns.class_count.resize(class_rows);
-    for (std::uint64_t& count : columns.class_count) {
-      count = source.u64();
-    }
-    source.f64_column(columns.class_speed, class_rows);
-    columns.class_name.resize(class_rows);
-    for (std::string& name : columns.class_name) {
-      const std::uint32_t length = source.u32();
-      name.resize(length);
-      source.raw(name.data(), length);
-    }
+  const std::size_t class_rows =
+      source.bounded(source.u64(), kClassRowBytes, "class row count");
+  columns.class_begin.resize(scenarios + 1);
+  for (std::size_t& offset : columns.class_begin) {
+    offset = static_cast<std::size_t>(source.u64());
+  }
+  for (std::size_t r = 0; r < dc::kResourceCount; ++r) {
+    source.f64_column(columns.class_capacity[r], class_rows);
+  }
+  source.f64_column(columns.class_base_watts, class_rows);
+  source.f64_column(columns.class_max_watts, class_rows);
+  columns.class_count.resize(class_rows);
+  for (std::uint64_t& count : columns.class_count) {
+    count = source.u64();
+  }
+  source.f64_column(columns.class_speed, class_rows);
+  columns.class_name.resize(class_rows);
+  for (std::string& name : columns.class_name) {
+    name = source.name();
   }
   if (source.remaining() != 0) {
     std::ostringstream message;
@@ -272,17 +300,6 @@ ScenarioBatch deserialize_shard(const std::vector<char>& bytes,
 }
 
 }  // namespace
-
-std::uint64_t fnv1a64(const void* data, std::size_t bytes,
-                      std::uint64_t seed) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t hash = seed;
-  for (std::size_t i = 0; i < bytes; ++i) {
-    hash ^= p[i];
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
 
 ScenarioStoreWriter::ScenarioStoreWriter(std::string path,
                                          std::size_t shard_size)
@@ -340,7 +357,7 @@ void ScenarioStoreWriter::flush_shard() {
   info.bytes = payload.size();
   info.scenarios = buffer_.size();
   info.service_rows = buffer_.service_rows();
-  info.checksum = fnv1a64(payload.data(), payload.size());
+  info.checksum = util::digest64(payload.data(), payload.size());
   info.scenario_begin = scenario_count_ - buffer_.size();
   write_checked(payload.data(), payload.size(), util::fs::sites::kStoreShard);
   shards_.push_back(info);
@@ -369,7 +386,8 @@ ScenarioStoreWriter::Summary ScenarioStoreWriter::finish() {
     sink.u64(info.scenario_begin);
   }
   const std::uint64_t footer_offset = offset_;
-  const std::uint64_t footer_checksum = fnv1a64(footer.data(), footer.size());
+  const std::uint64_t footer_checksum =
+      util::digest64(footer.data(), footer.size());
   write_checked(footer.data(), footer.size(), util::fs::sites::kStoreFinish);
   // Commit-point ordering: everything up to and including the footer must be
   // on disk before the trailer that declares the file finished can land.
@@ -442,10 +460,14 @@ ScenarioStore::ScenarioStore(std::string path) : path_(std::move(path)) {
   if (std::memcmp(magic, kHeaderMagic, sizeof magic) != 0) {
     fail(path_, "bad header magic (not a scenario store)");
   }
-  if (version < kOldestReadableVersion || version > kFormatVersion) {
+  if (version == 1 || version == 2) {
+    fail(path_, "format version " + std::to_string(version) +
+                    " predates the v3 (XXH64) checksum; rewrite the store "
+                    "with write_sweep_store");
+  }
+  if (version != kFormatVersion) {
     fail(path_, "unsupported format version " + std::to_string(version) +
-                    " (this build reads versions " +
-                    std::to_string(kOldestReadableVersion) + ".." +
+                    " (this build reads version " +
                     std::to_string(kFormatVersion) + ")");
   }
   version_ = version;
@@ -478,7 +500,7 @@ ScenarioStore::ScenarioStore(std::string path) : path_(std::move(path)) {
       static_cast<std::size_t>(file_bytes - kTrailerBytes - footer_offset);
   std::vector<char> footer(footer_bytes);
   read_at(footer.data(), footer_bytes, footer_offset, "footer");
-  if (fnv1a64(footer.data(), footer.size()) != footer_checksum) {
+  if (util::digest64(footer.data(), footer.size()) != footer_checksum) {
     fail(path_, "footer checksum mismatch (corrupted file)");
   }
   checksum_ = footer_checksum;
@@ -548,7 +570,8 @@ ScenarioBatch ScenarioStore::read_shard(std::size_t index) const {
                     : status.message());
     fail(path_, message.str());
   }
-  const std::uint64_t actual = fnv1a64(payload.data(), payload.size());
+  const std::uint64_t actual =
+      util::digest64(payload.data(), payload.size());
   if (actual != info.checksum) {
     std::ostringstream message;
     message << "shard " << index << " checksum mismatch (footer "
@@ -561,7 +584,7 @@ ScenarioBatch ScenarioStore::read_shard(std::size_t index) const {
   metrics::registry()
       .counter(metrics::names::kStoreBytesRead)
       .add(payload.size());
-  return deserialize_shard(payload, path_, index, info, version_);
+  return deserialize_shard(payload, path_, index, info);
 }
 
 }  // namespace vmcons::core

@@ -13,11 +13,13 @@
 // as a ScenarioBatch without touching the rest of the file, so the working
 // set of a streaming sweep is one shard, independent of the store size.
 //
-// Integrity is end-to-end: every shard payload carries an FNV-1a checksum
-// in the footer, the footer itself is checksummed from the trailer, and a
-// file missing its trailer (a crashed writer) is rejected at open. The
-// format is host-endian — a cache/checkpoint format for one machine, not a
-// portable interchange format.
+// Integrity is end-to-end: every shard payload carries an XXH64 checksum
+// (util::digest64) in the footer, the footer itself is checksummed from the
+// trailer, and a file missing its trailer (a crashed writer) is rejected at
+// open. The format is host-endian — a cache/checkpoint format for one
+// machine, not a portable interchange format. Stores are version 3; files
+// of versions 1 and 2 (FNV-1a checksums) are refused at open and must be
+// rewritten with write_sweep_store.
 #pragma once
 
 #include <cstddef>
@@ -26,14 +28,14 @@
 #include <vector>
 
 #include "core/scenario_batch.hpp"
+#include "util/digest.hpp"
 #include "util/fs.hpp"
 
 namespace vmcons::core {
 
-/// FNV-1a 64-bit over a byte range. Pass a previous digest as `seed` to
-/// chain incremental updates; the default seed is the FNV offset basis.
-std::uint64_t fnv1a64(const void* data, std::size_t bytes,
-                      std::uint64_t seed = 0xcbf29ce484222325ULL);
+/// FNV-1a of in-memory identities (worker ids, benchmark inputs); no
+/// stored byte is checked with it.
+using util::fnv1a64;
 
 /// Location + integrity record of one shard, as stored in the footer.
 struct ShardInfo {
@@ -41,7 +43,7 @@ struct ShardInfo {
   std::uint64_t bytes = 0;          ///< payload length
   std::uint64_t scenarios = 0;      ///< scenario count in this shard
   std::uint64_t service_rows = 0;   ///< flat service rows in this shard
-  std::uint64_t checksum = 0;       ///< fnv1a64 of the payload bytes
+  std::uint64_t checksum = 0;       ///< util::digest64 of the payload bytes
   std::uint64_t scenario_begin = 0; ///< global index of the first scenario
 };
 
@@ -133,8 +135,8 @@ class ScenarioStore {
   /// footer checksum or is structurally truncated.
   ScenarioBatch read_shard(std::size_t index) const;
 
-  /// On-disk format version the file was written with (new stores write
-  /// version 2, which appends fleet-class columns; version 1 still reads).
+  /// On-disk format version the file was written with. Every store that
+  /// opens is version 3: older versions are refused at open.
   std::uint32_t format_version() const noexcept { return version_; }
 
  private:

@@ -16,6 +16,7 @@
 #include <unistd.h>
 
 #include "util/backoff.hpp"
+#include "util/digest.hpp"
 #include "util/error.hpp"
 #include "util/fault_inject.hpp"
 #include "util/file_lock.hpp"
@@ -28,15 +29,28 @@ namespace {
 namespace fs = std::filesystem;
 
 // Result file layout (host-endian, like the store it mirrors):
-//   magic "VMCRSLT1" | u64 store_checksum | u64 shard_index
+//   magic "VMCRSLT2" | u64 store_checksum | u64 shard_index
 //   | u64 scenario_begin | u64 scenarios | u64 result_checksum
-//   | u64 payload_bytes | payload | u64 payload_checksum | magic "VMCREND1"
+//   | u64 payload_bytes | payload | u64 payload_checksum | magic "VMCREND2"
 // The payload serializes the shard's BatchOutcome: evaluated flags,
 // failures, then every ModelResult field in the canonical order of
 // checksum_model_results (plus the fleet plan, which the digest predates).
-constexpr char kResultMagic[8] = {'V', 'M', 'C', 'R', 'S', 'L', 'T', '1'};
-constexpr char kResultEndMagic[8] = {'V', 'M', 'C', 'R', 'E', 'N', 'D', '1'};
+// payload_checksum is util::digest64 (XXH64) of the payload bytes. The "1"
+// magics of FNV-1a builds fail the merge's magic check.
+constexpr char kResultMagic[8] = {'V', 'M', 'C', 'R', 'S', 'L', 'T', '2'};
+constexpr char kResultEndMagic[8] = {'V', 'M', 'C', 'R', 'E', 'N', 'D', '2'};
 constexpr std::size_t kResultHeaderBytes = sizeof(kResultMagic) + 6 * 8;
+
+// Fewest payload bytes one element of each counted list occupies: the
+// fixed-width part of what serialize_outcome/write_model_result emit for it
+// (a string contributes its u32 length). A declared count whose elements
+// cannot fit in the bytes left is refused before it sizes an allocation.
+constexpr std::size_t kFailureBytes = 8 + 4 + 4;
+constexpr std::size_t kServicePlanBytes = 4 + 2 * 8 * dc::kResourceCount + 16;
+constexpr std::size_t kClassAllocationBytes = 4 + 6 * 8;
+constexpr std::size_t kModelResultBytes =
+    8 + 8 + (4 + 3 * 8 + 8 + 1) * dc::kResourceCount + 10 * 8 + 1 + 8 + 2 +
+    2 * 8;  // with empty dedicated-plan and fleet-class lists
 
 std::int64_t now_wall_ms() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -193,10 +207,21 @@ class ByteReader {
     return v;
   }
   std::string str() {
-    const std::uint32_t length = u32();
-    std::string s(length, '\0');
-    raw(s.data(), length);
+    std::string s(count(u32(), 1, "string length"), '\0');
+    raw(s.data(), s.size());
     return s;
+  }
+  /// `value` elements of at least `bytes_each` bytes must fit in what is
+  /// left of the payload; the payload checksum is no defence here, because
+  /// whoever crafted the file recomputed it.
+  std::size_t count(std::uint64_t value, std::size_t bytes_each,
+                    const char* field) const {
+    if (value > remaining() / bytes_each) {
+      throw IoError(context_ + ": " + field + " " + std::to_string(value) +
+                    " overruns the " + std::to_string(remaining()) +
+                    " payload bytes left (corrupted or crafted payload)");
+    }
+    return static_cast<std::size_t>(value);
   }
   std::size_t remaining() const { return end_ - pos_; }
 
@@ -258,7 +283,8 @@ void write_model_result(ByteWriter& w, const ModelResult& result) {
 
 ModelResult read_model_result(ByteReader& r) {
   ModelResult result;
-  result.dedicated.resize(r.u64());
+  result.dedicated.resize(
+      r.count(r.u64(), kServicePlanBytes, "dedicated plan count"));
   for (ServicePlan& plan : result.dedicated) {
     plan.name = r.str();
     for (const dc::Resource resource : dc::all_resources()) {
@@ -290,7 +316,8 @@ ModelResult read_model_result(ByteReader& r) {
   result.power_saving = r.f64();
   result.infrastructure_saving = r.f64();
   result.fleet.planned = r.u8() != 0;
-  result.fleet.classes.resize(r.u64());
+  result.fleet.classes.resize(
+      r.count(r.u64(), kClassAllocationBytes, "fleet class count"));
   for (ClassAllocation& alloc : result.fleet.classes) {
     alloc.name = r.str();
     alloc.speed = r.f64();
@@ -333,9 +360,10 @@ BatchOutcome deserialize_outcome(ByteReader& r, std::size_t scenarios,
                   " scenarios but the header recorded " +
                   std::to_string(scenarios));
   }
-  outcome.evaluated.resize(scenarios);
+  outcome.evaluated.resize(
+      r.count(evaluated, 1 + kModelResultBytes, "scenario count"));
   r.raw(outcome.evaluated.data(), scenarios);
-  outcome.failures.resize(r.u64());
+  outcome.failures.resize(r.count(r.u64(), kFailureBytes, "failure count"));
   for (CellFailure& failure : outcome.failures) {
     failure.scenario_index = static_cast<std::size_t>(r.u64());
     failure.code = static_cast<ErrorCode>(r.u32());
@@ -624,7 +652,7 @@ WorkerReport ShardedSweepDriver::run_worker(const ScenarioStore& store) const {
         w.u64(payload.size());
         file += payload;
         ByteWriter t(file);
-        t.u64(fnv1a64(payload.data(), payload.size()));
+        t.u64(util::digest64(payload.data(), payload.size()));
         t.raw(kResultEndMagic, sizeof kResultEndMagic);
       }
       // Durable commit point: write + fsync a temporary, rename onto the
@@ -755,7 +783,7 @@ MergedSweep ShardedSweepDriver::merge(const ScenarioStore& store,
                        context);
     const std::uint64_t payload_checksum = trailer.u64();
     const std::uint64_t actual_checksum =
-        fnv1a64(file.data() + payload_begin, payload_bytes);
+        util::digest64(file.data() + payload_begin, payload_bytes);
     if (payload_checksum != actual_checksum) {
       throw IoError(context + ": payload checksum mismatch (recorded " +
                     hex64(payload_checksum) + ", actual " +
@@ -768,7 +796,8 @@ MergedSweep ShardedSweepDriver::merge(const ScenarioStore& store,
         payload, static_cast<std::size_t>(scenarios), context);
     // End-to-end digest: the deserialized results must reproduce the digest
     // the evaluating worker recorded, so a serialization bug (or payload
-    // corruption that collides fnv) cannot smuggle altered numbers through.
+    // corruption that collides the payload checksum) cannot smuggle altered
+    // numbers through.
     const std::uint64_t recomputed =
         checksum_model_results(outcome.results, outcome.evaluated);
     if (recomputed != result_checksum) {

@@ -23,7 +23,9 @@
 //                       rename from a temporary, so a result file either
 //                       does not exist or is complete. Carries the store
 //                       checksum, the shard geometry, a result digest
-//                       (checksum_model_results), and a payload checksum.
+//                       (checksum_model_results), and an XXH64 payload
+//                       checksum. Format VMCRSLT2; VMCRSLT1 files (FNV-1a
+//                       checksums) fail the merge's magic check.
 //   worker-<id>.metrics.json   the worker's metrics registry snapshot
 //                       (metrics::to_json), summed by the merger.
 //

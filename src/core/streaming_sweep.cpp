@@ -10,6 +10,7 @@
 
 #include "core/planner.hpp"
 #include "util/csv.hpp"
+#include "util/digest.hpp"
 #include "util/error.hpp"
 #include "util/fault_inject.hpp"
 #include "util/file_lock.hpp"
@@ -229,14 +230,12 @@ std::uint64_t checksum_model_results(std::span<const ModelResult> results,
                                      std::span<const std::uint8_t> evaluated) {
   VMCONS_REQUIRE(results.size() == evaluated.size(),
                  "results and evaluated flags must have the same length");
-  std::uint64_t hash = fnv1a64(nullptr, 0);
+  util::Digest64 hash;
   const auto mix = [&hash](const void* data, std::size_t bytes) {
-    hash = fnv1a64(data, bytes, hash);
+    hash.update(data, bytes);
   };
-  const auto mix_f64 = [&mix](double value) { mix(&value, sizeof value); };
-  const auto mix_u64 = [&mix](std::uint64_t value) {
-    mix(&value, sizeof value);
-  };
+  const auto mix_f64 = [&hash](double value) { hash.f64(value); };
+  const auto mix_u64 = [&hash](std::uint64_t value) { hash.u64(value); };
   for (std::size_t i = 0; i < results.size(); ++i) {
     mix_u64(evaluated[i]);
     if (!evaluated[i]) {
@@ -276,7 +275,7 @@ std::uint64_t checksum_model_results(std::span<const ModelResult> results,
     mix_f64(result.power_saving);
     mix_f64(result.infrastructure_saving);
   }
-  return hash;
+  return hash.digest();
 }
 
 StreamingSweep::StreamingSweep(StreamingSweepOptions options)

@@ -13,7 +13,7 @@
 // After each completed shard the driver appends a record to a sidecar
 // *checkpoint manifest* (CSV, written via util CsvWriter and flushed per
 // shard): the shard's quarantined CellFailures (global scenario indices)
-// followed by one `shard` row carrying the store's checksum and an FNV-1a
+// followed by one `shard` row carrying the store's checksum and an XXH64
 // checksum of the shard's results. A sweep that is cancelled, hits its
 // deadline, or dies outright can then be re-run with the same options: the
 // manifest is loaded, shards it records as complete are skipped (their
@@ -64,11 +64,11 @@ ScenarioStoreWriter::Summary write_sweep_store(
     const std::string& path, std::size_t shard_size,
     const RunControl& control = {});
 
-/// Order-sensitive FNV-1a digest of a shard's results: each evaluated flag,
-/// then for evaluated cells every numeric field of the ModelResult (plans
-/// included) in a fixed canonical order. Two shards agree iff their results
-/// are bit-identical, which is what the manifest's result checksums assert
-/// across kill/resume boundaries.
+/// Order-sensitive XXH64 digest (util::Digest64) of a shard's results:
+/// each evaluated flag, then for evaluated cells every numeric field of the
+/// ModelResult (plans included) in a fixed canonical order. Two shards agree
+/// iff their results are bit-identical, which is what the manifest's result
+/// checksums assert across kill/resume boundaries.
 std::uint64_t checksum_model_results(std::span<const ModelResult> results,
                                      std::span<const std::uint8_t> evaluated);
 

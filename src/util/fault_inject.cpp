@@ -4,6 +4,7 @@
 #include <thread>
 #include <unordered_map>
 
+#include "util/digest.hpp"
 #include "util/error.hpp"
 
 namespace vmcons::util {
@@ -21,19 +22,7 @@ constexpr std::array<std::string_view, 7> kKnownSites = {
 
 /// FNV-1a over the site name; stable across runs and platforms.
 std::uint64_t site_hash(std::string_view site) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : site) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-std::uint64_t mix64(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
+  return fnv1a64(site.data(), site.size());
 }
 
 /// Uniform draw in [0, 1), a pure function of (seed, site, index, salt) —

@@ -259,7 +259,7 @@ TEST(FleetModelTest, ScenarioStoreRoundTripsFleetColumns) {
   }
 
   ScenarioStore store(path);
-  EXPECT_EQ(store.format_version(), 2u);
+  EXPECT_EQ(store.format_version(), 3u);
   std::size_t begin = 0;
   for (std::size_t shard = 0; shard < store.shard_count(); ++shard) {
     const ScenarioBatch loaded = store.read_shard(shard);

@@ -1,18 +1,22 @@
 // ScenarioStore: chunked columnar files round-trip ScenarioBatches
 // bit-identically, and every corruption mode — flipped payload byte,
-// flipped footer byte, truncated file, writer that never finished — is
-// rejected loudly instead of feeding garbage to a million-cell sweep.
+// flipped footer byte, truncated file, writer that never finished, a
+// crafted count under a recomputed checksum, a pre-v3 store — is rejected
+// loudly instead of feeding garbage to a million-cell sweep.
 #include "core/scenario_store.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "core/scenario_batch.hpp"
+#include "util/digest.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "virt/impact.hpp"
@@ -216,6 +220,163 @@ TEST(ScenarioStore, RejectsMissingFileAndBadShardIndex) {
   const ScenarioStore store(path);
   EXPECT_THROW(store.shard(2), InvalidArgument);
   EXPECT_THROW(store.read_shard(99), InvalidArgument);
+  std::remove(path.c_str());
+}
+
+/// Whole-file bytes, for crafting edits; the store API offers no raw view.
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void spit(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  ASSERT_TRUE(out.good());
+}
+
+std::uint64_t load_u64(const std::string& bytes, std::size_t at) {
+  std::uint64_t value = 0;
+  std::memcpy(&value, bytes.data() + at, sizeof value);
+  return value;
+}
+
+template <typename T>
+void put(std::string& bytes, std::size_t at, T value) {
+  std::memcpy(bytes.data() + at, &value, sizeof value);
+}
+
+/// Recomputes every shard payload checksum and the footer checksum after an
+/// in-place edit, as the author of a crafted file would: the checksums then
+/// vouch for the edit, and only the decoder's own bounds stand in the way.
+void reseal(std::string& file) {
+  const std::size_t trailer_at = file.size() - 32;
+  const std::size_t footer_at = load_u64(file, trailer_at);
+  const std::uint64_t shards = load_u64(file, footer_at);
+  for (std::uint64_t i = 0; i < shards; ++i) {
+    const std::size_t record = footer_at + 8 + 48 * i;
+    const std::size_t offset = load_u64(file, record);
+    const std::size_t bytes = load_u64(file, record + 8);
+    put(file, record + 32, util::digest64(file.data() + offset, bytes));
+  }
+  put(file, trailer_at + 8,
+      util::digest64(file.data() + footer_at, trailer_at - footer_at));
+}
+
+/// Opens `path` and reads shard 0, requiring an IoError whose message names
+/// `field` — not a length_error or bad_alloc from sizing a container by a
+/// count nobody checked.
+void expect_read_refused_naming(const std::string& path,
+                                const std::string& field) {
+  try {
+    const ScenarioStore store(path);
+    store.read_shard(0);
+    ADD_FAILURE() << "crafted " << field << " was accepted";
+  } catch (const IoError& error) {
+    EXPECT_NE(std::string(error.what()).find(field), std::string::npos)
+        << error.what();
+  } catch (const std::exception& error) {
+    ADD_FAILURE() << "crafted " << field
+                  << " escaped as a non-IoError: " << error.what();
+  }
+}
+
+/// A one-shard store (4 scenarios, no fleets) plus where its counted
+/// fields sit, for the crafted-count tests below.
+struct CraftedStore {
+  std::string path;
+  std::string file;
+  ShardInfo shard;
+  std::size_t footer_record = 0;  ///< shard 0's footer record
+  std::size_t trailer_at = 0;
+};
+
+CraftedStore crafted_store(const std::string& name) {
+  CraftedStore crafted;
+  crafted.path = temp_path(name);
+  write_store(crafted.path, 4, 4);
+  crafted.shard = ScenarioStore(crafted.path).shard(0);
+  crafted.file = slurp(crafted.path);
+  crafted.trailer_at = crafted.file.size() - 32;
+  crafted.footer_record = load_u64(crafted.file, crafted.trailer_at) + 8;
+  return crafted;
+}
+
+constexpr std::uint64_t kHugeCount = std::uint64_t{1} << 40;
+
+TEST(ScenarioStore, CraftedScenarioCountIsRefusedBeforeAllocating) {
+  CraftedStore crafted = crafted_store("crafted_scenarios.bin");
+  put(crafted.file, crafted.shard.offset, kHugeCount);
+  put(crafted.file, crafted.footer_record + 16, kHugeCount);
+  put(crafted.file, crafted.trailer_at + 16, kHugeCount);
+  reseal(crafted.file);
+  spit(crafted.path, crafted.file);
+  expect_read_refused_naming(crafted.path, "scenario count");
+  std::remove(crafted.path.c_str());
+}
+
+TEST(ScenarioStore, CraftedServiceRowCountIsRefusedBeforeAllocating) {
+  CraftedStore crafted = crafted_store("crafted_rows.bin");
+  put(crafted.file, crafted.shard.offset + 8, kHugeCount);
+  put(crafted.file, crafted.footer_record + 24, kHugeCount);
+  reseal(crafted.file);
+  spit(crafted.path, crafted.file);
+  expect_read_refused_naming(crafted.path, "service row count");
+  std::remove(crafted.path.c_str());
+}
+
+TEST(ScenarioStore, CraftedClassRowCountIsRefusedBeforeAllocating) {
+  CraftedStore crafted = crafted_store("crafted_classes.bin");
+  // No scenario owns a fleet, so the payload ends with class_rows = 0 and
+  // the scenarios + 1 zero class offsets.
+  const std::size_t class_rows_at = crafted.shard.offset + crafted.shard.bytes -
+                                    8 * (crafted.shard.scenarios + 1) - 8;
+  ASSERT_EQ(load_u64(crafted.file, class_rows_at), 0u);
+  put(crafted.file, class_rows_at, kHugeCount);
+  reseal(crafted.file);
+  spit(crafted.path, crafted.file);
+  expect_read_refused_naming(crafted.path, "class row count");
+  std::remove(crafted.path.c_str());
+}
+
+TEST(ScenarioStore, CraftedNameLengthIsRefusedBeforeAllocating) {
+  CraftedStore crafted = crafted_store("crafted_name.bin");
+  // First service name: after the per-scenario columns (loss, vms, two
+  // power models, row offsets) and the per-row double columns.
+  const std::size_t scenarios = crafted.shard.scenarios;
+  const std::size_t name_at =
+      crafted.shard.offset + 16 + scenarios * (8 + 4 + 2 * 20) +
+      (scenarios + 1) * 8 +
+      crafted.shard.service_rows * 8 * (3 + 2 * dc::kResourceCount);
+  std::uint32_t length = 0;
+  std::memcpy(&length, crafted.file.data() + name_at, sizeof length);
+  ASSERT_EQ(length, std::string("svc0").size());
+  put(crafted.file, name_at, std::uint32_t{0x7ffffff0});
+  reseal(crafted.file);
+  spit(crafted.path, crafted.file);
+  expect_read_refused_naming(crafted.path, "name length");
+  std::remove(crafted.path.c_str());
+}
+
+TEST(ScenarioStore, RefusesStoresThatPredateTheXxh64Checksum) {
+  const std::string path = temp_path("old_version.bin");
+  write_store(path, 4, 4);
+  std::string file = slurp(path);
+  for (const std::uint32_t old_version : {1u, 2u}) {
+    put(file, 8, old_version);  // header: 8-byte magic, then u32 version
+    spit(path, file);
+    try {
+      const ScenarioStore store(path);
+      ADD_FAILURE() << "a version " << old_version << " store opened";
+    } catch (const IoError& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find("predates the v3"), std::string::npos) << what;
+      EXPECT_NE(what.find("write_sweep_store"), std::string::npos) << what;
+    }
+  }
+  put(file, 8, std::uint32_t{4});
+  spit(path, file);
+  EXPECT_THROW(ScenarioStore{path}, IoError);
   std::remove(path.c_str());
 }
 

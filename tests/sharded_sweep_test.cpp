@@ -14,8 +14,10 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,6 +28,7 @@
 #include "core/planner.hpp"
 #include "core/scenario_store.hpp"
 #include "core/streaming_sweep.hpp"
+#include "util/digest.hpp"
 #include "util/error.hpp"
 #include "util/fault_inject.hpp"
 #include "util/file_lock.hpp"
@@ -390,6 +393,168 @@ TEST(ShardedSweep, MergeRefusesCorruptedAndMissingResults) {
   // Truncation is equally loud.
   std::filesystem::resize_file(victim, 40);
   EXPECT_THROW(merger.merge(store), IoError);
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void spit(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  ASSERT_TRUE(out.good());
+}
+
+std::uint64_t load_u64(const std::string& bytes, std::size_t at) {
+  std::uint64_t value = 0;
+  std::memcpy(&value, bytes.data() + at, sizeof value);
+  return value;
+}
+
+std::uint32_t load_u32(const std::string& bytes, std::size_t at) {
+  std::uint32_t value = 0;
+  std::memcpy(&value, bytes.data() + at, sizeof value);
+  return value;
+}
+
+template <typename T>
+void put(std::string& bytes, std::size_t at, T value) {
+  std::memcpy(bytes.data() + at, &value, sizeof value);
+}
+
+// Result file geometry: 8-byte magic, six u64 header fields (the last is
+// payload_bytes), the payload, its u64 checksum, the 8-byte end magic.
+constexpr std::size_t kPayloadBegin = 8 + 6 * 8;
+
+/// Recomputes the payload checksum after an in-place edit, as the author
+/// of a crafted file would.
+void reseal_result(std::string& file) {
+  const std::size_t payload_bytes = load_u64(file, kPayloadBegin - 8);
+  put(file, kPayloadBegin + payload_bytes,
+      util::digest64(file.data() + kPayloadBegin, payload_bytes));
+}
+
+/// Offsets of the counted fields a result payload decodes before its first
+/// ModelResult is complete, found by walking the serialized layout.
+struct ResultFields {
+  std::size_t failure_count = 0;
+  std::size_t dedicated_count = 0;   ///< first result's plan count
+  std::size_t first_name_length = 0; ///< u32 length of that plan's name
+  std::size_t class_count = 0;       ///< first result's fleet class count
+};
+
+ResultFields locate_result_fields(const std::string& file) {
+  constexpr std::size_t kResources = dc::kResourceCount;
+  ResultFields fields;
+  std::size_t at = kPayloadBegin;
+  at += 8 + load_u64(file, at);  // evaluated flags
+  fields.failure_count = at;
+  const std::uint64_t failures = load_u64(file, at);
+  at += 8;
+  for (std::uint64_t i = 0; i < failures; ++i) {
+    at += 8 + 4;                     // scenario index, code
+    at += 4 + load_u32(file, at);    // message
+  }
+  fields.dedicated_count = at;
+  const std::uint64_t plans = load_u64(file, at);
+  at += 8;
+  fields.first_name_length = at;
+  for (std::uint64_t i = 0; i < plans; ++i) {
+    at += 4 + load_u32(file, at) + 2 * 8 * kResources + 16;
+  }
+  // dedicated_servers, per-resource consolidated plans, ten scalars, the
+  // fleet's planned flag.
+  at += 8 + (4 + 3 * 8 + 8 + 1) * kResources + 10 * 8 + 1;
+  fields.class_count = at;
+  return fields;
+}
+
+TEST(ShardedSweep, MergeRefusesCraftedCountsBeforeAllocating) {
+  const std::string store_path = make_store("crafted");
+  const ScenarioStore store(store_path);
+  const std::string ledger = temp_path("crafted.ledger");
+  const ShardedSweepDriver worker(driver_options(ledger, "w0"));
+  worker.run_worker(store);
+  const ShardedSweepDriver merger(driver_options(ledger, "merger"));
+  ASSERT_NO_THROW(merger.merge(store));
+
+  const ClaimLedger paths(ledger, store.checksum(), std::chrono::seconds(60));
+  const std::string victim = paths.result_path(0);
+  const std::string good = slurp(victim);
+  const ResultFields fields = locate_result_fields(good);
+  ASSERT_EQ(load_u64(good, fields.dedicated_count), 2u);  // web + db
+  ASSERT_EQ(load_u32(good, fields.first_name_length), 3u);  // "web"
+
+  struct Case {
+    const char* field;  ///< what the IoError must name
+    std::size_t at;
+    std::uint64_t value;
+    bool narrow;  ///< a u32 length rather than a u64 count
+  };
+  const Case cases[] = {
+      {"failure count", fields.failure_count, std::uint64_t{1} << 62, false},
+      {"dedicated plan count", fields.dedicated_count, std::uint64_t{1} << 40,
+       false},
+      {"string length", fields.first_name_length, 0x7ffffff0, true},
+      {"fleet class count", fields.class_count, std::uint64_t{1} << 40,
+       false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.field);
+    std::string file = good;
+    if (c.narrow) {
+      put(file, c.at, static_cast<std::uint32_t>(c.value));
+    } else {
+      put(file, c.at, c.value);
+    }
+    reseal_result(file);
+    spit(victim, file);
+    try {
+      merger.merge(store);
+      ADD_FAILURE() << "crafted " << c.field << " was merged";
+    } catch (const IoError& error) {
+      EXPECT_NE(std::string(error.what()).find(c.field), std::string::npos)
+          << error.what();
+    } catch (const std::exception& error) {
+      ADD_FAILURE() << "crafted " << c.field
+                    << " escaped as a non-IoError: " << error.what();
+    }
+  }
+  spit(victim, good);
+  EXPECT_NO_THROW(merger.merge(store));
+}
+
+TEST(ShardedSweep, MergeRefusesVersion1ResultFiles) {
+  const std::string store_path = make_store("v1_result");
+  const ScenarioStore store(store_path);
+  const std::string ledger = temp_path("v1_result.ledger");
+  const ShardedSweepDriver worker(driver_options(ledger, "w0"));
+  worker.run_worker(store);
+  const ClaimLedger paths(ledger, store.checksum(), std::chrono::seconds(60));
+  const std::string victim = paths.result_path(1);
+
+  // What an FNV-1a build committed: the "1" magics around an FNV payload
+  // checksum, otherwise the same layout.
+  std::string file = slurp(victim);
+  ASSERT_EQ(file.compare(0, 8, "VMCRSLT2"), 0);
+  file.replace(0, 8, "VMCRSLT1");
+  file.replace(file.size() - 8, 8, "VMCREND1");
+  const std::size_t payload_bytes = load_u64(file, kPayloadBegin - 8);
+  put(file, kPayloadBegin + payload_bytes,
+      util::fnv1a64(file.data() + kPayloadBegin, payload_bytes));
+  spit(victim, file);
+
+  const ShardedSweepDriver merger(driver_options(ledger, "merger"));
+  try {
+    merger.merge(store);
+    FAIL() << "a VMCRSLT1 result file must fail the merge";
+  } catch (const IoError& error) {
+    EXPECT_NE(std::string(error.what()).find("bad magic"), std::string::npos)
+        << error.what();
+    EXPECT_NE(std::string(error.what()).find(victim), std::string::npos)
+        << error.what();
+  }
 }
 
 TEST(ShardedSweep, MergeSumsWorkerMetricsFiles) {
