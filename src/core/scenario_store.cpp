@@ -76,17 +76,19 @@ class ByteSource {
  public:
   ByteSource(const std::vector<char>& in, const std::string& path,
              std::size_t shard)
-      : in_(in), path_(path), shard_(shard) {}
+      : in_(in),
+        context_("scenario store '" + path + "': shard " +
+                 std::to_string(shard)) {}
 
   void raw(void* data, std::size_t bytes) {
     if (bytes == 0) {
       return;  // empty columns may hand over a null data()
     }
     if (bytes > in_.size() - pos_) {
-      std::ostringstream message;
-      message << "shard " << shard_ << " payload is truncated (need " << bytes
-              << " bytes at offset " << pos_ << " of " << in_.size() << ")";
-      fail(path_, message.str());
+      throw IoError(context_ + " payload is truncated (need " +
+                    std::to_string(bytes) + " bytes at offset " +
+                    std::to_string(pos_) + " of " +
+                    std::to_string(in_.size()) + ")");
     }
     std::memcpy(data, in_.data() + pos_, bytes);
     pos_ += bytes;
@@ -110,26 +112,16 @@ class ByteSource {
     raw(text.data(), text.size());
     return text;
   }
-  /// `count` elements of at least `bytes_each` bytes must fit in what is
-  /// left of the payload; the checksum is no defence here, because whoever
-  /// crafted the file recomputed it.
+  /// bounded_count (util/error.hpp) against what is left of this payload.
   std::size_t bounded(std::uint64_t count, std::size_t bytes_each,
                       const char* field) const {
-    if (count > remaining() / bytes_each) {
-      std::ostringstream message;
-      message << "shard " << shard_ << " " << field << " " << count
-              << " overruns the " << remaining()
-              << " payload bytes left (corrupted or crafted payload)";
-      fail(path_, message.str());
-    }
-    return static_cast<std::size_t>(count);
+    return bounded_count(count, bytes_each, remaining(), context_, field);
   }
   std::size_t remaining() const { return in_.size() - pos_; }
 
  private:
   const std::vector<char>& in_;
-  const std::string& path_;
-  std::size_t shard_;
+  std::string context_;
   std::size_t pos_ = 0;
 };
 

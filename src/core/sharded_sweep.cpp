@@ -207,21 +207,14 @@ class ByteReader {
     return v;
   }
   std::string str() {
-    std::string s(count(u32(), 1, "string length"), '\0');
+    std::string s(bounded(u32(), 1, "string length"), '\0');
     raw(s.data(), s.size());
     return s;
   }
-  /// `value` elements of at least `bytes_each` bytes must fit in what is
-  /// left of the payload; the payload checksum is no defence here, because
-  /// whoever crafted the file recomputed it.
-  std::size_t count(std::uint64_t value, std::size_t bytes_each,
-                    const char* field) const {
-    if (value > remaining() / bytes_each) {
-      throw IoError(context_ + ": " + field + " " + std::to_string(value) +
-                    " overruns the " + std::to_string(remaining()) +
-                    " payload bytes left (corrupted or crafted payload)");
-    }
-    return static_cast<std::size_t>(value);
+  /// bounded_count (util/error.hpp) against what is left of this payload.
+  std::size_t bounded(std::uint64_t count, std::size_t bytes_each,
+                      const char* field) const {
+    return bounded_count(count, bytes_each, remaining(), context_, field);
   }
   std::size_t remaining() const { return end_ - pos_; }
 
@@ -284,7 +277,7 @@ void write_model_result(ByteWriter& w, const ModelResult& result) {
 ModelResult read_model_result(ByteReader& r) {
   ModelResult result;
   result.dedicated.resize(
-      r.count(r.u64(), kServicePlanBytes, "dedicated plan count"));
+      r.bounded(r.u64(), kServicePlanBytes, "dedicated plan count"));
   for (ServicePlan& plan : result.dedicated) {
     plan.name = r.str();
     for (const dc::Resource resource : dc::all_resources()) {
@@ -317,7 +310,7 @@ ModelResult read_model_result(ByteReader& r) {
   result.infrastructure_saving = r.f64();
   result.fleet.planned = r.u8() != 0;
   result.fleet.classes.resize(
-      r.count(r.u64(), kClassAllocationBytes, "fleet class count"));
+      r.bounded(r.u64(), kClassAllocationBytes, "fleet class count"));
   for (ClassAllocation& alloc : result.fleet.classes) {
     alloc.name = r.str();
     alloc.speed = r.f64();
@@ -361,9 +354,9 @@ BatchOutcome deserialize_outcome(ByteReader& r, std::size_t scenarios,
                   std::to_string(scenarios));
   }
   outcome.evaluated.resize(
-      r.count(evaluated, 1 + kModelResultBytes, "scenario count"));
+      r.bounded(evaluated, 1 + kModelResultBytes, "scenario count"));
   r.raw(outcome.evaluated.data(), scenarios);
-  outcome.failures.resize(r.count(r.u64(), kFailureBytes, "failure count"));
+  outcome.failures.resize(r.bounded(r.u64(), kFailureBytes, "failure count"));
   for (CellFailure& failure : outcome.failures) {
     failure.scenario_index = static_cast<std::size_t>(r.u64());
     failure.code = static_cast<ErrorCode>(r.u32());

@@ -231,49 +231,44 @@ std::uint64_t checksum_model_results(std::span<const ModelResult> results,
   VMCONS_REQUIRE(results.size() == evaluated.size(),
                  "results and evaluated flags must have the same length");
   util::Digest64 hash;
-  const auto mix = [&hash](const void* data, std::size_t bytes) {
-    hash.update(data, bytes);
-  };
-  const auto mix_f64 = [&hash](double value) { hash.f64(value); };
-  const auto mix_u64 = [&hash](std::uint64_t value) { hash.u64(value); };
   for (std::size_t i = 0; i < results.size(); ++i) {
-    mix_u64(evaluated[i]);
+    hash.u64(evaluated[i]);
     if (!evaluated[i]) {
       continue;
     }
     const ModelResult& result = results[i];
-    mix_u64(result.dedicated.size());
+    hash.u64(result.dedicated.size());
     for (const ServicePlan& plan : result.dedicated) {
-      mix_u64(plan.name.size());
-      mix(plan.name.data(), plan.name.size());
+      hash.u64(plan.name.size());
+      hash.update(plan.name.data(), plan.name.size());
       for (const dc::Resource resource : dc::all_resources()) {
-        mix_f64(plan.offered_load[resource]);
+        hash.f64(plan.offered_load[resource]);
       }
       for (const std::uint64_t servers : plan.servers_per_resource) {
-        mix_u64(servers);
+        hash.u64(servers);
       }
-      mix_u64(plan.servers);
-      mix_f64(plan.blocking);
+      hash.u64(plan.servers);
+      hash.f64(plan.blocking);
     }
-    mix_u64(result.dedicated_servers);
+    hash.u64(result.dedicated_servers);
     for (const ConsolidatedResourcePlan& plan : result.consolidated) {
-      mix_u64(static_cast<std::uint64_t>(plan.resource));
-      mix_f64(plan.merged_arrival_rate);
-      mix_f64(plan.effective_service_rate);
-      mix_f64(plan.offered_load);
-      mix_u64(plan.servers);
-      mix_u64(plan.demanded ? 1 : 0);
+      hash.u64(static_cast<std::uint64_t>(plan.resource));
+      hash.f64(plan.merged_arrival_rate);
+      hash.f64(plan.effective_service_rate);
+      hash.f64(plan.offered_load);
+      hash.u64(plan.servers);
+      hash.u64(plan.demanded ? 1 : 0);
     }
-    mix_u64(result.consolidated_servers);
-    mix_f64(result.consolidated_blocking);
-    mix_f64(result.dedicated_utilization);
-    mix_f64(result.consolidated_utilization);
-    mix_f64(result.utilization_improvement);
-    mix_f64(result.dedicated_power_watts);
-    mix_f64(result.consolidated_power_watts);
-    mix_f64(result.power_ratio);
-    mix_f64(result.power_saving);
-    mix_f64(result.infrastructure_saving);
+    hash.u64(result.consolidated_servers);
+    hash.f64(result.consolidated_blocking);
+    hash.f64(result.dedicated_utilization);
+    hash.f64(result.consolidated_utilization);
+    hash.f64(result.utilization_improvement);
+    hash.f64(result.dedicated_power_watts);
+    hash.f64(result.consolidated_power_watts);
+    hash.f64(result.power_ratio);
+    hash.f64(result.power_saving);
+    hash.f64(result.infrastructure_saving);
   }
   return hash.digest();
 }

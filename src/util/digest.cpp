@@ -18,9 +18,9 @@ std::uint32_t load32(const unsigned char* p) noexcept {
 
 }  // namespace
 
-Digest64::Digest64(std::uint64_t seed) noexcept
-    : acc_{seed + kPrime1 + kPrime2, seed + kPrime2, seed, seed - kPrime1},
-      seed_(seed) {}
+// The accumulators start from XXH64's seed-0 values.
+Digest64::Digest64() noexcept
+    : acc_{kPrime1 + kPrime2, kPrime2, 0, 0 - kPrime1} {}
 
 void Digest64::update(const void* data, std::size_t bytes) noexcept {
   if (bytes == 0) {
@@ -69,7 +69,7 @@ std::uint64_t Digest64::digest() const noexcept {
       h = (h ^ lane_round(0, acc)) * kPrime1 + kPrime4;
     }
   } else {
-    h = seed_ + kPrime5;
+    h = kPrime5;
   }
   h += consumed_ + fill_;
 
@@ -98,9 +98,8 @@ std::uint64_t Digest64::digest() const noexcept {
   return h;
 }
 
-std::uint64_t digest64(const void* data, std::size_t bytes,
-                       std::uint64_t seed) noexcept {
-  Digest64 digest(seed);
+std::uint64_t digest64(const void* data, std::size_t bytes) noexcept {
+  Digest64 digest;
   digest.update(data, bytes);
   return digest.digest();
 }

@@ -1,7 +1,7 @@
 // Non-cryptographic 64-bit digests: the one place the repo's hash functions
 // live.
 //
-// Digest64 is XXH64 (seed 0 unless given), the integrity checksum of every
+// Digest64 is XXH64 with seed 0, the integrity checksum of every
 // durable byte: scenario-store shard payloads and footers, sharded-sweep
 // result payloads, and the canonical per-shard result digest
 // (checksum_model_results). It consumes 32-byte stripes as four independent
@@ -26,7 +26,7 @@ namespace vmcons::util {
 /// digest as one digest64 call over the whole sequence.
 class Digest64 {
  public:
-  explicit Digest64(std::uint64_t seed = 0) noexcept;
+  Digest64() noexcept;
 
   void update(const void* data, std::size_t bytes) noexcept;
 
@@ -78,7 +78,6 @@ class Digest64 {
   }
 
   std::uint64_t acc_[4];
-  std::uint64_t seed_;
   std::uint64_t consumed_ = 0;  ///< bytes folded into acc_, a multiple of 32
   std::size_t fill_ = 0;  ///< bytes buffered in stripe_, always < kStripe
   /// One stripe plus room for a word that runs past it, so u64() never
@@ -87,8 +86,7 @@ class Digest64 {
 };
 
 /// One-shot XXH64 of a byte range.
-std::uint64_t digest64(const void* data, std::size_t bytes,
-                       std::uint64_t seed = 0) noexcept;
+std::uint64_t digest64(const void* data, std::size_t bytes) noexcept;
 
 /// FNV-1a 64-bit over a byte range. Pass a previous digest as `seed` to
 /// chain incremental updates; the default seed is the FNV offset basis.

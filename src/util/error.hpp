@@ -13,6 +13,7 @@
 // outlive any one build.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -101,6 +102,24 @@ class IoError : public Error {
   explicit IoError(const std::string& what)
       : Error(what, ErrorCode::kIoError) {}
 };
+
+/// Bound on a count read from an untrusted payload, checked before anything
+/// is sized from it: `count` elements of at least `bytes_each` bytes must
+/// fit in the `remaining` payload bytes. A checksum is no defence here,
+/// because whoever crafted the file recomputed it. Returns the count, else
+/// throws IoError "<context>: <field> <count> overruns the <remaining>
+/// payload bytes left".
+inline std::size_t bounded_count(std::uint64_t count, std::size_t bytes_each,
+                                 std::size_t remaining,
+                                 const std::string& context,
+                                 const char* field) {
+  if (count > remaining / bytes_each) {
+    throw IoError(context + ": " + field + " " + std::to_string(count) +
+                  " overruns the " + std::to_string(remaining) +
+                  " payload bytes left (corrupted or crafted payload)");
+  }
+  return static_cast<std::size_t>(count);
+}
 
 /// Work was stopped because a RunControl's CancelToken was flipped.
 class CancelledError : public Error {

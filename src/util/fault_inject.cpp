@@ -20,11 +20,6 @@ constexpr std::array<std::string_view, 7> kKnownSites = {
     fault_sites::kDriverShard,
 };
 
-/// FNV-1a over the site name; stable across runs and platforms.
-std::uint64_t site_hash(std::string_view site) noexcept {
-  return fnv1a64(site.data(), site.size());
-}
-
 /// Uniform draw in [0, 1), a pure function of (seed, site, index, salt) —
 /// deliberately free of any thread or time input so fault runs replay
 /// bit-identically across worker counts.
@@ -42,7 +37,8 @@ constexpr std::uint64_t kDelaySalt = 0xD3;
 /// Immutable arming snapshot, swapped atomically so check() never locks.
 struct FaultInjector::Config {
   std::uint64_t seed = 2009;
-  std::unordered_map<std::uint64_t, SiteConfig> sites;  // key: site_hash
+  /// Keyed by fnv1a64 of the site name.
+  std::unordered_map<std::uint64_t, SiteConfig> sites;
 };
 
 std::atomic<bool> FaultInjector::g_enabled{false};
@@ -74,7 +70,7 @@ void FaultInjector::arm(std::string_view site, SiteConfig config) {
                      config.delay_rate >= 0.0 && config.delay_rate <= 1.0,
                  "fault-injection rates must be in [0, 1]");
   auto next = std::make_shared<Config>(*load());
-  next->sites[site_hash(site)] = config;
+  next->sites[fnv1a64(site.data(), site.size())] = config;
   config_.store(std::shared_ptr<const Config>(std::move(next)),
                 std::memory_order_release);
   publish_enabled();
@@ -102,7 +98,7 @@ void FaultInjector::check(std::string_view site, std::uint64_t index) const {
   if (config->sites.empty()) {
     return;
   }
-  const std::uint64_t hash = site_hash(site);
+  const std::uint64_t hash = fnv1a64(site.data(), site.size());
   const auto it = config->sites.find(hash);
   if (it == config->sites.end()) {
     return;
@@ -124,7 +120,7 @@ void FaultInjector::check(std::string_view site, std::uint64_t index) const {
 bool FaultInjector::would_fail(std::string_view site,
                                std::uint64_t index) const {
   const auto config = load();
-  const std::uint64_t hash = site_hash(site);
+  const std::uint64_t hash = fnv1a64(site.data(), site.size());
   const auto it = config->sites.find(hash);
   if (it == config->sites.end()) {
     return false;

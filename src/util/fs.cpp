@@ -33,11 +33,6 @@ std::size_t site_index(std::string_view site) noexcept {
   return kKnownSites.size();
 }
 
-/// FNV-1a over the site name; stable across runs and platforms.
-std::uint64_t site_hash(std::string_view site) noexcept {
-  return fnv1a64(site.data(), site.size());
-}
-
 /// Uniform [0, 1) draw, pure in (seed, site, op): fs fault runs replay
 /// bit-identically as long as the op sequence is serial per site.
 double draw(std::uint64_t seed, std::uint64_t site,
@@ -55,8 +50,8 @@ Backoff eio_backoff(std::string_view site) {
   Backoff::Options options;
   options.initial = std::chrono::microseconds(1000);
   options.max = std::chrono::microseconds(8000);
-  return Backoff(options,
-                 FsFaultInjector::global().seed() ^ site_hash(site));
+  return Backoff(options, FsFaultInjector::global().seed() ^
+                              fnv1a64(site.data(), site.size()));
 }
 
 void count_eio_retry() {
@@ -461,7 +456,8 @@ Status commit_file(const std::string& path, std::string_view contents,
 /// Immutable arming snapshot, swapped atomically so on_op never locks.
 struct FsFaultInjector::Config {
   std::uint64_t seed = 2009;
-  std::unordered_map<std::uint64_t, SiteConfig> sites;  // key: site_hash
+  /// Keyed by fnv1a64 of the site name.
+  std::unordered_map<std::uint64_t, SiteConfig> sites;
 };
 
 std::atomic<bool> FsFaultInjector::g_enabled{false};
@@ -491,7 +487,7 @@ void FsFaultInjector::arm(std::string_view site, SiteConfig config) {
   VMCONS_REQUIRE(config.error_errno > 0,
                  "fs fault error_errno must be a positive errno");
   auto next = std::make_shared<Config>(*load());
-  next->sites[site_hash(site)] = config;
+  next->sites[fnv1a64(site.data(), site.size())] = config;
   config_.store(std::shared_ptr<const Config>(std::move(next)),
                 std::memory_order_release);
   publish_enabled();
@@ -519,7 +515,7 @@ FsFaultInjector::FaultPlan FsFaultInjector::on_op(std::string_view site) {
   if (config->sites.empty()) {
     return {};
   }
-  const std::uint64_t hash = site_hash(site);
+  const std::uint64_t hash = fnv1a64(site.data(), site.size());
   const auto it = config->sites.find(hash);
   if (it == config->sites.end()) {
     return {};

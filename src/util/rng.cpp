@@ -3,6 +3,7 @@
 #include <cmath>
 #include <numbers>
 
+#include "util/digest.hpp"
 #include "util/error.hpp"
 
 namespace vmcons {
@@ -15,10 +16,9 @@ inline std::uint64_t rotl(std::uint64_t x, int k) noexcept {
 }  // namespace
 
 std::uint64_t splitmix64(std::uint64_t& state) noexcept {
-  std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+  const std::uint64_t z = util::mix64(state);
+  state += 0x9e3779b97f4a7c15ULL;
+  return z;
 }
 
 Rng::Rng(std::uint64_t seed, std::uint64_t stream) noexcept {

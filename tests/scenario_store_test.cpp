@@ -8,14 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <string>
 #include <vector>
 
 #include "core/scenario_batch.hpp"
+#include "file_bytes.hpp"
 #include "util/digest.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -223,28 +222,11 @@ TEST(ScenarioStore, RejectsMissingFileAndBadShardIndex) {
   std::remove(path.c_str());
 }
 
-/// Whole-file bytes, for crafting edits; the store API offers no raw view.
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(in), {});
-}
-
-void spit(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  ASSERT_TRUE(out.good());
-}
-
-std::uint64_t load_u64(const std::string& bytes, std::size_t at) {
-  std::uint64_t value = 0;
-  std::memcpy(&value, bytes.data() + at, sizeof value);
-  return value;
-}
-
-template <typename T>
-void put(std::string& bytes, std::size_t at, T value) {
-  std::memcpy(bytes.data() + at, &value, sizeof value);
-}
+using file_bytes::load_u32;
+using file_bytes::load_u64;
+using file_bytes::put;
+using file_bytes::slurp;
+using file_bytes::spit;
 
 /// Recomputes every shard payload checksum and the footer checksum after an
 /// in-place edit, as the author of a crafted file would: the checksums then
@@ -348,9 +330,7 @@ TEST(ScenarioStore, CraftedNameLengthIsRefusedBeforeAllocating) {
       crafted.shard.offset + 16 + scenarios * (8 + 4 + 2 * 20) +
       (scenarios + 1) * 8 +
       crafted.shard.service_rows * 8 * (3 + 2 * dc::kResourceCount);
-  std::uint32_t length = 0;
-  std::memcpy(&length, crafted.file.data() + name_at, sizeof length);
-  ASSERT_EQ(length, std::string("svc0").size());
+  ASSERT_EQ(load_u32(crafted.file, name_at), std::string("svc0").size());
   put(crafted.file, name_at, std::uint32_t{0x7ffffff0});
   reseal(crafted.file);
   spit(crafted.path, crafted.file);

@@ -14,10 +14,8 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,6 +26,7 @@
 #include "core/planner.hpp"
 #include "core/scenario_store.hpp"
 #include "core/streaming_sweep.hpp"
+#include "file_bytes.hpp"
 #include "util/digest.hpp"
 #include "util/error.hpp"
 #include "util/fault_inject.hpp"
@@ -395,33 +394,11 @@ TEST(ShardedSweep, MergeRefusesCorruptedAndMissingResults) {
   EXPECT_THROW(merger.merge(store), IoError);
 }
 
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(in), {});
-}
-
-void spit(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  ASSERT_TRUE(out.good());
-}
-
-std::uint64_t load_u64(const std::string& bytes, std::size_t at) {
-  std::uint64_t value = 0;
-  std::memcpy(&value, bytes.data() + at, sizeof value);
-  return value;
-}
-
-std::uint32_t load_u32(const std::string& bytes, std::size_t at) {
-  std::uint32_t value = 0;
-  std::memcpy(&value, bytes.data() + at, sizeof value);
-  return value;
-}
-
-template <typename T>
-void put(std::string& bytes, std::size_t at, T value) {
-  std::memcpy(bytes.data() + at, &value, sizeof value);
-}
+using file_bytes::load_u32;
+using file_bytes::load_u64;
+using file_bytes::put;
+using file_bytes::slurp;
+using file_bytes::spit;
 
 // Result file geometry: 8-byte magic, six u64 header fields (the last is
 // payload_bytes), the payload, its u64 checksum, the 8-byte end magic.
