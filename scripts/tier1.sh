@@ -73,6 +73,14 @@ echo "== tier-1: bench smoke (correctness only, ~1s each) =="
   --baseline-json BENCH_shard.json --min-baseline-speedup 0
 
 echo
+echo "== tier-1: vmbench selftest =="
+# vmbench compiles against the library's public API (point_inputs,
+# ScenarioBatch::append, write_sweep_store, ...), so an API break must fail
+# here, not first in a benchmark run. Builds into the git-ignored
+# .bench_build/ and writes nothing under vmbench/.
+python3 vmbench/run.py --selftest
+
+echo
 echo "== tier-1: multi-process kill-and-reclaim drill =="
 # Two worker processes over a small store; one is killed mid-shard (_exit
 # after its claim lands, the kill -9 window), a relaunched worker reclaims

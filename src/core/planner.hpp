@@ -110,10 +110,25 @@ class ConsolidationPlanner {
   std::vector<PlanReport> sweep_target_loss(const std::vector<double>& losses) const;
 
   /// Model inputs for one grid point: this planner's configuration with the
-  /// point's set axes applied. A pure function of (planner, point), so a
-  /// streaming sweep can rebuild any scenario range of a grid without ever
-  /// materializing the whole grid. Implemented in sweep.cpp.
+  /// point's set axes applied. A pure function of (planner, point): the
+  /// per-point reference that sweep_batch must match column for column.
+  /// Implemented in sweep.cpp.
   ModelInputs point_inputs(const SweepPoint& point) const;
+
+  /// The scenarios of grid indices [begin, end) as one ScenarioBatch,
+  /// bit-identical to appending point_inputs(grid.point(i)) for each i in
+  /// order, and raising the same errors at the same cell. Everything that
+  /// is constant across cells — planner validation, impact factors and
+  /// effective rates per VM-count axis value, bottleneck rates, class
+  /// speeds — is derived once per call; each cell writes only its target
+  /// loss, VM count, scaled arrival rates and class counts. sweep_all
+  /// builds its batch and write_sweep_store each shard this way, so any
+  /// index range of a grid is rebuilt without materializing the rest. The
+  /// batch is built in `recycled`'s cleared columns, so a caller walking a
+  /// grid range by range reuses one allocation. Implemented in sweep.cpp.
+  ScenarioBatch sweep_batch(const SweepGrid& grid, std::size_t begin,
+                            std::size_t end,
+                            ScenarioBatch recycled = {}) const;
 
   const std::vector<dc::ServiceSpec>& services() const { return services_; }
 

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "util/error.hpp"
-#include "virt/impact.hpp"
 
 namespace vmcons::core {
 
@@ -29,58 +28,42 @@ std::size_t ScenarioBatch::append(const ModelInputs& inputs) {
   vm_count_.push_back(v);
   dedicated_power_.push_back(inputs.dedicated_power);
   consolidated_power_.push_back(inputs.consolidated_power);
-
-  const std::size_t first_row = service_rows();
-  const std::size_t count = inputs.services.size();
-  row_begin_.push_back(first_row + count);
-
+  row_begin_.push_back(service_rows() + inputs.services.size());
+  class_begin_.push_back(class_rows() + inputs.fleet.size());
   for (const auto& service : inputs.services) {
     arrival_rate_.push_back(service.arrival_rate);
-    service_name_.push_back(service.name);
   }
+  write_rows(inputs.services, v, inputs.fleet);
+  return scenario;
+}
 
-  // Impact factors are evaluated per-column: gather one resource's curves
-  // across the scenario's services, evaluate the whole column at v, and
-  // derive the native/impact rate columns from the same values.
-  std::vector<const virt::Impact*> curves(count);
-  std::vector<double> factors(count);
-  for (const dc::Resource resource : dc::all_resources()) {
-    const auto r = static_cast<std::size_t>(resource);
-    for (std::size_t i = 0; i < count; ++i) {
-      curves[i] = &inputs.services[i].impacts[r];
-    }
-    virt::fill_factors(curves, v, factors);
-    for (std::size_t i = 0; i < count; ++i) {
-      native_rate_[r].push_back(inputs.services[i].native_rates[resource]);
-      impact_[r].push_back(factors[i]);
-    }
-  }
-
+void ScenarioBatch::write_rows(std::span<const dc::ServiceSpec> services,
+                               unsigned v, const dc::Fleet& fleet) {
   // Derived rate columns, with the exact arithmetic of the scalar accessors
-  // (ServiceSpec::native_bottleneck_rate / effective_rate): resources in
-  // all_resources() order, zero rates skipped, min-accumulation.
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::size_t row = first_row + i;
+  // (ServiceSpec::native_bottleneck_rate / effective_rate).
+  for (const dc::ServiceSpec& service : services) {
+    service_name_.push_back(service.name);
     double bottleneck = std::numeric_limits<double>::infinity();
     double effective = std::numeric_limits<double>::infinity();
     for (const dc::Resource resource : dc::all_resources()) {
       const auto r = static_cast<std::size_t>(resource);
-      const double mu = native_rate_[r][row];
+      const double mu = service.native_rates[resource];
+      const double factor = service.impacts[r].factor(v);
+      native_rate_[r].push_back(mu);
+      impact_[r].push_back(factor);
       if (mu <= 0.0) {
         continue;
       }
       bottleneck = std::min(bottleneck, mu);
-      effective = std::min(effective, mu * impact_[r][row]);
+      effective = std::min(effective, mu * factor);
     }
     bottleneck_rate_.push_back(bottleneck);
     effective_rate_.push_back(effective);
   }
 
   // Fleet-class rows. A Fleet is valid by construction (its only mutator
-  // validates), so the columns adopt the classes as-is; speed is derived
-  // here with ServerClass::speed()'s exact min-accumulation.
-  class_begin_.push_back(class_rows() + inputs.fleet.size());
-  for (const dc::ServerClass& server_class : inputs.fleet.classes()) {
+  // validates), so the columns adopt the classes as-is.
+  for (const dc::ServerClass& server_class : fleet.classes()) {
     class_name_.push_back(server_class.name);
     for (const dc::Resource resource : dc::all_resources()) {
       class_capacity_[static_cast<std::size_t>(resource)].push_back(
@@ -91,6 +74,121 @@ std::size_t ScenarioBatch::append(const ModelInputs& inputs) {
     class_count_.push_back(server_class.count);
     class_speed_.push_back(server_class.speed());
   }
+}
+
+template <typename S, typename R, typename C>
+void ScenarioBatch::for_each_column(S&& scenario, R&& row, C&& cls) {
+  scenario(target_loss_);
+  scenario(vm_count_);
+  scenario(dedicated_power_);
+  scenario(consolidated_power_);
+  row(arrival_rate_);
+  row(service_name_);
+  row(bottleneck_rate_);
+  row(effective_rate_);
+  cls(class_name_);
+  cls(class_base_watts_);
+  cls(class_max_watts_);
+  cls(class_count_);
+  cls(class_speed_);
+  for (std::size_t r = 0; r < dc::kResourceCount; ++r) {
+    row(native_rate_[r]);
+    row(impact_[r]);
+    cls(class_capacity_[r]);
+  }
+}
+
+void ScenarioBatch::reserve(std::size_t scenarios, std::size_t services,
+                            std::size_t classes) {
+  const std::size_t scenario_total = size() + scenarios;
+  const std::size_t row_total = service_rows() + services;
+  const std::size_t class_total = class_rows() + classes;
+  row_begin_.reserve(scenario_total + 1);
+  class_begin_.reserve(scenario_total + 1);
+  for_each_column([&](auto& column) { column.reserve(scenario_total); },
+                  [&](auto& column) { column.reserve(row_total); },
+                  [&](auto& column) { column.reserve(class_total); });
+}
+
+void ScenarioBatch::clear() {
+  row_begin_.resize(1);  // the leading 0 offsets stay
+  class_begin_.resize(1);
+  const auto drop = [](auto& column) { column.clear(); };
+  for_each_column(drop, drop, drop);
+}
+
+ScenarioBatch::Prototype::Prototype(const ModelInputs& shape)
+    : vm_count_(shape.vms_per_server.value_or(
+          static_cast<unsigned>(shape.services.size()))),
+      dedicated_power_(shape.dedicated_power),
+      consolidated_power_(shape.consolidated_power) {
+  rows_.write_rows(shape.services, vm_count_, shape.fleet);
+  demands_.reserve(shape.services.size());
+  for (const dc::ServiceSpec& service : shape.services) {
+    demands_.push_back(service.native_rates.any_positive() ? 1 : 0);
+  }
+}
+
+namespace {
+
+template <typename T>
+void append_all(std::vector<T>& to, const std::vector<T>& from) {
+  to.insert(to.end(), from.begin(), from.end());
+}
+
+}  // namespace
+
+std::size_t ScenarioBatch::append(const Prototype& prototype,
+                                  double target_loss,
+                                  std::span<const double> arrival,
+                                  std::span<const std::uint64_t> class_counts) {
+  const ScenarioBatch& rows = prototype.rows_;
+  const std::size_t count = prototype.demands_.size();
+  VMCONS_REQUIRE(target_loss > 0.0 && target_loss < 1.0,
+                 "target loss must be in (0, 1)");
+  VMCONS_REQUIRE(count > 0, "model needs at least one service");
+  VMCONS_REQUIRE(arrival.size() == count,
+                 "a prototype scenario needs one arrival rate per service");
+  for (std::size_t i = 0; i < count; ++i) {
+    VMCONS_REQUIRE(arrival[i] > 0.0, "service '" + rows.service_name_[i] +
+                                         "' needs arrival rate > 0");
+    VMCONS_REQUIRE(prototype.demands_[i] != 0,
+                   "service '" + rows.service_name_[i] +
+                       "' demands no resource");
+  }
+  VMCONS_REQUIRE(
+      class_counts.empty() || class_counts.size() == rows.class_rows(),
+      "a prototype scenario needs one count per fleet class");
+
+  const std::size_t scenario = size();
+  target_loss_.push_back(target_loss);
+  vm_count_.push_back(prototype.vm_count_);
+  dedicated_power_.push_back(prototype.dedicated_power_);
+  consolidated_power_.push_back(prototype.consolidated_power_);
+  row_begin_.push_back(service_rows() + count);
+  arrival_rate_.insert(arrival_rate_.end(), arrival.begin(), arrival.end());
+  append_all(service_name_, rows.service_name_);
+  for (std::size_t r = 0; r < dc::kResourceCount; ++r) {
+    append_all(native_rate_[r], rows.native_rate_[r]);
+    append_all(impact_[r], rows.impact_[r]);
+  }
+  append_all(bottleneck_rate_, rows.bottleneck_rate_);
+  append_all(effective_rate_, rows.effective_rate_);
+
+  class_begin_.push_back(class_rows() + rows.class_rows());
+  append_all(class_name_, rows.class_name_);
+  for (std::size_t r = 0; r < dc::kResourceCount; ++r) {
+    append_all(class_capacity_[r], rows.class_capacity_[r]);
+  }
+  append_all(class_base_watts_, rows.class_base_watts_);
+  append_all(class_max_watts_, rows.class_max_watts_);
+  if (class_counts.empty()) {
+    append_all(class_count_, rows.class_count_);
+  } else {
+    class_count_.insert(class_count_.end(), class_counts.begin(),
+                        class_counts.end());
+  }
+  append_all(class_speed_, rows.class_speed_);
   return scenario;
 }
 

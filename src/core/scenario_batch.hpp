@@ -12,9 +12,9 @@
 //                  half-open row range of its fleet classes;
 //   per service    arrival rate lambda_i, native rate mu_ij per resource,
 //   row            the clamped impact factor a_ij(v) per resource (evaluated
-//                  per-column at append time via virt::fill_factors), the
-//                  bottleneck native rate, and the effective consolidated
-//                  rate mu_i'(v) — all flattened across scenarios;
+//                  at append time), the bottleneck native rate, and the
+//                  effective consolidated rate mu_i'(v) — all flattened
+//                  across scenarios;
 //   per class      name, per-resource capacity multiplier, S_base/S_max
 //   row            watts, the owned count, and the derived speed (worst
 //                  resource capacity) — flattened across scenarios with
@@ -33,6 +33,7 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -60,12 +61,39 @@ class ScenarioBatch {
 
   /// Validates and appends one scenario (same preconditions as the
   /// UtilityAnalyticModel constructor), returning its index. Impact curves
-  /// are evaluated per-column at the scenario's resolved VM count here, so
-  /// evaluation never touches virt code.
+  /// are evaluated at the scenario's resolved VM count here, so evaluation
+  /// never touches virt code.
   std::size_t append(const ModelInputs& inputs);
+
+  /// Reserves room for `scenarios` more scenarios owning `services` service
+  /// rows and `classes` class rows in total.
+  void reserve(std::size_t scenarios, std::size_t services,
+               std::size_t classes);
+
+  /// Drops every scenario, keeping the columns' capacity for reuse.
+  void clear();
 
   /// Builds a batch from a span of inputs (append in order).
   static ScenarioBatch from_inputs(std::span<const ModelInputs> inputs);
+
+  /// Everything append() writes for a scenario except its target loss,
+  /// arrival rates and class counts: service names, native rates, clamped
+  /// impact factors, bottleneck and effective rates at one resolved VM
+  /// count, the power pair, and the fleet's class rows with their speeds.
+  /// A what-if grid has one per distinct VM count, so
+  /// ConsolidationPlanner::sweep_batch derives each once and stamps it into
+  /// every cell of that VM count. The target loss and arrival rates of
+  /// `shape` are ignored.
+  class Prototype;
+
+  /// Appends one scenario stamped from `prototype`, with the same
+  /// validation, in the same order, and the same columns as append() of the
+  /// ModelInputs the prototype was built from with `target_loss`, `arrival`
+  /// (one rate per service) and, when non-empty, `class_counts` (one count
+  /// per fleet class, replacing the fleet's) applied. Returns its index.
+  std::size_t append(const Prototype& prototype, double target_loss,
+                     std::span<const double> arrival,
+                     std::span<const std::uint64_t> class_counts = {});
 
   /// Raw column contents of a batch, mirroring the private members exactly.
   /// This is the serialization face used by core::ScenarioStore: a batch
@@ -168,6 +196,21 @@ class ScenarioBatch {
   std::span<const double> class_speed() const { return class_speed_; }
 
  private:
+  /// The one writer of the derived row columns: appends `services`' rows at
+  /// VM count `v` (names, native rates, impact factors, and the bottleneck
+  /// and effective rates of ServiceSpec's scalar accessors: resources in
+  /// all_resources() order, zero rates skipped, min-accumulation) and
+  /// `fleet`'s class rows (with ServerClass::speed()). Writes no offsets and
+  /// no arrival rates.
+  void write_rows(std::span<const dc::ServiceSpec> services, unsigned v,
+                  const dc::Fleet& fleet);
+
+  /// Calls `scenario` on every per-scenario column, `row` on every flat
+  /// service-row column and `cls` on every flat class-row column (the two
+  /// offset columns excluded).
+  template <typename S, typename R, typename C>
+  void for_each_column(S&& scenario, R&& row, C&& cls);
+
   std::vector<double> target_loss_;
   std::vector<unsigned> vm_count_;
   std::vector<dc::PowerModel> dedicated_power_;
@@ -188,6 +231,19 @@ class ScenarioBatch {
   std::vector<double> class_max_watts_;
   std::vector<std::uint64_t> class_count_;
   std::vector<double> class_speed_;
+};
+
+class ScenarioBatch::Prototype {
+ public:
+  explicit Prototype(const ModelInputs& shape);
+
+ private:
+  friend class ScenarioBatch;
+  ScenarioBatch rows_;  ///< the derived rows; holds no scenario
+  unsigned vm_count_ = 0;
+  dc::PowerModel dedicated_power_;
+  dc::PowerModel consolidated_power_;
+  std::vector<std::uint8_t> demands_;  ///< per service: any positive rate
 };
 
 }  // namespace vmcons::core

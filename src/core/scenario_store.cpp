@@ -153,8 +153,8 @@ void read_power_column(ByteSource& source, std::vector<dc::PowerModel>& column,
 }
 
 // Serializes one batch's columns; the inverse of read_shard_payload.
-std::vector<char> serialize_shard(const ScenarioBatch& batch) {
-  std::vector<char> bytes;
+void serialize_shard(const ScenarioBatch& batch, std::vector<char>& bytes) {
+  bytes.clear();
   ByteSink sink(bytes);
   const std::size_t scenarios = batch.size();
   const std::size_t rows = batch.service_rows();
@@ -206,7 +206,6 @@ std::vector<char> serialize_shard(const ScenarioBatch& batch) {
     sink.u32(static_cast<std::uint32_t>(name.size()));
     sink.raw(name.data(), name.size());
   }
-  return bytes;
 }
 
 ScenarioBatch deserialize_shard(const std::vector<char>& bytes,
@@ -339,25 +338,40 @@ std::size_t ScenarioStoreWriter::append(const ModelInputs& inputs) {
   return global;
 }
 
+void ScenarioStoreWriter::write_shard(const ScenarioBatch& shard) {
+  VMCONS_ASSERT(!finished_);
+  VMCONS_ASSERT(!broken_);
+  VMCONS_REQUIRE(buffer_.empty(),
+                 "write_shard needs an empty append buffer");
+  VMCONS_REQUIRE(!shard.empty() && shard.size() <= shard_size_,
+                 "write_shard needs 1 to shard-size scenarios");
+  scenario_count_ += shard.size();
+  write_payload(shard);
+}
+
 void ScenarioStoreWriter::flush_shard() {
   if (buffer_.empty()) {
     return;
   }
-  const std::vector<char> payload = serialize_shard(buffer_);
+  write_payload(buffer_);
+  buffer_ = ScenarioBatch{};
+}
+
+void ScenarioStoreWriter::write_payload(const ScenarioBatch& shard) {
+  serialize_shard(shard, payload_);
   ShardInfo info;
   info.offset = offset_;
-  info.bytes = payload.size();
-  info.scenarios = buffer_.size();
-  info.service_rows = buffer_.service_rows();
-  info.checksum = util::digest64(payload.data(), payload.size());
-  info.scenario_begin = scenario_count_ - buffer_.size();
-  write_checked(payload.data(), payload.size(), util::fs::sites::kStoreShard);
+  info.bytes = payload_.size();
+  info.scenarios = shard.size();
+  info.service_rows = shard.service_rows();
+  info.checksum = util::digest64(payload_.data(), payload_.size());
+  info.scenario_begin = scenario_count_ - shard.size();
+  write_checked(payload_.data(), payload_.size(), util::fs::sites::kStoreShard);
   shards_.push_back(info);
-  buffer_ = ScenarioBatch{};
   metrics::registry().counter(metrics::names::kStoreShardsWritten).add();
   metrics::registry()
       .counter(metrics::names::kStoreBytesWritten)
-      .add(payload.size());
+      .add(payload_.size());
 }
 
 ScenarioStoreWriter::Summary ScenarioStoreWriter::finish() {

@@ -70,6 +70,13 @@ class ScenarioStoreWriter {
   /// returning its global index; flushes a shard when the buffer is full.
   std::size_t append(const ModelInputs& inputs);
 
+  /// Writes `shard` as the next shard whole, with the bytes append() would
+  /// write for the same scenarios (write_sweep_store builds each shard with
+  /// ConsolidationPlanner::sweep_batch and hands it over here). Requires an
+  /// empty append buffer and 1 <= shard.size() <= the shard size; a shorter
+  /// shard is stored as is, like append()'s final partial shard.
+  void write_shard(const ScenarioBatch& shard);
+
   /// What finish() wrote, in the units resume logic needs.
   struct Summary {
     std::uint64_t scenarios = 0;
@@ -88,12 +95,16 @@ class ScenarioStoreWriter {
   void write_checked(const void* data, std::size_t bytes,
                      std::string_view site);
   void flush_shard();
+  /// Serializes `shard` (whose scenarios scenario_count_ already counts)
+  /// and records it in the footer.
+  void write_payload(const ScenarioBatch& shard);
 
   std::string path_;
   util::fs::File file_;
   std::uint64_t offset_ = 0;  ///< bytes written so far = next write offset
   std::size_t shard_size_;
   ScenarioBatch buffer_;
+  std::vector<char> payload_;  ///< serialized shard, reused across shards
   std::vector<ShardInfo> shards_;
   std::uint64_t scenario_count_ = 0;
   bool finished_ = false;

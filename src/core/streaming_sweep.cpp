@@ -1,5 +1,6 @@
 #include "core/streaming_sweep.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <charconv>
 #include <iomanip>
@@ -217,11 +218,13 @@ ScenarioStoreWriter::Summary write_sweep_store(
     const RunControl& control) {
   ScenarioStoreWriter writer(path, shard_size);
   const std::size_t points = grid.size();
-  for (std::size_t i = 0; i < points; ++i) {
-    if (i % shard_size == 0) {
-      control.raise_if_stopped("write_sweep_store");
-    }
-    writer.append(planner.point_inputs(grid.point(i)));
+  ScenarioBatch shard;
+  for (std::size_t begin = 0; begin < points;) {
+    control.raise_if_stopped("write_sweep_store");
+    const std::size_t end = begin + std::min(shard_size, points - begin);
+    shard = planner.sweep_batch(grid, begin, end, std::move(shard));
+    writer.write_shard(shard);
+    begin = end;
   }
   return writer.finish();
 }

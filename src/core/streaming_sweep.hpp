@@ -54,11 +54,14 @@ namespace vmcons::core {
 
 class ConsolidationPlanner;
 
-/// Enumerates `grid` against `planner` (ConsolidationPlanner::point_inputs
-/// per point, in index order) straight into a store file, one shard every
-/// `shard_size` points — the grid is never materialized in memory. The
-/// control is polled between shards; a stop raises CancelledError /
-/// DeadlineExceededError and leaves an unfinished (unopenable) store.
+/// Enumerates `grid` against `planner` straight into a store file, one
+/// shard of `shard_size` points at a time: each shard is built whole by
+/// ConsolidationPlanner::sweep_batch and written with
+/// ScenarioStoreWriter::write_shard, so the bytes equal a writer fed
+/// point_inputs per point in index order, and the grid is never
+/// materialized in memory. The control is polled before every shard; a stop
+/// raises CancelledError / DeadlineExceededError and leaves an unfinished
+/// (unopenable) store.
 ScenarioStoreWriter::Summary write_sweep_store(
     const ConsolidationPlanner& planner, const SweepGrid& grid,
     const std::string& path, std::size_t shard_size,

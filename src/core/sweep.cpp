@@ -1,7 +1,10 @@
 #include "core/sweep.hpp"
 
 #include <algorithm>
+#include <optional>
+#include <span>
 #include <sstream>
+#include <utility>
 
 #include "core/batch_eval.hpp"
 #include "core/planner.hpp"
@@ -70,28 +73,34 @@ std::size_t SweepGrid::size() const {
   return total;
 }
 
-SweepPoint SweepGrid::point(std::size_t index) const {
-  VMCONS_REQUIRE(index < size(), "sweep point index out of range");
+SweepGrid::Coordinates SweepGrid::coordinates(std::size_t index) const {
   const std::size_t losses = std::max<std::size_t>(1, target_losses_.size());
   const std::size_t vms = std::max<std::size_t>(1, vms_per_server_.size());
   const std::size_t scales = std::max<std::size_t>(1, workload_scales_.size());
+  Coordinates at;
+  at.loss = index % losses;
+  at.vms = (index / losses) % vms;
+  at.scale = index / (losses * vms) % scales;
+  at.mix = index / (losses * vms * scales);
+  return at;
+}
+
+SweepPoint SweepGrid::point(std::size_t index) const {
+  VMCONS_REQUIRE(index < size(), "sweep point index out of range");
+  const Coordinates at = coordinates(index);
   SweepPoint point;
   point.index = index;
-  const std::size_t loss_index = index % losses;
-  const std::size_t vms_index = (index / losses) % vms;
-  const std::size_t scale_index = index / (losses * vms) % scales;
-  const std::size_t mix_index = index / (losses * vms * scales);
   if (!target_losses_.empty()) {
-    point.target_loss = target_losses_[loss_index];
+    point.target_loss = target_losses_[at.loss];
   }
   if (!vms_per_server_.empty()) {
-    point.vms_per_server = vms_per_server_[vms_index];
+    point.vms_per_server = vms_per_server_[at.vms];
   }
   if (!workload_scales_.empty()) {
-    point.workload_scale = workload_scales_[scale_index];
+    point.workload_scale = workload_scales_[at.scale];
   }
   if (!fleet_mixes_.empty()) {
-    point.fleet_mix = fleet_mixes_[mix_index];
+    point.fleet_mix = fleet_mixes_[at.mix];
   }
   return point;
 }
@@ -124,6 +133,65 @@ ModelInputs ConsolidationPlanner::point_inputs(const SweepPoint& point) const {
   return instance.make_inputs();
 }
 
+ScenarioBatch ConsolidationPlanner::sweep_batch(const SweepGrid& grid,
+                                               std::size_t begin,
+                                               std::size_t end,
+                                               ScenarioBatch recycled) const {
+  VMCONS_REQUIRE(begin <= end && end <= grid.size(),
+                 "sweep batch range must lie within the grid");
+  ScenarioBatch batch = std::move(recycled);
+  batch.clear();
+  if (begin == end) {
+    return batch;
+  }
+  // point_inputs' planner checks do not depend on the cell, so they run
+  // once, in its order: the fleet-mix length (every mix has the same one;
+  // with_counts throws InvalidArgument naming both sizes), then services.
+  if (!grid.fleet_mixes_.empty()) {
+    static_cast<void>(fleet_.with_counts(grid.fleet_mixes_.front()));
+  }
+  VMCONS_REQUIRE(!services_.empty(), "planner has no services");
+
+  // The derived rows depend only on the VM count: one prototype per VM-count
+  // axis value, built when a cell of the range first needs it.
+  ModelInputs shape;
+  shape.services = services_;
+  shape.fleet = fleet_;
+  std::vector<std::optional<ScenarioBatch::Prototype>> prototypes(
+      std::max<std::size_t>(1, grid.vms_per_server_.size()));
+  std::vector<double> arrival(services_.size());
+  const std::size_t cells = end - begin;
+  batch.reserve(cells, cells * services_.size(), cells * fleet_.size());
+  for (std::size_t i = begin; i < end; ++i) {
+    const SweepGrid::Coordinates at = grid.coordinates(i);
+    std::optional<ScenarioBatch::Prototype>& prototype = prototypes[at.vms];
+    if (!prototype) {
+      shape.vms_per_server = grid.vms_per_server_.empty()
+                                 ? vms_per_server_
+                                 : grid.vms_per_server_[at.vms];
+      prototype.emplace(shape);
+    }
+    const double loss = grid.target_losses_.empty()
+                            ? target_loss_
+                            : grid.target_losses_[at.loss];
+    // scale_workloads folds the point's scale into the planner's before
+    // make_inputs multiplies: base * (planner scale * point scale).
+    const double scale =
+        grid.workload_scales_.empty()
+            ? workload_scale_
+            : workload_scale_ * grid.workload_scales_[at.scale];
+    for (std::size_t k = 0; k < services_.size(); ++k) {
+      arrival[k] = services_[k].arrival_rate * scale;
+    }
+    std::span<const std::uint64_t> counts;
+    if (!grid.fleet_mixes_.empty()) {
+      counts = grid.fleet_mixes_[at.mix];
+    }
+    batch.append(*prototype, loss, arrival, counts);
+  }
+  return batch;
+}
+
 SweepOutcome ConsolidationPlanner::sweep_all(const SweepGrid& grid,
                                              const SweepOptions& options) const {
   const std::size_t count = grid.size();
@@ -131,16 +199,14 @@ SweepOutcome ConsolidationPlanner::sweep_all(const SweepGrid& grid,
   metrics::ScopedTimer wall(metrics::registry().timer("sweep.wall"));
   metrics::registry().counter("sweep.points").add(count);
 
-  // Build one columnar batch for the whole grid. Each scenario derives from
-  // its index alone, so the batch (and everything downstream) is
-  // deterministic regardless of execution order.
-  ScenarioBatch batch;
+  // One columnar batch for the whole grid. Each scenario derives from its
+  // index alone, so the batch (and everything downstream) is deterministic
+  // regardless of execution order.
+  const ScenarioBatch batch = sweep_batch(grid, 0, count);
   SweepOutcome outcome;
   outcome.cells.resize(count);
   for (std::size_t i = 0; i < count; ++i) {
-    const SweepPoint point = grid.point(i);
-    batch.append(point_inputs(point));
-    outcome.cells[i].point = point;
+    outcome.cells[i].point = grid.point(i);
   }
 
   BatchOptions batch_options;

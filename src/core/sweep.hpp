@@ -31,6 +31,8 @@ class ErlangKernel;
 
 namespace vmcons::core {
 
+class ConsolidationPlanner;
+
 /// One grid point; unset fields inherit the planner's configuration.
 struct SweepPoint {
   std::size_t index = 0;
@@ -72,6 +74,19 @@ class SweepGrid {
   std::vector<SweepPoint> points() const;
 
  private:
+  /// ConsolidationPlanner::sweep_batch walks the axes directly instead of
+  /// materializing a SweepPoint (and a fleet-mix copy) per cell.
+  friend class ConsolidationPlanner;
+
+  /// Axis positions of `index`: loss fastest, then VMs, scale, fleet mix.
+  struct Coordinates {
+    std::size_t loss = 0;
+    std::size_t vms = 0;
+    std::size_t scale = 0;
+    std::size_t mix = 0;
+  };
+  Coordinates coordinates(std::size_t index) const;
+
   std::vector<double> target_losses_;
   std::vector<double> workload_scales_;
   std::vector<unsigned> vms_per_server_;

@@ -38,6 +38,17 @@ std::uint64_t servers_limit(double rho) {
   return static_cast<std::uint64_t>(rho + 50.0 * std::sqrt(rho) + 64.0);
 }
 
+/// A staffing answer read off a cached prefix, held to the convergence
+/// guard `limit` (servers_limit(rho)): queueing::erlang_b_servers throws
+/// rather than return an n past it, however far an eval_many walk grew the
+/// prefix.
+std::uint64_t guarded_servers(std::uint64_t servers, std::uint64_t limit) {
+  if (servers > limit) {
+    throw NumericError("erlang_b_servers failed to converge");
+  }
+  return servers;
+}
+
 /// log E_n(rho) via the inverse recurrence I_n = 1 + (n/rho) I_{n-1}
 /// run on log I_n, which stays finite for any (n, rho).
 double log_erlang_b_plain(std::uint64_t servers, double rho,
@@ -574,6 +585,7 @@ std::uint64_t ErlangKernel::staff_one(const Snapshot& snapshot, double rho,
                                       double target_blocking, Tally& tally) {
   ++tally.evaluations;
   const std::uint64_t key = std::bit_cast<std::uint64_t>(rho);
+  const std::uint64_t limit = servers_limit(rho);
   if (const auto it = snapshot.states.find(key); it != snapshot.states.end()) {
     // E_n is strictly decreasing in n for rho > 0, so the prefix is sorted
     // descending: the answer is in it iff its last entry is <= target.
@@ -581,7 +593,8 @@ std::uint64_t ErlangKernel::staff_one(const Snapshot& snapshot, double rho,
     if (prefix.back() <= target_blocking) {
       ++tally.cache_hits;
       ++tally.snapshot_hits;
-      return descending_lower_bound(prefix, target_blocking);
+      return guarded_servers(descending_lower_bound(prefix, target_blocking),
+                             limit);
     }
   }
   Arena& arena = local_arena();
@@ -589,15 +602,16 @@ std::uint64_t ErlangKernel::staff_one(const Snapshot& snapshot, double rho,
   Arena::Extension& state = arena.state_for(snapshot, key);
   if (state.base && state.base->back() <= target_blocking) {
     ++tally.cache_hits;
-    return descending_lower_bound(*state.base, target_blocking);
+    return guarded_servers(
+        descending_lower_bound(*state.base, target_blocking), limit);
   }
   if (!state.ext.empty() && state.ext.back() <= target_blocking) {
     ++tally.cache_hits;
-    return state.base_len() +
-           descending_lower_bound(state.ext, target_blocking);
+    return guarded_servers(
+        state.base_len() + descending_lower_bound(state.ext, target_blocking),
+        limit);
   }
   // Resume the recursion where the covered prefix ends instead of from E_0.
-  const std::uint64_t limit = servers_limit(rho);
   double blocking = state.last();
   std::uint64_t n = state.combined() - 1;
   std::uint64_t grown = 0;
@@ -944,6 +958,8 @@ void ErlangKernel::servers_for_many(std::span<const StaffingQuery> queries,
       if (group.fallback) {
         continue;  // answered below, after the arena lock drops
       }
+      const std::uint64_t limit =
+          servers_limit(queries[order[group.begin]].rho);
       for (std::size_t q = group.begin; q < group.end; ++q) {
         const std::uint32_t i = order[q];
         const double target = queries[i].target_blocking;
@@ -951,7 +967,8 @@ void ErlangKernel::servers_for_many(std::span<const StaffingQuery> queries,
         if (group.snap != nullptr && group.snap->back() <= target) {
           ++tally.cache_hits;
           ++tally.snapshot_hits;
-          out[i] = descending_lower_bound(*group.snap, target);
+          out[i] = guarded_servers(
+              descending_lower_bound(*group.snap, target), limit);
           continue;
         }
         const Arena::Extension& state = *group.state;
@@ -959,10 +976,12 @@ void ErlangKernel::servers_for_many(std::span<const StaffingQuery> queries,
           ++tally.cache_hits;
         }
         if (state.base && state.base->back() <= target) {
-          out[i] = descending_lower_bound(*state.base, target);
+          out[i] = guarded_servers(
+              descending_lower_bound(*state.base, target), limit);
         } else {
-          out[i] =
-              state.base_len() + descending_lower_bound(state.ext, target);
+          out[i] = guarded_servers(
+              state.base_len() + descending_lower_bound(state.ext, target),
+              limit);
         }
       }
     }

@@ -142,14 +142,4 @@ Impact Impact::paper_db_cpu() { return rational_saturating(1.85, 0.85); }
 
 Impact Impact::none() { return constant(1.0); }
 
-void fill_factors(std::span<const Impact* const> curves, unsigned vm_count,
-                  std::span<double> out) {
-  VMCONS_REQUIRE(curves.size() == out.size(),
-                 "fill_factors needs one output slot per curve");
-  for (std::size_t i = 0; i < curves.size(); ++i) {
-    VMCONS_REQUIRE(curves[i] != nullptr, "impact curve must not be null");
-    out[i] = curves[i]->factor(vm_count);
-  }
-}
-
 }  // namespace vmcons::virt

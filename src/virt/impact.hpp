@@ -17,7 +17,6 @@
 #pragma once
 
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -73,13 +72,5 @@ class Impact {
  private:
   std::shared_ptr<const Model> model_;
 };
-
-/// Per-column batch evaluation: out[i] = curves[i]->factor(vm_count), the
-/// clamped planning factor. The columnar ScenarioBatch builder hands one
-/// resource's curves (gathered across services) per call, so batch
-/// evaluation never re-enters the virt layer. curves and out must have the
-/// same length, and no curve may be null.
-void fill_factors(std::span<const Impact* const> curves, unsigned vm_count,
-                  std::span<double> out);
 
 }  // namespace vmcons::virt

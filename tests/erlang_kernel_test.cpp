@@ -98,6 +98,44 @@ TEST(ErlangKernelServers, EdgeCasesMatchFreeFunction) {
   EXPECT_THROW(kernel.erlang_b(3, -0.5), InvalidArgument);
 }
 
+TEST(ErlangKernelServers, PrefixPastTheConvergenceGuardStillThrows) {
+  // The guard for rho = 1 is 1 + 50 + 64 = 115 servers; E_n(1) <= 1e-300
+  // needs 167, so the free function gives up.
+  EXPECT_THROW(erlang_b_servers(1.0, 1e-300), NumericError);
+  ErlangKernel fresh;
+  EXPECT_THROW(fresh.erlang_b_servers(1.0, 1e-300), NumericError);
+
+  // A 400-long prefix grown by evaluation holds the answer; staffing must
+  // still throw, from the arena and, after publish(), from the snapshot.
+  const std::vector<StaffingQuery> past_guard = {{1.0, 1e-300}};
+  const auto expect_guarded = [&](ErlangKernel& kernel) {
+    EXPECT_THROW(kernel.erlang_b_servers(1.0, 1e-300), NumericError);
+    std::vector<std::uint64_t> out(1);
+    EXPECT_THROW(kernel.servers_for_many(past_guard, out), NumericError);
+    // Answers inside the guard are still served from the prefix.
+    EXPECT_EQ(kernel.erlang_b_servers(1.0, 1e-30),
+              erlang_b_servers(1.0, 1e-30));
+    const std::vector<StaffingQuery> inside = {{1.0, 1e-30}, {1.0, 0.01}};
+    std::vector<std::uint64_t> answers(2);
+    kernel.servers_for_many(inside, answers);
+    EXPECT_EQ(answers[0], erlang_b_servers(1.0, 1e-30));
+    EXPECT_EQ(answers[1], erlang_b_servers(1.0, 0.01));
+  };
+  ErlangKernel scalar;
+  scalar.erlang_b(400, 1.0);
+  expect_guarded(scalar);
+  scalar.publish();
+  expect_guarded(scalar);
+
+  ErlangKernel batched;
+  const std::vector<BlockingQuery> grow = {{400, 1.0}};
+  std::vector<double> blocking(1);
+  batched.eval_many(grow, blocking);
+  expect_guarded(batched);
+  batched.publish();
+  expect_guarded(batched);
+}
+
 TEST(ErlangKernelCapacity, AgreesWithBisectionInverse) {
   ErlangKernel kernel;
   for (const std::uint64_t n : {1ull, 4ull, 16ull, 64ull, 500ull}) {
