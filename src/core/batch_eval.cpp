@@ -14,7 +14,7 @@
 namespace vmcons::core {
 namespace {
 
-/// Routes staged query lists through the memoized kernel's sorted batch
+/// Routes staged query lists through the memoized kernel's grouped batch
 /// walk when a kernel is set, else through a call-local ErlangWalk that
 /// lives as long as the dispatch — one staff_* call — so each rho's
 /// blocking query resumes its staffing walk. Per-query results are

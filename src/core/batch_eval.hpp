@@ -4,16 +4,17 @@
 // the Eq. 12-14 power derivation are implemented as four stateless,
 // span-based kernels over a ScenarioBatch. Each kernel stages its Erlang-B
 // work: it first gathers every query in its scenario range into one flat
-// list, answers them through the kernel's batched entry points (which sort
-// by offered load so the memoized recursion prefixes are walked
-// monotonically), then scatters the answers back into ModelResults. The
-// scalar UtilityAnalyticModel::solve() runs the same four kernels on a
-// batch of one, so batch and scalar results are bit-identical by
-// construction — there is exactly one implementation of the math.
+// list, answers them through the kernel's batched entry points (which group
+// the queries by offered load in one linear pass, so each memoized
+// recursion prefix is grown once per span), then scatters the answers back
+// into ModelResults. The scalar UtilityAnalyticModel::solve() runs the same
+// four kernels on a batch of one, so batch and scalar results are
+// bit-identical by construction — there is exactly one implementation of
+// the math.
 //
 // BatchEvaluator shards a batch over a thread pool (each shard is a
 // contiguous scenario range, so output is independent of the worker count).
-// Each shard stages and sorts its own query spans and walks them against
+// Each shard stages and groups its own query spans and walks them against
 // the kernel's lock-free snapshot tier plus its worker's private extension
 // arena — no cross-shard lock. Batch completion is a merge-epoch boundary:
 // the evaluator calls ErlangKernel::publish() so the next batch starts with

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -97,6 +98,19 @@ std::string format_claim(const ShardClaim& claim) {
   return out.str();
 }
 
+/// A numeric claim field parsed whole: nullopt when it is empty or any
+/// character is left over, so a garbled field never reads as a number.
+template <typename Int>
+std::optional<Int> parse_field(const std::string& field, int base) {
+  Int value{};
+  const char* const end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, value, base);
+  if (ec != std::errc{} || ptr != end) {
+    return std::nullopt;
+  }
+  return value;
+}
+
 std::optional<ShardClaim> parse_claim(const std::string& text) {
   std::vector<std::string> fields;
   std::string current;
@@ -119,20 +133,23 @@ std::optional<ShardClaim> parse_claim(const std::string& text) {
       text.find('\n') == std::string::npos) {
     return std::nullopt;  // partial write of a crashed claimer
   }
+  const std::size_t base = legacy ? 2 : 3;
+  const auto pid = parse_field<long long>(fields[1], 10);
+  const auto token = parse_field<std::uint64_t>(fields[base], 16);
+  const auto deadline = parse_field<std::int64_t>(fields[base + 1], 10);
+  const auto checksum = parse_field<std::uint64_t>(fields[base + 2], 16);
+  if (!pid || !token || !deadline || !checksum) {
+    return std::nullopt;  // garbled like a torn record: judged by file age
+  }
   ShardClaim claim;
   claim.worker = fields[0];
-  char* end = nullptr;
-  claim.pid = std::strtoll(fields[1].c_str(), &end, 10);
-  if (end == fields[1].c_str()) {
-    return std::nullopt;
-  }
-  const std::size_t base = legacy ? 2 : 3;
+  claim.pid = *pid;
   if (!legacy) {
     claim.hostname = fields[2];
   }
-  claim.token = std::strtoull(fields[base].c_str(), &end, 16);
-  claim.lease_deadline_ms = std::strtoll(fields[base + 1].c_str(), &end, 10);
-  claim.store_checksum = std::strtoull(fields[base + 2].c_str(), &end, 16);
+  claim.token = *token;
+  claim.lease_deadline_ms = *deadline;
+  claim.store_checksum = *checksum;
   return claim;
 }
 
@@ -461,7 +478,8 @@ bool ClaimLedger::try_claim(std::size_t shard, const std::string& worker_id,
   // process (and may name a live local one), so it never short-circuits the
   // lease for records from other hosts, and lease-only mode disables it
   // entirely. An unparseable record (claimer crashed between create and
-  // write) is judged by file age against the lease.
+  // write, or a numeric field that does not parse whole) is judged by file
+  // age against the lease.
   const auto contents = util::read_file(path);
   if (!contents.has_value()) {
     // Claim vanished between create-fail and read (peer released after

@@ -6,7 +6,9 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <numeric>
+#include <utility>
 
 #include "util/error.hpp"
 #include "util/simd.hpp"
@@ -87,42 +89,145 @@ void validate(std::span<const StaffingQuery> queries) {
   }
 }
 
-/// Query positions sorted by (rho, servers): queries against one recursion
-/// state become adjacent, and within a state the prefix only grows forward.
-std::vector<std::uint32_t> sorted_order(
-    std::span<const BlockingQuery> queries) {
-  std::vector<std::uint32_t> order(queries.size());
-  std::iota(order.begin(), order.end(), std::uint32_t{0});
-  std::sort(order.begin(), order.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              if (queries[a].rho != queries[b].rho) {
-                return queries[a].rho < queries[b].rho;
-              }
-              return queries[a].servers < queries[b].servers;
-            });
-  return order;
-}
+/// Open-addressing map from offered-load bits to dense group ids, assigned
+/// in first-seen order. Doubles at half load.
+class GroupTable {
+ public:
+  /// The group id of `key`, a new one if the key was not seen before.
+  std::uint32_t id(std::uint64_t key) {
+    for (std::size_t slot = home(key);; slot = (slot + 1) & mask_) {
+      Slot& entry = slots_[slot];
+      if (entry.key == key) {
+        return entry.id;
+      }
+      if (entry.key == kEmpty) {
+        if (2 * (size_ + 1) > slots_.size()) {
+          grow();
+          return id(key);
+        }
+        entry = Slot{key, size_};
+        return size_++;
+      }
+    }
+  }
 
-/// Query positions sorted by (rho, descending target): looser targets need
-/// shorter prefixes, so each state's recursion is resumed, never restarted.
-std::vector<std::uint32_t> sorted_order(
-    std::span<const StaffingQuery> queries) {
-  std::vector<std::uint32_t> order(queries.size());
-  std::iota(order.begin(), order.end(), std::uint32_t{0});
-  std::sort(order.begin(), order.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              if (queries[a].rho != queries[b].rho) {
-                return queries[a].rho < queries[b].rho;
-              }
-              return queries[a].target_blocking > queries[b].target_blocking;
-            });
-  return order;
-}
+  std::uint32_t size() const noexcept { return size_; }
+
+ private:
+  /// A NaN's bits: validate() rejects NaN loads, so no key is ever empty.
+  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+  static constexpr std::size_t kFirstSlots = 64;
+  struct Slot {
+    std::uint64_t key = kEmpty;
+    std::uint32_t id = 0;
+  };
+
+  /// Fibonacci hashing: the product's top bits depend on every key bit, so
+  /// loads that differ only in their low mantissa bits still spread out.
+  std::size_t home(std::uint64_t key) const noexcept {
+    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+
+  void grow() {
+    const std::vector<Slot> old =
+        std::exchange(slots_, std::vector<Slot>(2 * slots_.size()));
+    mask_ = slots_.size() - 1;
+    --shift_;
+    for (const Slot& entry : old) {
+      if (entry.key != kEmpty) {
+        std::size_t slot = home(entry.key);
+        while (slots_[slot].key != kEmpty) {
+          slot = (slot + 1) & mask_;
+        }
+        slots_[slot] = entry;
+      }
+    }
+  }
+
+  std::vector<Slot> slots_ = std::vector<Slot>(kFirstSlots);
+  std::size_t mask_ = kFirstSlots - 1;
+  int shift_ = 64 - std::countr_zero(kFirstSlots);
+  std::uint32_t size_ = 0;
+};
+
+/// Spans of at most this many queries are grouped by a comparison sort:
+/// at plan()/solve() size (3 to 6 queries) sorting positions costs less
+/// than setting up a group table. Measured per call on a 4-core Xeon, with
+/// every load distinct or shared by 4 queries: 6 queries 55-75 ns sorted
+/// vs 175-195 ns counted; 32 queries 270-1120 ns vs 400-560 ns; 64 queries
+/// 0.6-3.2 us vs 0.6-2.4 us, and the sort keeps losing ground from there.
+constexpr std::size_t kSortedSpan = 32;
+
+/// Query positions grouped by the bits of their offered load: each group's
+/// positions are contiguous. Spans longer than kSortedSpan take one linear
+/// pass, a counting sort on first-seen group ids; shorter ones sort their
+/// positions on the bits. -0.0 and +0.0 land in separate groups; both are
+/// rho == 0.0. Queries of one load share one recursion state, and each
+/// answer depends only on its own load's recurrence, so no walk needs the
+/// groups, or the positions inside one, in any particular order.
+class LoadGroups {
+ public:
+  template <typename Query>
+  explicit LoadGroups(std::span<const Query> queries)
+      : size_(queries.size()),
+        // positions (n) | group id per query (n) | bounds (groups + 2)
+        buffer_(std::make_unique_for_overwrite<std::uint32_t[]>(3 * size_ +
+                                                                2)) {
+    std::uint32_t* const positions = buffer_.get();
+    std::uint32_t* const ids = positions + size_;
+    std::uint32_t* const bounds = ids + size_;
+    const auto load = [&](std::uint32_t i) {
+      return std::bit_cast<std::uint64_t>(queries[i].rho);
+    };
+    if (size_ <= kSortedSpan) {
+      std::iota(positions, positions + size_, std::uint32_t{0});
+      std::sort(positions, positions + size_,
+                [&](std::uint32_t a, std::uint32_t b) {
+                  return load(a) < load(b);
+                });
+      bounds[0] = 0;
+      for (std::uint32_t i = 0; i < size_; ++i) {
+        if (i + 1 == size_ || load(positions[i + 1]) != load(positions[i])) {
+          bounds[++groups_] = i + 1;
+        }
+      }
+      return;
+    }
+    std::fill_n(bounds, size_ + 2, std::uint32_t{0});
+    GroupTable table;
+    for (std::uint32_t i = 0; i < size_; ++i) {
+      ids[i] = table.id(load(i));
+      ++bounds[ids[i] + 2];
+    }
+    groups_ = table.size();
+    // Prefix sums leave group g's first position in bounds[g + 1]; the
+    // scatter advances it to g's end, which is where g + 1 begins.
+    for (std::size_t g = 2; g < groups_ + 2; ++g) {
+      bounds[g] += bounds[g - 1];
+    }
+    for (std::uint32_t i = 0; i < size_; ++i) {
+      positions[bounds[ids[i] + 1]++] = i;
+    }
+  }
+
+  std::size_t size() const noexcept { return groups_; }
+
+  /// Positions of group g; callers may reorder them in place.
+  std::span<std::uint32_t> operator[](std::size_t g) noexcept {
+    const std::uint32_t* const bounds = buffer_.get() + 2 * size_;
+    return {buffer_.get() + bounds[g], buffer_.get() + bounds[g + 1]};
+  }
+
+ private:
+  std::size_t size_;
+  std::size_t groups_ = 0;
+  std::unique_ptr<std::uint32_t[]> buffer_;
+};
 
 // --- Multi-lane recurrence engine ----------------------------------------
 //
-// The sorted batch walks group queries by distinct rho; each group that
-// outruns its cached prefix becomes one LaneTask — an independent
+// The batch walks group queries by distinct rho (LoadGroups); each group
+// that outruns its cached prefix becomes one LaneTask — an independent
 // continuation of that rho's recurrence. run_lane_tasks advances up to
 // kRecurrenceLanes tasks in lockstep: the per-step loop over lanes has no
 // loop-carried dependence (each lane is its own chain), so the W
@@ -730,9 +835,9 @@ void ErlangKernel::eval_many(std::span<const BlockingQuery> queries,
   VMCONS_REQUIRE(queries.size() == out.size(),
                  "eval_many needs one output slot per query");
   validate(queries);
-  // Each caller sorts its own span, so concurrent walks proceed
+  // Each caller groups its own span, so concurrent walks proceed
   // independently against one shared snapshot load.
-  const std::vector<std::uint32_t> order = sorted_order(queries);
+  LoadGroups by_load(queries);
   const SnapshotPtr snapshot = load_snapshot();
   Tally tally;
 
@@ -743,8 +848,7 @@ void ErlangKernel::eval_many(std::span<const BlockingQuery> queries,
   // to the scalar walk (see the lane-engine comment above), so the answer
   // phase reads exactly the prefixes eval_one would have built.
   struct Group {
-    std::size_t begin = 0;
-    std::size_t end = 0;                ///< half-open range in `order`
+    std::span<const std::uint32_t> positions;  ///< queries of this rho
     const Prefix* snap = nullptr;       ///< published prefix for this rho
     Arena::Extension* state = nullptr;  ///< arena continuation, if needed
     std::size_t covered_before = 0;     ///< prefix length before growth
@@ -754,17 +858,13 @@ void ErlangKernel::eval_many(std::span<const BlockingQuery> queries,
   Arena* arena = nullptr;
   std::unique_lock<std::mutex> arena_lock;
   try {
-    for (std::size_t pos = 0; pos < order.size();) {
-      const double rho = queries[order[pos]].rho;
+    for (std::size_t g = 0; g < by_load.size(); ++g) {
       Group group;
-      group.begin = pos;
-      while (pos < order.size() && queries[order[pos]].rho == rho) {
-        ++pos;
-      }
-      group.end = pos;
+      group.positions = by_load[g];
+      const double rho = queries[group.positions.front()].rho;
       if (rho == 0.0) {
-        for (std::size_t q = group.begin; q < group.end; ++q) {
-          out[order[q]] = queries[order[q]].servers == 0 ? 1.0 : 0.0;
+        for (const std::uint32_t i : group.positions) {
+          out[i] = queries[i].servers == 0 ? 1.0 : 0.0;
         }
         continue;
       }
@@ -773,7 +873,10 @@ void ErlangKernel::eval_many(std::span<const BlockingQuery> queries,
           it != snapshot->states.end()) {
         group.snap = it->second.prefix.get();
       }
-      const std::uint64_t max_servers = queries[order[group.end - 1]].servers;
+      std::uint64_t max_servers = 0;
+      for (const std::uint32_t i : group.positions) {
+        max_servers = std::max(max_servers, queries[i].servers);
+      }
       if (group.snap == nullptr || group.snap->size() <= max_servers) {
         if (arena == nullptr) {
           arena = &local_arena();
@@ -808,8 +911,7 @@ void ErlangKernel::eval_many(std::span<const BlockingQuery> queries,
     }
 
     for (const Group& group : groups) {
-      for (std::size_t q = group.begin; q < group.end; ++q) {
-        const std::uint32_t i = order[q];
+      for (const std::uint32_t i : group.positions) {
         const BlockingQuery& query = queries[i];
         ++tally.evaluations;
         if (group.snap != nullptr && group.snap->size() > query.servers) {
@@ -855,19 +957,18 @@ void ErlangKernel::servers_for_many(std::span<const StaffingQuery> queries,
   VMCONS_REQUIRE(queries.size() == out.size(),
                  "servers_for_many needs one output slot per query");
   validate(queries);
-  const std::vector<std::uint32_t> order = sorted_order(queries);
+  LoadGroups by_load(queries);
   const SnapshotPtr snapshot = load_snapshot();
   Tally tally;
 
   // Plan → extend → answer, mirroring eval_many. The tightest (smallest)
-  // target in a group — last in the descending sort — decides how far that
-  // rho's prefix must grow; one target-driven LaneTask per group runs the
-  // predicated lane-count update in run_lane_tasks, and every query is then
+  // target in a group decides how far that rho's prefix must grow; one
+  // target-driven LaneTask per group runs the predicated lane-count update
+  // in run_lane_tasks, and every query is then
   // answered by binary search over the grown prefix, which lands on exactly
   // the index where the scalar walk's per-step branch would have stopped.
   struct Group {
-    std::size_t begin = 0;
-    std::size_t end = 0;                ///< half-open range in `order`
+    std::span<const std::uint32_t> positions;  ///< queries of this rho
     const Prefix* snap = nullptr;       ///< published prefix for this rho
     Arena::Extension* state = nullptr;  ///< arena continuation, if needed
     double last_before = 1.0;           ///< prefix tail before growth
@@ -879,17 +980,13 @@ void ErlangKernel::servers_for_many(std::span<const StaffingQuery> queries,
   std::unique_lock<std::mutex> arena_lock;
   bool overflowed = false;
   try {
-    for (std::size_t pos = 0; pos < order.size();) {
-      const double rho = queries[order[pos]].rho;
+    for (std::size_t g = 0; g < by_load.size(); ++g) {
       Group group;
-      group.begin = pos;
-      while (pos < order.size() && queries[order[pos]].rho == rho) {
-        ++pos;
-      }
-      group.end = pos;
+      group.positions = by_load[g];
+      const double rho = queries[group.positions.front()].rho;
       if (rho == 0.0) {
-        for (std::size_t q = group.begin; q < group.end; ++q) {
-          out[order[q]] = 0;
+        for (const std::uint32_t i : group.positions) {
+          out[i] = 0;
         }
         continue;
       }
@@ -898,7 +995,10 @@ void ErlangKernel::servers_for_many(std::span<const StaffingQuery> queries,
           it != snapshot->states.end()) {
         group.snap = it->second.prefix.get();
       }
-      const double tightest = queries[order[group.end - 1]].target_blocking;
+      double tightest = 1.0;
+      for (const std::uint32_t i : group.positions) {
+        tightest = std::min(tightest, queries[i].target_blocking);
+      }
       if (group.snap != nullptr && group.snap->back() <= tightest) {
         groups.push_back(group);  // every answer is in the snapshot prefix
         continue;
@@ -959,9 +1059,8 @@ void ErlangKernel::servers_for_many(std::span<const StaffingQuery> queries,
         continue;  // answered below, after the arena lock drops
       }
       const std::uint64_t limit =
-          servers_limit(queries[order[group.begin]].rho);
-      for (std::size_t q = group.begin; q < group.end; ++q) {
-        const std::uint32_t i = order[q];
+          servers_limit(queries[group.positions.front()].rho);
+      for (const std::uint32_t i : group.positions) {
         const double target = queries[i].target_blocking;
         ++tally.evaluations;
         if (group.snap != nullptr && group.snap->back() <= target) {
@@ -1000,8 +1099,7 @@ void ErlangKernel::servers_for_many(std::span<const StaffingQuery> queries,
       if (!group.fallback) {
         continue;
       }
-      for (std::size_t q = group.begin; q < group.end; ++q) {
-        const std::uint32_t i = order[q];
+      for (const std::uint32_t i : group.positions) {
         out[i] = staff_one(*snapshot, queries[i].rho,
                            queries[i].target_blocking, tally);
       }
@@ -1217,36 +1315,44 @@ void ErlangWalk::servers_for_many(std::span<const StaffingQuery> queries,
   VMCONS_REQUIRE(queries.size() == out.size(),
                  "servers_for_many needs one output slot per query");
   validate(queries);
-  const std::vector<std::uint32_t> order = sorted_order(queries);
+  LoadGroups by_load(queries);
   std::vector<LaneTask> tasks;
   std::vector<std::pair<std::uint32_t, std::size_t>> answers;  // query, task
-  ResumePoint from;
-  for (std::size_t q = 0; q < order.size(); ++q) {
-    const StaffingQuery& query = queries[order[q]];
-    if (query.rho == 0.0) {
-      out[order[q]] = 0;
+  for (std::size_t g = 0; g < by_load.size(); ++g) {
+    const std::span<std::uint32_t> group = by_load[g];
+    const double rho = queries[group.front()].rho;
+    if (rho == 0.0) {
+      for (const std::uint32_t i : group) {
+        out[i] = 0;
+      }
       continue;
     }
-    const StaffingQuery* prev = q > 0 ? &queries[order[q - 1]] : nullptr;
-    const bool new_rho = prev == nullptr || prev->rho != query.rho;
-    if (new_rho) {
-      from = resume_[std::bit_cast<std::uint64_t>(query.rho)];
+    // Equal targets adjacent, so each distinct target plans one task.
+    std::sort(group.begin(), group.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                return queries[a].target_blocking > queries[b].target_blocking;
+              });
+    const ResumePoint from = resume_[std::bit_cast<std::uint64_t>(rho)];
+    double planned = 1.0;  // no task yet: a target of 1.0 never plans one
+    for (const std::uint32_t i : group) {
+      const double target = queries[i].target_blocking;
+      if (target >= 1.0) {
+        out[i] = 0;  // E_0 = 1 already meets the target
+        continue;
+      }
+      if (target != planned) {
+        // E_n is decreasing in n: a target above the resume value is met
+        // only at or behind it.
+        LaneTask task = from.value > target
+                            ? walk_from(rho, from.index, from.value)
+                            : walk_from(rho, 0, 1.0);
+        task.target = target;
+        task.limit = servers_limit(rho);
+        tasks.push_back(task);
+        planned = target;
+      }
+      answers.emplace_back(i, tasks.size() - 1);
     }
-    if (query.target_blocking >= 1.0) {
-      out[order[q]] = 0;  // E_0 = 1 already meets the target
-      continue;
-    }
-    if (new_rho || prev->target_blocking != query.target_blocking) {
-      // E_n is decreasing in n: a target above the resume value is met
-      // only at or behind it.
-      LaneTask task = from.value > query.target_blocking
-                          ? walk_from(query.rho, from.index, from.value)
-                          : walk_from(query.rho, 0, 1.0);
-      task.target = query.target_blocking;
-      task.limit = servers_limit(query.rho);
-      tasks.push_back(task);
-    }
-    answers.emplace_back(order[q], tasks.size() - 1);
   }
   run_lane_tasks(tasks);
   for (const LaneTask& task : tasks) {
@@ -1265,34 +1371,42 @@ void ErlangWalk::eval_many(std::span<const BlockingQuery> queries,
   VMCONS_REQUIRE(queries.size() == out.size(),
                  "eval_many needs one output slot per query");
   validate(queries);
-  const std::vector<std::uint32_t> order = sorted_order(queries);
+  LoadGroups by_load(queries);
   std::vector<LaneTask> tasks;
   std::vector<std::pair<std::uint32_t, std::size_t>> answers;  // query, task
-  ResumePoint from;
-  for (std::size_t q = 0; q < order.size(); ++q) {
-    const BlockingQuery& query = queries[order[q]];
-    if (query.rho == 0.0) {
-      out[order[q]] = query.servers == 0 ? 1.0 : 0.0;
+  for (std::size_t g = 0; g < by_load.size(); ++g) {
+    const std::span<std::uint32_t> group = by_load[g];
+    const double rho = queries[group.front()].rho;
+    if (rho == 0.0) {
+      for (const std::uint32_t i : group) {
+        out[i] = queries[i].servers == 0 ? 1.0 : 0.0;
+      }
       continue;
     }
-    const BlockingQuery* prev = q > 0 ? &queries[order[q - 1]] : nullptr;
-    const bool new_rho = prev == nullptr || prev->rho != query.rho;
-    if (new_rho) {
-      from = resume_[std::bit_cast<std::uint64_t>(query.rho)];
+    // Equal server counts adjacent, so each distinct count plans one task.
+    std::sort(group.begin(), group.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                return queries[a].servers < queries[b].servers;
+              });
+    const ResumePoint from = resume_[std::bit_cast<std::uint64_t>(rho)];
+    std::uint64_t planned = 0;  // no task yet: n = 0 never plans one
+    for (const std::uint32_t i : group) {
+      const std::uint64_t servers = queries[i].servers;
+      if (servers == 0 || servers == from.index) {
+        out[i] = servers == 0 ? 1.0 : from.value;
+        continue;
+      }
+      if (servers != planned) {
+        LaneTask task = servers > from.index
+                            ? walk_from(rho, from.index, from.value)
+                            : walk_from(rho, 0, 1.0);
+        task.remaining = static_cast<std::size_t>(
+            servers - static_cast<std::uint64_t>(task.start_index));
+        tasks.push_back(task);
+        planned = servers;
+      }
+      answers.emplace_back(i, tasks.size() - 1);
     }
-    if (query.servers == 0 || query.servers == from.index) {
-      out[order[q]] = query.servers == 0 ? 1.0 : from.value;
-      continue;
-    }
-    if (new_rho || prev->servers != query.servers) {
-      LaneTask task = query.servers > from.index
-                          ? walk_from(query.rho, from.index, from.value)
-                          : walk_from(query.rho, 0, 1.0);
-      task.remaining = static_cast<std::size_t>(
-          query.servers - static_cast<std::uint64_t>(task.start_index));
-      tasks.push_back(task);
-    }
-    answers.emplace_back(order[q], tasks.size() - 1);
   }
   run_lane_tasks(tasks);
   advance(resume_, tasks);

@@ -137,15 +137,20 @@ class ErlangKernel {
   double erlang_b_capacity(std::uint64_t servers, double target_blocking);
 
   /// Batched erlang_b: out[i] = E_{queries[i].servers}(queries[i].rho), each
-  /// bit-identical to the scalar call. The span is sorted by (rho, servers)
-  /// and walked against one snapshot load, so every per-rho recursion prefix
-  /// is visited once and only ever extended — a monotone, lock-free walk.
+  /// bit-identical to the scalar call. The span is grouped by the bits of
+  /// each offered load, in one linear pass (spans of up to 32 queries are
+  /// sorted instead); -0.0 and +0.0 both answer as rho = 0. Each group's
+  /// prefix is grown once, to its largest n, against one snapshot load, and
+  /// every query is then read off it by index. Answers depend only on their
+  /// own rho's recurrence, so the span's order changes neither an answer
+  /// nor the steps walked.
   void eval_many(std::span<const BlockingQuery> queries,
                  std::span<double> out);
 
-  /// Batched erlang_b_servers: out[i] = min n with E_n <= target, processed
-  /// sorted by (rho, descending target) against one snapshot load; same
-  /// monotone-walk guarantee and bit-identical per-query results.
+  /// Batched erlang_b_servers: out[i] = min n with E_n <= target, grouped
+  /// by offered load as in eval_many: each group's prefix grows once, to
+  /// its tightest target, and every query is answered by binary search over
+  /// it. Same order independence and bit-identical per-query results.
   void servers_for_many(std::span<const StaffingQuery> queries,
                         std::span<std::uint64_t> out);
 
@@ -219,7 +224,7 @@ class ErlangKernel {
   Arena* registered_local_arena() const;
   static std::unordered_map<std::uint64_t, ArenaRef>& thread_arena_map();
 
-  /// Single-query bodies shared by the scalar entry points and the sorted
+  /// Single-query bodies shared by the scalar entry points and the grouped
   /// batch walks. Require rho > 0; lock only the local arena, on miss.
   double eval_one(const Snapshot& snapshot, std::uint64_t servers, double rho,
                   Tally& tally);

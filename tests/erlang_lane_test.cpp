@@ -5,9 +5,12 @@
 // (duplicate rhos, spans shorter than a lane pack, tails that do not fill
 // the last pack) and on every engine path (normal-range packs, the
 // subnormal tail finisher, the exact-zero tail, target-mode stops resolved
-// at block boundaries). The quarantine property rides along: a batch of
-// one per query must reproduce the whole-span walk exactly, because that
-// is what BatchEvaluator's cell-at-a-time fallback relies on.
+// at block boundaries), and for any query order: the walks group a span by
+// offered load, so a shuffled span of thousands of loads must give the
+// same answers and the same step count. The quarantine property rides
+// along: a batch of one per query must reproduce the whole-span walk
+// exactly, because that is what BatchEvaluator's cell-at-a-time fallback
+// relies on.
 #include <algorithm>
 #include <bit>
 #include <cmath>
@@ -18,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include "erlang_spans.hpp"
 #include "queueing/erlang.hpp"
 #include "queueing/erlang_kernel.hpp"
 #include "util/rng.hpp"
@@ -191,9 +195,9 @@ TEST(ErlangKernelLanes, QuarantineRerunsReproduceTheSpanWalk) {
 }
 
 TEST(ErlangKernelLanes, StaffingTargetsSweepSharedPrefix) {
-  // Same rho at many targets in one span: the sorted walk visits the rho
-  // once (descending target), and block-boundary stop resolution must give
-  // exactly the scalar minimum n for each target.
+  // Same rho at many targets in one span: the walk groups them into one
+  // state, grows it once to the tightest target, and block-boundary stop
+  // resolution must give exactly the scalar minimum n for each target.
   ErlangKernel kernel;
   const double rho = 512.5;
   std::vector<StaffingQuery> queries;
@@ -296,6 +300,104 @@ TEST(ErlangKernelLanes, TargetStopsOnBlockEdgesMatchScalarInOneSpan) {
     EXPECT_EQ(memo[i], expected) << "i=" << i;
     expect_prefix_exact(walk, queries[i].rho, expected);
     expect_prefix_exact(kernel, queries[i].rho, expected);
+  }
+}
+
+void expect_oracle(std::span<const StaffingQuery> span,
+                   std::span<const std::uint64_t> out) {
+  for (std::size_t i = 0; i < span.size(); ++i) {
+    ASSERT_EQ(out[i], erlang_b_servers(span[i].rho, span[i].target_blocking))
+        << "i=" << i << " rho=" << span[i].rho
+        << " B=" << span[i].target_blocking;
+  }
+}
+
+void expect_oracle(std::span<const BlockingQuery> span,
+                   std::span<const double> out) {
+  for (std::size_t i = 0; i < span.size(); ++i) {
+    ASSERT_EQ(bits(out[i]), bits(erlang_b(span[i].servers, span[i].rho)))
+        << "i=" << i << " rho=" << span[i].rho << " n=" << span[i].servers;
+  }
+}
+
+std::vector<std::uint64_t> answer(ErlangKernel& kernel,
+                                  const std::vector<StaffingQuery>& span) {
+  std::vector<std::uint64_t> out(span.size());
+  kernel.servers_for_many(span, out);
+  return out;
+}
+
+std::vector<double> answer(ErlangKernel& kernel,
+                           const std::vector<BlockingQuery>& span) {
+  std::vector<double> out(span.size());
+  kernel.eval_many(span, out);
+  return out;
+}
+
+TEST(ErlangKernelLanes, GroupedSpanMatchesFreeFunctionsFreshAndPublished) {
+  // 2,000 distinct loads grow the group table (64 slots at first)
+  // several times over; the span also holds repeated pairs, +0.0 and -0.0,
+  // target 1.0, n = 0 and the huge-rho staff_one group.
+  const auto staffing = erlang_spans::staffing(7201, 2000, true);
+  const auto blocking = erlang_spans::blocking(7201, 2000);
+  // Room for every load, so the second pass reads mostly the snapshot.
+  ErlangKernel kernel(4096);
+  expect_oracle(staffing, answer(kernel, staffing));
+  expect_oracle(blocking, answer(kernel, blocking));
+  kernel.publish();
+
+  const std::uint64_t hits_before = kernel.stats().snapshot_hits;
+  auto restaffing = staffing;
+  auto reblocking = blocking;
+  Rng rng = make_stream(7201, 2);
+  erlang_spans::shuffle(rng, restaffing);
+  erlang_spans::shuffle(rng, reblocking);
+  expect_oracle(restaffing, answer(kernel, restaffing));
+  expect_oracle(reblocking, answer(kernel, reblocking));
+  EXPECT_GT(kernel.stats().snapshot_hits, hits_before);
+}
+
+TEST(ErlangKernelLanes, GroupedSpanStepsDoNotDependOnQueryOrder) {
+  // Each answer depends only on its own load's recurrence, so a fresh
+  // kernel walks exactly as many steps for a span as for any permutation.
+  const auto staffing = erlang_spans::staffing(7202, 2000, true);
+  const auto blocking = erlang_spans::blocking(7202, 2000);
+  auto restaffing = staffing;
+  auto reblocking = blocking;
+  Rng rng = make_stream(7202, 2);
+  erlang_spans::shuffle(rng, restaffing);
+  erlang_spans::shuffle(rng, reblocking);
+
+  ErlangKernel a;
+  ErlangKernel b;
+  answer(a, staffing);
+  answer(b, restaffing);
+  EXPECT_EQ(a.stats().steps, b.stats().steps);
+  EXPECT_GT(a.stats().steps, 0u);
+
+  ErlangKernel c;
+  ErlangKernel d;
+  answer(c, blocking);
+  answer(d, reblocking);
+  EXPECT_EQ(c.stats().steps, d.stats().steps);
+  EXPECT_GT(c.stats().steps, 0u);
+}
+
+TEST(ErlangKernelLanes, EverySpanLengthAroundTheSortCutOverMatches) {
+  // Spans of up to 32 queries are grouped by sorting, longer ones by the
+  // counting pass; every length from 1 to 80 covers both sides.
+  const auto staffing = erlang_spans::staffing(7203, 40, false);
+  const auto blocking = erlang_spans::blocking(7203, 40);
+  ASSERT_GE(std::min(staffing.size(), blocking.size()), 80u);
+  for (std::size_t length = 1; length <= 80; ++length) {
+    SCOPED_TRACE("length=" + std::to_string(length));
+    const std::vector<StaffingQuery> staff(staffing.begin(),
+                                           staffing.begin() + length);
+    const std::vector<BlockingQuery> block(blocking.begin(),
+                                           blocking.begin() + length);
+    ErlangKernel kernel;
+    expect_oracle(staff, answer(kernel, staff));
+    expect_oracle(block, answer(kernel, block));
   }
 }
 

@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "core/batch_eval.hpp"
+#include "erlang_spans.hpp"
 #include "core/model.hpp"
 #include "core/scenario_batch.hpp"
 #include "datacenter/server_class.hpp"
@@ -286,6 +287,59 @@ TEST(ErlangWalk, InterleavedSpansMatchFreeFunctions) {
         }
       }
     }
+  }
+}
+
+/// A staffing pass on `walk` (servers_for_many, then eval_many at the
+/// staffed counts' loads), each answer checked against the free functions.
+void expect_walk_matches_oracle(
+    queueing::ErlangWalk& walk,
+    const std::vector<queueing::StaffingQuery>& staffing,
+    const std::vector<queueing::BlockingQuery>& blocking) {
+  std::vector<std::uint64_t> staffed(staffing.size());
+  walk.servers_for_many(staffing, staffed);
+  for (std::size_t i = 0; i < staffing.size(); ++i) {
+    ASSERT_EQ(staffed[i], queueing::erlang_b_servers(
+                              staffing[i].rho, staffing[i].target_blocking))
+        << "i=" << i << " rho=" << staffing[i].rho
+        << " B=" << staffing[i].target_blocking;
+  }
+  std::vector<double> blocked(blocking.size());
+  walk.eval_many(blocking, blocked);
+  for (std::size_t i = 0; i < blocking.size(); ++i) {
+    ASSERT_EQ(bits(blocked[i]),
+              bits(queueing::erlang_b(blocking[i].servers, blocking[i].rho)))
+        << "i=" << i << " rho=" << blocking[i].rho
+        << " n=" << blocking[i].servers;
+  }
+}
+
+TEST(ErlangWalk, GroupedSpanMatchesFreeFunctions) {
+  // The grouping property span: 2,000 shuffled loads, repeated pairs,
+  // +0.0 and -0.0, target 1.0, n = 0 and a huge rho. The second pass asks
+  // the same queries in another order, with every load's resume point set.
+  auto staffing = erlang_spans::staffing(0x0a11ce, 2000, true);
+  auto blocking = erlang_spans::blocking(0x0a11ce, 2000);
+  queueing::ErlangWalk walk;
+  expect_walk_matches_oracle(walk, staffing, blocking);
+  Rng rng = make_stream(0x0a11ce, 2);
+  erlang_spans::shuffle(rng, staffing);
+  erlang_spans::shuffle(rng, blocking);
+  expect_walk_matches_oracle(walk, staffing, blocking);
+}
+
+TEST(ErlangWalk, EverySpanLengthAroundTheSortCutOverMatches) {
+  // Spans of up to 32 queries are grouped by sorting, longer ones by the
+  // counting pass; every length from 1 to 80 covers both sides.
+  const auto staffing = erlang_spans::staffing(0x0a11ce, 40, false);
+  const auto blocking = erlang_spans::blocking(0x0a11ce, 40);
+  ASSERT_GE(std::min(staffing.size(), blocking.size()), 80u);
+  for (std::size_t length = 1; length <= 80; ++length) {
+    SCOPED_TRACE("length=" + std::to_string(length));
+    queueing::ErlangWalk walk;
+    expect_walk_matches_oracle(
+        walk, {staffing.begin(), staffing.begin() + length},
+        {blocking.begin(), blocking.begin() + length});
   }
 }
 

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -20,6 +21,8 @@
 #include <thread>
 #include <vector>
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -630,6 +633,58 @@ TEST(ClaimLedger, WrongStoreBrandIsLoud) {
     EXPECT_NE(std::string(error.what()).find("branded"), std::string::npos)
         << error.what();
   }
+}
+
+/// A claim on shard 0 of a ledger branded 42 (hex 2a), held by this live
+/// local process, with `deadline` and `checksum` written verbatim.
+void write_claim(const ClaimLedger& ledger, const std::string& deadline,
+                 const std::string& checksum) {
+  std::ofstream out(ledger.claim_path(0));
+  out << "a," << ::getpid() << ',' << util::local_hostname() << ",1f,"
+      << deadline << ',' << checksum << '\n';
+}
+
+/// Moves `path`'s mtime `age` into the past.
+void backdate(const std::string& path, std::chrono::milliseconds age) {
+  const auto then = std::chrono::duration_cast<std::chrono::seconds>(
+      (std::chrono::system_clock::now() - age).time_since_epoch());
+  const ::timespec times[2] = {{then.count(), 0}, {then.count(), 0}};
+  ASSERT_EQ(::utimensat(AT_FDCWD, path.c_str(), times, 0), 0);
+}
+
+/// A record with a field that only partly parses is unparseable: a fresh
+/// one is left alone, and one older than lease + 1 s is reclaimed.
+void expect_judged_by_age(const std::string& name, const std::string& deadline,
+                          const std::string& checksum) {
+  const std::string dir = temp_path(name);
+  const std::chrono::seconds lease(2);
+  const ClaimLedger ledger(dir, 42, lease);
+  write_claim(ledger, deadline, checksum);
+  EXPECT_FALSE(ledger.read_claim(0).has_value());
+  EXPECT_FALSE(ledger.try_claim(0, "b", ClaimLedger::make_token()));
+
+  backdate(ledger.claim_path(0), lease + std::chrono::seconds(2));
+  bool reclaimed = false;
+  EXPECT_TRUE(ledger.try_claim(0, "b", ClaimLedger::make_token(), &reclaimed));
+  EXPECT_TRUE(reclaimed);
+  EXPECT_EQ(ledger.read_claim(0)->worker, "b");
+}
+
+TEST(ClaimLedger, NonNumericDeadlineIsJudgedByFileAge) {
+  expect_judged_by_age("deadline_word.ledger", "notanumber", "2a");
+}
+
+TEST(ClaimLedger, DeadlineWithTrailingGarbageIsJudgedByFileAge) {
+  expect_judged_by_age("deadline_tail.ledger", "5abc", "2a");
+}
+
+TEST(ClaimLedger, NonHexStoreChecksumIsJudgedByFileAge) {
+  const std::string deadline = std::to_string(
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::system_clock::now().time_since_epoch())
+          .count() +
+      60000);
+  expect_judged_by_age("checksum_word.ledger", deadline, "zz");
 }
 
 TEST(ManifestLock, SecondSweepOnOneCheckpointFailsFast) {
