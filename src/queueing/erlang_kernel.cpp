@@ -7,8 +7,6 @@
 #include <cstring>
 #include <limits>
 #include <memory>
-#include <numeric>
-#include <utility>
 
 #include "util/error.hpp"
 #include "util/simd.hpp"
@@ -89,139 +87,100 @@ void validate(std::span<const StaffingQuery> queries) {
   }
 }
 
-/// Open-addressing map from offered-load bits to dense group ids, assigned
-/// in first-seen order. Doubles at half load.
-class GroupTable {
- public:
-  /// The group id of `key`, a new one if the key was not seen before.
-  std::uint32_t id(std::uint64_t key) {
-    for (std::size_t slot = home(key);; slot = (slot + 1) & mask_) {
-      Slot& entry = slots_[slot];
-      if (entry.key == key) {
-        return entry.id;
-      }
-      if (entry.key == kEmpty) {
-        if (2 * (size_ + 1) > slots_.size()) {
-          grow();
-          return id(key);
-        }
-        entry = Slot{key, size_};
-        return size_++;
-      }
-    }
-  }
+/// Table slots for a span of `size` queries: a power of two, at least 2n.
+constexpr std::size_t group_slots(std::size_t size) {
+  return std::bit_ceil(std::max<std::size_t>(2 * size, 2));
+}
 
-  std::uint32_t size() const noexcept { return size_; }
+/// LoadGroups' 32-bit words for a span of `size` queries.
+constexpr std::size_t group_words(std::size_t size) {
+  return 3 * size + 2 + group_slots(size);
+}
 
- private:
-  /// A NaN's bits: validate() rejects NaN loads, so no key is ever empty.
-  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
-  static constexpr std::size_t kFirstSlots = 64;
-  struct Slot {
-    std::uint64_t key = kEmpty;
-    std::uint32_t id = 0;
-  };
-
-  /// Fibonacci hashing: the product's top bits depend on every key bit, so
-  /// loads that differ only in their low mantissa bits still spread out.
-  std::size_t home(std::uint64_t key) const noexcept {
-    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> shift_);
-  }
-
-  void grow() {
-    const std::vector<Slot> old =
-        std::exchange(slots_, std::vector<Slot>(2 * slots_.size()));
-    mask_ = slots_.size() - 1;
-    --shift_;
-    for (const Slot& entry : old) {
-      if (entry.key != kEmpty) {
-        std::size_t slot = home(entry.key);
-        while (slots_[slot].key != kEmpty) {
-          slot = (slot + 1) & mask_;
-        }
-        slots_[slot] = entry;
-      }
-    }
-  }
-
-  std::vector<Slot> slots_ = std::vector<Slot>(kFirstSlots);
-  std::size_t mask_ = kFirstSlots - 1;
-  int shift_ = 64 - std::countr_zero(kFirstSlots);
-  std::uint32_t size_ = 0;
-};
-
-/// Spans of at most this many queries are grouped by a comparison sort:
-/// at plan()/solve() size (3 to 6 queries) sorting positions costs less
-/// than setting up a group table. Measured per call on a 4-core Xeon, with
-/// every load distinct or shared by 4 queries: 6 queries 55-75 ns sorted
-/// vs 175-195 ns counted; 32 queries 270-1120 ns vs 400-560 ns; 64 queries
-/// 0.6-3.2 us vs 0.6-2.4 us, and the sort keeps losing ground from there.
-constexpr std::size_t kSortedSpan = 32;
-
-/// Query positions grouped by the bits of their offered load: each group's
-/// positions are contiguous. Spans longer than kSortedSpan take one linear
-/// pass, a counting sort on first-seen group ids; shorter ones sort their
-/// positions on the bits. -0.0 and +0.0 land in separate groups; both are
-/// rho == 0.0. Queries of one load share one recursion state, and each
-/// answer depends only on its own load's recurrence, so no walk needs the
-/// groups, or the positions inside one, in any particular order.
+/// Query positions grouped by the bits of their offered load, in one linear
+/// pass: an open-addressing table gives each load a group id in first-seen
+/// order, and a counting sort on those ids makes each group's positions
+/// contiguous. -0.0 and +0.0 land in separate groups; both are rho == 0.0.
+/// Queries of one load share one recursion state, and each answer depends
+/// only on its own load's recurrence, so no walk needs the groups, or the
+/// positions inside one, in any particular order.
+///
+/// The table is sized from the span: at most one group per query keeps it
+/// at most half full, so it never grows. A span of up to kInlineSpan
+/// queries (plan() and solve() stage 3 to 6) fits in inline storage and
+/// allocates nothing.
 class LoadGroups {
  public:
   template <typename Query>
   explicit LoadGroups(std::span<const Query> queries)
-      : size_(queries.size()),
-        // positions (n) | group id per query (n) | bounds (groups + 2)
-        buffer_(std::make_unique_for_overwrite<std::uint32_t[]>(3 * size_ +
-                                                                2)) {
-    std::uint32_t* const positions = buffer_.get();
-    std::uint32_t* const ids = positions + size_;
-    std::uint32_t* const bounds = ids + size_;
-    const auto load = [&](std::uint32_t i) {
-      return std::bit_cast<std::uint64_t>(queries[i].rho);
-    };
-    if (size_ <= kSortedSpan) {
-      std::iota(positions, positions + size_, std::uint32_t{0});
-      std::sort(positions, positions + size_,
-                [&](std::uint32_t a, std::uint32_t b) {
-                  return load(a) < load(b);
-                });
-      bounds[0] = 0;
-      for (std::uint32_t i = 0; i < size_; ++i) {
-        if (i + 1 == size_ || load(positions[i + 1]) != load(positions[i])) {
-          bounds[++groups_] = i + 1;
-        }
-      }
-      return;
+      : size_(queries.size()), slots_(group_slots(size_)) {
+    std::uint64_t* keys = inline_keys_.data();
+    std::uint32_t* words = inline_words_.data();
+    if (size_ > kInlineSpan) {
+      heap_keys_ = std::make_unique_for_overwrite<std::uint64_t[]>(size_);
+      heap_words_ =
+          std::make_unique_for_overwrite<std::uint32_t[]>(group_words(size_));
+      keys = heap_keys_.get();
+      words = heap_words_.get();
     }
-    std::fill_n(bounds, size_ + 2, std::uint32_t{0});
-    GroupTable table;
+    // positions (n) | group id per query (n) | bounds (n + 2) | slots;
+    // keys[g] is group g's load bits.
+    positions_ = words;
+    std::uint32_t* const ids = positions_ + size_;
+    bounds_ = ids + size_;
+    // A slot holds 1 + its load's group id; 0 marks it empty.
+    std::uint32_t* const slots = bounds_ + size_ + 2;
+    std::fill_n(bounds_, size_ + 2 + slots_, std::uint32_t{0});
+
+    // Fibonacci hashing: the product's top bits depend on every key bit,
+    // so loads that differ only in their low mantissa bits still spread.
+    const int shift = 64 - std::countr_zero(slots_);
     for (std::uint32_t i = 0; i < size_; ++i) {
-      ids[i] = table.id(load(i));
-      ++bounds[ids[i] + 2];
+      const std::uint64_t key = std::bit_cast<std::uint64_t>(queries[i].rho);
+      std::size_t slot =
+          static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> shift);
+      while (slots[slot] != 0 && keys[slots[slot] - 1] != key) {
+        slot = (slot + 1) & (slots_ - 1);
+      }
+      if (slots[slot] == 0) {
+        keys[groups_] = key;
+        slots[slot] = static_cast<std::uint32_t>(++groups_);
+      }
+      ids[i] = slots[slot] - 1;
+      ++bounds_[ids[i] + 2];
     }
-    groups_ = table.size();
     // Prefix sums leave group g's first position in bounds[g + 1]; the
     // scatter advances it to g's end, which is where g + 1 begins.
     for (std::size_t g = 2; g < groups_ + 2; ++g) {
-      bounds[g] += bounds[g - 1];
+      bounds_[g] += bounds_[g - 1];
     }
     for (std::uint32_t i = 0; i < size_; ++i) {
-      positions[bounds[ids[i] + 1]++] = i;
+      positions_[bounds_[ids[i] + 1]++] = i;
     }
   }
+
+  LoadGroups(const LoadGroups&) = delete;
+  LoadGroups& operator=(const LoadGroups&) = delete;
 
   std::size_t size() const noexcept { return groups_; }
 
   /// Positions of group g; callers may reorder them in place.
   std::span<std::uint32_t> operator[](std::size_t g) noexcept {
-    const std::uint32_t* const bounds = buffer_.get() + 2 * size_;
-    return {buffer_.get() + bounds[g], buffer_.get() + bounds[g + 1]};
+    return {positions_ + bounds_[g], positions_ + bounds_[g + 1]};
   }
 
  private:
+  static constexpr std::size_t kInlineSpan = 16;
+
   std::size_t size_;
+  std::size_t slots_;
   std::size_t groups_ = 0;
-  std::unique_ptr<std::uint32_t[]> buffer_;
+  std::uint32_t* positions_ = nullptr;
+  std::uint32_t* bounds_ = nullptr;
+  std::array<std::uint64_t, kInlineSpan> inline_keys_;
+  std::array<std::uint32_t, group_words(kInlineSpan)> inline_words_;
+  std::unique_ptr<std::uint64_t[]> heap_keys_;
+  std::unique_ptr<std::uint32_t[]> heap_words_;
 };
 
 // --- Multi-lane recurrence engine ----------------------------------------

@@ -138,19 +138,21 @@ class ErlangKernel {
 
   /// Batched erlang_b: out[i] = E_{queries[i].servers}(queries[i].rho), each
   /// bit-identical to the scalar call. The span is grouped by the bits of
-  /// each offered load, in one linear pass (spans of up to 32 queries are
-  /// sorted instead); -0.0 and +0.0 both answer as rho = 0. Each group's
-  /// prefix is grown once, to its largest n, against one snapshot load, and
-  /// every query is then read off it by index. Answers depend only on their
-  /// own rho's recurrence, so the span's order changes neither an answer
-  /// nor the steps walked.
+  /// each offered load, in one linear pass; -0.0 and +0.0 both answer as
+  /// rho = 0. Each group's prefix is grown once, to its largest n, against
+  /// one snapshot load, and every query is then read off it by index.
+  /// Answers depend only on their own rho's recurrence, so within one call
+  /// the span's order changes neither an answer nor the steps walked. It
+  /// can change which states a later publish() keeps (eviction ties fall
+  /// in arena order), and so the steps later calls walk.
   void eval_many(std::span<const BlockingQuery> queries,
                  std::span<double> out);
 
   /// Batched erlang_b_servers: out[i] = min n with E_n <= target, grouped
   /// by offered load as in eval_many: each group's prefix grows once, to
   /// its tightest target, and every query is answered by binary search over
-  /// it. Same order independence and bit-identical per-query results.
+  /// it. Same per-call order independence and bit-identical per-query
+  /// results.
   void servers_for_many(std::span<const StaffingQuery> queries,
                         std::span<std::uint64_t> out);
 

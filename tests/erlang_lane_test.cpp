@@ -335,9 +335,9 @@ std::vector<double> answer(ErlangKernel& kernel,
 }
 
 TEST(ErlangKernelLanes, GroupedSpanMatchesFreeFunctionsFreshAndPublished) {
-  // 2,000 distinct loads grow the group table (64 slots at first)
-  // several times over; the span also holds repeated pairs, +0.0 and -0.0,
-  // target 1.0, n = 0 and the huge-rho staff_one group.
+  // 2,000 distinct loads in a span of thousands of queries; it also holds
+  // repeated pairs, +0.0 and -0.0, target 1.0, n = 0 and the huge-rho
+  // staff_one group.
   const auto staffing = erlang_spans::staffing(7201, 2000, true);
   const auto blocking = erlang_spans::blocking(7201, 2000);
   // Room for every load, so the second pass reads mostly the snapshot.
@@ -383,9 +383,10 @@ TEST(ErlangKernelLanes, GroupedSpanStepsDoNotDependOnQueryOrder) {
   EXPECT_GT(c.stats().steps, 0u);
 }
 
-TEST(ErlangKernelLanes, EverySpanLengthAroundTheSortCutOverMatches) {
-  // Spans of up to 32 queries are grouped by sorting, longer ones by the
-  // counting pass; every length from 1 to 80 covers both sides.
+TEST(ErlangKernelLanes, EverySpanLengthAroundTheInlineCutOverMatches) {
+  // Spans of up to 16 queries (plan() and solve() stage 3 to 6) group in
+  // inline storage, longer ones in heap storage sized from the span; every
+  // length from 1 to 80, with shared and distinct loads, covers both.
   const auto staffing = erlang_spans::staffing(7203, 40, false);
   const auto blocking = erlang_spans::blocking(7203, 40);
   ASSERT_GE(std::min(staffing.size(), blocking.size()), 80u);

@@ -1,9 +1,9 @@
 // Shuffled Erlang-B query spans that exercise every case of the batch
-// walks' load grouping: many distinct loads (enough to grow the group
-// table several times), repeated (rho, B) and (rho, n) pairs, +0.0 and
-// -0.0 loads in separate groups, target 1.0 and n = 0, and optionally a
-// huge-rho group that ErlangKernel staffs with its scalar staff_one
-// fallback. Answers are checked against the erlang.hpp free functions.
+// walks' load grouping: thousands of distinct loads, repeated (rho, B) and
+// (rho, n) pairs, +0.0 and -0.0 loads in separate groups, target 1.0 and
+// n = 0, and optionally a huge-rho group that ErlangKernel staffs with its
+// scalar staff_one fallback. Answers are checked against the erlang.hpp
+// free functions.
 #pragma once
 
 #include <cmath>

@@ -328,9 +328,10 @@ TEST(ErlangWalk, GroupedSpanMatchesFreeFunctions) {
   expect_walk_matches_oracle(walk, staffing, blocking);
 }
 
-TEST(ErlangWalk, EverySpanLengthAroundTheSortCutOverMatches) {
-  // Spans of up to 32 queries are grouped by sorting, longer ones by the
-  // counting pass; every length from 1 to 80 covers both sides.
+TEST(ErlangWalk, EverySpanLengthAroundTheInlineCutOverMatches) {
+  // Spans of up to 16 queries (plan() and solve() stage 3 to 6) group in
+  // inline storage, longer ones in heap storage sized from the span; every
+  // length from 1 to 80, with shared and distinct loads, covers both.
   const auto staffing = erlang_spans::staffing(0x0a11ce, 40, false);
   const auto blocking = erlang_spans::blocking(0x0a11ce, 40);
   ASSERT_GE(std::min(staffing.size(), blocking.size()), 80u);
