@@ -2,8 +2,9 @@
 // (one UtilityAnalyticModel::solve() per grid cell, stateless Erlang
 // functions — the pre-batch behavior) vs one ScenarioBatch evaluated by the
 // BatchEvaluator on a single thread, vs the sharded parallel evaluation,
-// plus a thread-scaling sweep over fixed-size pools (1/2/4/8 workers)
-// exercising the kernel's contention-free snapshot/arena path. Every
+// plus a thread-scaling sweep over fixed-size pools (1/2/4/8 workers);
+// each shard walks its own Erlang recurrences, so workers share no Erlang
+// state and the sweep measures the pool alone. Every
 // configuration computes the same plans — the bench verifies the results
 // are bit-identical before printing timings, then emits BENCH_batch.json
 // (header with git rev + worker counts; plans/sec, wall ms, speedup per
@@ -44,8 +45,8 @@ double run_millis(const std::function<void()>& fn) {
 
 /// Minimum wall time over `reps` runs of `fn`. The box this bench runs on
 /// may be shared/noisy; the minimum is the least-interfered sample and the
-/// one the recorded JSON should carry. `fn` must reset its own state (cold
-/// kernel, cleared outputs) so every rep measures identical work.
+/// one the recorded JSON should carry. `fn` must reset its own state
+/// (kernel counters, cleared outputs) so every rep measures identical work.
 double best_of(int reps, const std::function<void()>& fn) {
   double best = run_millis(fn);
   for (int r = 1; r < reps; ++r) {
@@ -160,7 +161,7 @@ int run(int argc, const char** argv) {
   });
 
   // Columnar, one thread: batch construction is part of the measured cost,
-  // and the kernel is cleared per rep so every sample starts cold.
+  // and the counter-sink kernel is cleared per rep so its stats cover one.
   queueing::ErlangKernel serial_kernel;
   core::BatchOptions serial_options;
   serial_options.parallel = false;
@@ -172,7 +173,7 @@ int run(int argc, const char** argv) {
     serial_results = core::BatchEvaluator(serial_options).evaluate(batch);
   });
 
-  // Columnar, sharded across the thread pool with its own cold kernel.
+  // Columnar, sharded across the thread pool.
   queueing::ErlangKernel parallel_kernel;
   core::BatchOptions parallel_options;
   parallel_options.kernel = &parallel_kernel;
@@ -210,8 +211,8 @@ int run(int argc, const char** argv) {
     return EXIT_FAILURE;
   }
 
-  // Thread-scaling sweep: fixed-size injected pools, cold kernel each, so
-  // every row measures the same work under a known worker count.
+  // Thread-scaling sweep: fixed-size injected pools, so every row measures
+  // the same work under a known worker count.
   struct ThreadRow {
     std::size_t threads = 0;
     double ms = 0.0;
@@ -421,7 +422,7 @@ int run(int argc, const char** argv) {
       std::cout,
       "per-kernel attribution (" +
           std::to_string(util::simd::kRecurrenceLanes) +
-          " recurrence lanes; isolated cold-kernel reruns, so the rows "
+          " recurrence lanes; isolated reruns, so the rows "
           "need not sum to the pipeline time)");
 
   const auto stats = serial_kernel.stats();

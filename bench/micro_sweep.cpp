@@ -1,10 +1,9 @@
-// Microbenchmark for the SweepGrid planner: serial-cold (the pre-kernel
-// behavior: every grid point re-runs the full Erlang-B recursions from
-// scratch) vs the parallel sweep backed by the memoized incremental
-// ErlangKernel, cold-cache and warm-cache. All three configurations are
-// pure accelerations — the bench verifies the reports are identical before
-// printing timings. Not a paper figure; performance hygiene for the
-// what-if sweep path.
+// Microbenchmark for the SweepGrid planner: the sweep on the calling
+// thread vs the same sweep fanned out over the shared thread pool, run
+// twice. Both configurations answer their Erlang-B queries the same way (a
+// call-local walk per staffing pass), so the ratio measures the pool alone;
+// the bench verifies the reports are identical before printing timings.
+// Not a paper figure; performance hygiene for the what-if sweep path.
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -68,13 +67,13 @@ int run(int argc, const char** argv) {
   const auto scales_n = static_cast<std::size_t>(flags.get_int("scales", 10));
   const auto dedicated =
       static_cast<std::uint64_t>(flags.get_int("servers", 20000));
-  // Pass/fail threshold for the exit status; smoke runs (tiny grids whose
-  // wall time is all fixed overhead) set this to 0 to check correctness
-  // only.
-  const double min_speedup = flags.get_double("min-speedup", 3.0);
+  // Optional gate on the parallel/serial ratio. Off by default: the ratio
+  // is pool scaling, which micro_batch --min-parallel-speedup gates on
+  // machines with enough hardware threads to show it.
+  const double min_speedup = flags.get_double("min-speedup", 0.0);
   finish_flags(flags);
 
-  banner("micro_sweep: serial-cold vs parallel memoized SweepGrid",
+  banner("micro_sweep: serial vs thread-pool SweepGrid",
          "library performance hygiene (no paper figure)");
   metrics::registry().reset();
 
@@ -103,26 +102,25 @@ int run(int argc, const char** argv) {
             << " scales = " << grid.size() << " plans, offered load ~"
             << static_cast<long long>(dedicated) << " Erlangs/service\n\n";
 
-  core::SweepOptions serial_cold;
-  serial_cold.parallel = false;
-  serial_cold.memoize = false;
+  core::SweepOptions serial;
+  serial.parallel = false;
 
-  queueing::ErlangKernel kernel;
-  core::SweepOptions with_kernel;
-  with_kernel.kernel = &kernel;
+  queueing::ErlangKernel kernel;  // counter sink for the parallel runs
+  core::SweepOptions parallel;
+  parallel.kernel = &kernel;
 
   std::vector<core::SweepCell> baseline;
-  std::vector<core::SweepCell> cold;
-  std::vector<core::SweepCell> warm;
+  std::vector<core::SweepCell> first;
+  std::vector<core::SweepCell> second;
   const double serial_ms =
-      run_millis([&] { baseline = planner.sweep(grid, serial_cold); });
-  const double cold_ms =
-      run_millis([&] { cold = planner.sweep(grid, with_kernel); });
-  const double warm_ms =
-      run_millis([&] { warm = planner.sweep(grid, with_kernel); });
+      run_millis([&] { baseline = planner.sweep(grid, serial); });
+  const double first_ms =
+      run_millis([&] { first = planner.sweep(grid, parallel); });
+  const double second_ms =
+      run_millis([&] { second = planner.sweep(grid, parallel); });
 
-  if (!same_reports(baseline, cold) || !same_reports(baseline, warm)) {
-    std::cerr << "FAIL: kernel-backed sweep diverged from serial baseline\n";
+  if (!same_reports(baseline, first) || !same_reports(baseline, second)) {
+    std::cerr << "FAIL: parallel sweep diverged from the serial sweep\n";
     return EXIT_FAILURE;
   }
   std::cout << "all " << grid.size()
@@ -130,26 +128,27 @@ int run(int argc, const char** argv) {
 
   AsciiTable table;
   table.set_header({"configuration", "wall ms", "speedup"});
-  table.add_row({"serial, no memoization (old behavior)",
-                 AsciiTable::format(serial_ms, 1), "1.0x"});
-  table.add_row({"parallel, cold kernel",
-                 AsciiTable::format(cold_ms, 1),
-                 AsciiTable::format(serial_ms / cold_ms, 1) + "x"});
-  table.add_row({"parallel, warm kernel",
-                 AsciiTable::format(warm_ms, 1),
-                 AsciiTable::format(serial_ms / warm_ms, 1) + "x"});
+  table.add_row({"serial (calling thread)", AsciiTable::format(serial_ms, 1),
+                 "1.0x"});
+  table.add_row({"parallel (thread pool), first run",
+                 AsciiTable::format(first_ms, 1),
+                 AsciiTable::format(serial_ms / first_ms, 1) + "x"});
+  table.add_row({"parallel (thread pool), second run",
+                 AsciiTable::format(second_ms, 1),
+                 AsciiTable::format(serial_ms / second_ms, 1) + "x"});
   table.print(std::cout,
               std::to_string(grid.size()) + "-point sweep wall time");
 
   const auto stats = kernel.stats();
-  std::cout << "\nkernel: " << stats.evaluations << " Erlang evaluations, "
+  std::cout << "\nparallel runs: " << stats.evaluations
+            << " Erlang evaluations, "
             << stats.cache_hits << " cache hits ("
             << AsciiTable::format(stats.hit_rate() * 100.0, 1)
             << "% hit rate), " << stats.steps << " recurrence steps\n\n";
   core::print_metrics(std::cout);
 
-  const double speedup = serial_ms / cold_ms;
-  std::cout << "\ncold-kernel speedup over the serial baseline: "
+  const double speedup = serial_ms / first_ms;
+  std::cout << "\nfirst parallel run's speedup over the serial sweep: "
             << AsciiTable::format(speedup, 1) << "x (target >= "
             << AsciiTable::format(min_speedup, 1) << "x)\n";
   return speedup >= min_speedup ? EXIT_SUCCESS : EXIT_FAILURE;

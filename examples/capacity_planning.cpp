@@ -85,9 +85,10 @@ int main() {
   // --- 5: the joint grid ---------------------------------------------------
   // Sections 3 and 4 one axis at a time; SweepGrid crosses them. The 12
   // plans become one columnar core::ScenarioBatch evaluated in shards over
-  // the thread pool through one memoized Erlang kernel, and the cells come
-  // back in grid index order (loss varies fastest) no matter how many
-  // workers ran them — bit-identical to solving each point on its own.
+  // the thread pool, each shard walking its Erlang recurrences once per
+  // distinct load, and the cells come back in grid index order (loss varies
+  // fastest) no matter how many workers ran them — bit-identical to solving
+  // each point on its own.
   core::SweepGrid grid;
   grid.target_losses(targets).workload_scales({1.0, 2.0, 4.0});
   const auto cells = planner.sweep(grid);

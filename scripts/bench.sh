@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Performance hygiene: Release build, then the microbenchmarks at full
 # size. micro_engine regenerates BENCH_engine.json at the repo root (the
-# checked-in numbers CI and DESIGN.md refer to); micro_sweep checks the
-# parallel memoized planner; micro_batch regenerates BENCH_batch.json;
+# checked-in numbers CI and DESIGN.md refer to); micro_sweep checks that
+# the thread-pool sweep matches the serial one; micro_batch regenerates
+# BENCH_batch.json;
 # micro_streaming regenerates BENCH_streaming.json (out-of-core sweep with
 # checkpoint/resume). All exit non-zero when they miss their targets.
 #
@@ -25,7 +26,7 @@ echo "== bench: micro_engine (slot-map calendar) =="
 ./build/bench/micro_engine --json BENCH_engine.json "$@"
 
 echo
-echo "== bench: micro_sweep (parallel memoized planner) =="
+echo "== bench: micro_sweep (serial vs thread-pool planner sweep) =="
 ./build/bench/micro_sweep
 
 echo

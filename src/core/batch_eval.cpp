@@ -14,18 +14,36 @@
 namespace vmcons::core {
 namespace {
 
-/// Routes staged query lists through the memoized kernel's grouped batch
-/// walk when a kernel is set, else through a call-local ErlangWalk that
-/// lives as long as the dispatch — one staff_* call — so each rho's
-/// blocking query resumes its staffing walk. Per-query results are
-/// bit-identical to the queueing::erlang_b* free functions either way.
+/// Answers a staff_* call's staged query lists through one ErlangWalk that
+/// lives as long as the dispatch, so each rho's blocking query resumes its
+/// staffing walk, and a rho asked at several targets or depths answers
+/// them all from one walk. Per-query results are bit-identical to the
+/// queueing::erlang_b* free functions. On destruction the walk's tally goes
+/// to the erlang.* and batch.kernel_* counters, and to `kernel` if set.
 ///
 /// Fault-injection sites erlang.eval / staffing.inverse fire here, one draw
 /// per staged query, with the index derived from the query's own bit
 /// pattern — so an armed fault poisons the same (rho, target) no matter
-/// which shard, thread, or memoization tier answers it.
+/// which shard or thread answers it.
 struct ErlangDispatch {
-  explicit ErlangDispatch(queueing::ErlangKernel* memo) : kernel(memo) {}
+  explicit ErlangDispatch(queueing::ErlangKernel* sink) : kernel(sink) {}
+  ErlangDispatch(const ErlangDispatch&) = delete;
+  ErlangDispatch& operator=(const ErlangDispatch&) = delete;
+
+  ~ErlangDispatch() {
+    const queueing::ErlangTally& tally = walk.tally();
+    if (kernel != nullptr) {
+      kernel->record(tally);
+    } else {
+      tally.report();
+    }
+    static metrics::Counter& hits =
+        metrics::registry().counter(metrics::names::kBatchKernelHits);
+    static metrics::Counter& misses =
+        metrics::registry().counter(metrics::names::kBatchKernelMisses);
+    hits.add(tally.cache_hits);
+    misses.add(tally.evaluations - tally.cache_hits);
+  }
 
   queueing::ErlangKernel* kernel = nullptr;
   queueing::ErlangWalk walk;
@@ -42,11 +60,7 @@ struct ErlangDispatch {
                        util::fault_index(query.rho, query.target_blocking));
       }
     }
-    if (kernel != nullptr) {
-      kernel->servers_for_many(queries, out);
-    } else {
-      walk.servers_for_many(queries, out);
-    }
+    walk.servers_for_many(queries, out);
   }
 
   void eval_many(std::span<const queueing::BlockingQuery> queries,
@@ -61,11 +75,7 @@ struct ErlangDispatch {
                        util::fault_index(query.rho, 0.0, query.servers));
       }
     }
-    if (kernel != nullptr) {
-      kernel->eval_many(queries, out);
-    } else {
-      walk.eval_many(queries, out);
-    }
+    walk.eval_many(queries, out);
   }
 };
 
@@ -598,10 +608,7 @@ BatchOutcome BatchEvaluator::evaluate_all(const ScenarioBatch& batch) const {
   if (count == 0) {
     return outcome;
   }
-  queueing::ErlangKernel* kernel =
-      options_.kernel != nullptr
-          ? options_.kernel
-          : (options_.memoize ? &queueing::ErlangKernel::shared() : nullptr);
+  queueing::ErlangKernel* const kernel = options_.kernel;
 
   auto& registry = metrics::registry();
   metrics::ScopedTimer wall(registry.timer(metrics::names::kBatchWall));
@@ -621,19 +628,13 @@ BatchOutcome BatchEvaluator::evaluate_all(const ScenarioBatch& batch) const {
   std::size_t shard = options_.shard_size;
   if (shard == 0) {
     // ~4 shards per active worker: enough slack to balance heterogeneous
-    // scenario costs, big enough that each staged kernel walk amortizes its
-    // sort.
+    // scenario costs, big enough that loads recur within each shard's
+    // staffing walks.
     shard = std::max<std::size_t>(
         1, (count + active_workers * 4 - 1) / (active_workers * 4));
   }
   const std::size_t shard_count = (count + shard - 1) / shard;
   registry.counter(metrics::names::kBatchShards).add(shard_count);
-
-  // Cache behavior attributable to this batch: the delta of the kernel's
-  // counters across the evaluation. Concurrent users of a shared kernel
-  // blur the attribution; this is telemetry, not program state.
-  const queueing::ErlangKernel::Stats before =
-      kernel != nullptr ? kernel->stats() : queueing::ErlangKernel::Stats{};
 
   const RunControl& control = options_.control;
   const bool quarantine = options_.policy == FailurePolicy::kQuarantine;
@@ -675,8 +676,8 @@ BatchOutcome BatchEvaluator::evaluate_all(const ScenarioBatch& batch) const {
       // Quarantine fallback: isolate the failing cell(s) by re-running this
       // shard cell-at-a-time. Each cell is a batch of one — the same four
       // span kernels over the range [s, s+1) — so healthy cells produce
-      // bit-identical results to the staged whole-shard walk, and the
-      // memoized kernel's answers are order-independent by construction.
+      // bit-identical results to the staged whole-shard walk: every answer
+      // depends only on its own load's recurrence.
       for (std::size_t s = first; s < last; ++s) {
         if (control.stop_requested()) {
           return;
@@ -739,23 +740,6 @@ BatchOutcome BatchEvaluator::evaluate_all(const ScenarioBatch& batch) const {
     }
   }
 
-  if (kernel != nullptr) {
-    // Batch completion ends a merge epoch: fold every worker's private
-    // recursion extensions into a fresh snapshot so the next batch (or any
-    // direct kernel query) starts lock-free. This is the only serialized
-    // section on the batch path; its cost is the contention bill.
-    {
-      metrics::ScopedTimer merge_wait(
-          registry.timer(metrics::names::kBatchLockWait));
-      kernel->publish();
-    }
-    const queueing::ErlangKernel::Stats after = kernel->stats();
-    const std::uint64_t hits = after.cache_hits - before.cache_hits;
-    const std::uint64_t misses =
-        (after.evaluations - before.evaluations) - hits;
-    registry.counter(metrics::names::kBatchKernelHits).add(hits);
-    registry.counter(metrics::names::kBatchKernelMisses).add(misses);
-  }
   return outcome;
 }
 

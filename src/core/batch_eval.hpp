@@ -2,11 +2,11 @@
 //
 // The Fig. 4 staffing algorithm, the Eq. 8-11 utilization derivation, and
 // the Eq. 12-14 power derivation are implemented as four stateless,
-// span-based kernels over a ScenarioBatch. Each kernel stages its Erlang-B
-// work: it first gathers every query in its scenario range into one flat
-// list, answers them through the kernel's batched entry points (which group
-// the queries by offered load in one linear pass, so each memoized
-// recursion prefix is grown once per span), then scatters the answers back
+// span-based kernels over a ScenarioBatch. Each staffing kernel stages its
+// Erlang-B work: it first gathers every query in its scenario range into
+// one flat list, answers them through one call-local queueing::ErlangWalk
+// (which groups the queries by offered load in one linear pass and walks
+// each distinct load's recurrence once), then scatters the answers back
 // into ModelResults. The scalar UtilityAnalyticModel::solve() runs the same
 // four kernels on a batch of one, so batch and scalar results are
 // bit-identical by construction — there is exactly one implementation of
@@ -14,13 +14,10 @@
 //
 // BatchEvaluator shards a batch over a thread pool (each shard is a
 // contiguous scenario range, so output is independent of the worker count).
-// Each shard stages and groups its own query spans and walks them against
-// the kernel's lock-free snapshot tier plus its worker's private extension
-// arena — no cross-shard lock. Batch completion is a merge-epoch boundary:
-// the evaluator calls ErlangKernel::publish() so the next batch starts with
-// every prefix in the snapshot tier. batch.* metrics report evaluations,
-// scenarios, shards, kernel cache hits/misses attributable to the batch,
-// and the end-of-batch merge cost (batch.lock_wait).
+// Each shard stages and walks its own query spans; workers share no Erlang
+// state, so no shard ever waits on another. batch.* metrics report
+// evaluations, scenarios, shards, and the Erlang queries answered without
+// (kernel_hits) and with (kernel_misses) recurrence steps of their own.
 // Fault tolerance (see util/run_control.hpp): BatchOptions carries a
 // RunControl and a FailurePolicy. Under kQuarantine a throwing scenario is
 // isolated — the shard that contained it falls back to cell-at-a-time
@@ -98,11 +95,9 @@ struct BatchOptions {
   /// Fan shards out over a thread pool (results stay in scenario order and
   /// bit-identical to a serial run).
   bool parallel = true;
-  /// Route Erlang-B evaluations through a memoized incremental kernel;
-  /// false answers each staffing pass with a call-local ErlangWalk.
-  bool memoize = true;
-  /// Kernel override (implies memoize); nullptr uses the process-wide
-  /// ErlangKernel::shared() when memoize is set.
+  /// Counter sink: when set, every staffing pass adds its Erlang walk's
+  /// evaluations, steps and cache hits to this kernel's stats(). Answers
+  /// never depend on it.
   queueing::ErlangKernel* kernel = nullptr;
   /// Scenarios per shard; 0 auto-sizes to ~4 shards per active worker.
   std::size_t shard_size = 0;
@@ -151,8 +146,9 @@ class BatchEvaluator {
 
 // --- The stateless span kernels shared by the scalar and batch paths -----
 // Each runs one stage of the model for scenarios [begin, end) of `batch`,
-// writing into results[s - begin]. `kernel` may be nullptr (a call-local
-// queueing::ErlangWalk per staffing kernel call). Call order per scenario
+// writing into results[s - begin]. Each staffing kernel call answers its
+// Erlang-B queries through one call-local queueing::ErlangWalk; `kernel`,
+// if not nullptr, receives the walk's counters. Call order per scenario
 // range: staff_dedicated, staff_consolidated, staff_fleet, derive_utility,
 // derive_power.
 namespace batch_kernels {

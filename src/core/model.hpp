@@ -135,11 +135,11 @@ class UtilityAnalyticModel {
  public:
   explicit UtilityAnalyticModel(ModelInputs inputs);
 
-  /// Routes every Erlang-B evaluation through `kernel` (so sweeps over many
-  /// points share one incremental recursion cache); nullptr restores the
-  /// default: solve() answers through a call-local queueing::ErlangWalk,
-  /// dedicated_loss()/consolidated_loss() through the erlang.hpp free
-  /// functions. Results are bit-identical either way.
+  /// Counts every Erlang-B evaluation on `kernel`: solve() adds its
+  /// call-local queueing::ErlangWalks' tallies to it, and
+  /// dedicated_loss()/consolidated_loss() ask it directly; nullptr (the
+  /// default) counts nothing per model and uses the erlang.hpp free
+  /// functions for the loss queries. Results are bit-identical either way.
   UtilityAnalyticModel& use_kernel(queueing::ErlangKernel* kernel) {
     kernel_ = kernel;
     return *this;

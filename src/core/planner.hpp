@@ -92,9 +92,8 @@ class ConsolidationPlanner {
 
   /// Evaluates every point of `grid` (loss x scale x VMs-per-server what-if
   /// cartesian product), returning cells in grid index order. By default the
-  /// points fan out over the shared thread pool and share one memoized
-  /// Erlang kernel; both are pure accelerations — output is bit-identical
-  /// to a serial, unmemoized run. Implemented in sweep.cpp.
+  /// points fan out over the shared thread pool, a pure acceleration —
+  /// output is bit-identical to a serial run. Implemented in sweep.cpp.
   std::vector<SweepCell> sweep(const SweepGrid& grid,
                                const SweepOptions& options = {}) const;
 
@@ -134,8 +133,8 @@ class ConsolidationPlanner {
 
  private:
   ModelInputs make_inputs() const;
-  /// plan() with every Erlang-B evaluation routed through `kernel`
-  /// (nullptr = a call-local queueing::ErlangWalk per staffing pass).
+  /// plan() with its Erlang walks' counters added to `kernel` (nullptr:
+  /// none). Answers never depend on it.
   PlanReport plan_with(queueing::ErlangKernel* kernel) const;
   InventoryAssignment assign(double normalized_servers) const;
 

@@ -90,7 +90,6 @@ RobustPlan robust_consolidated_plan(const ModelInputs& inputs,
     batch.append(sample);
   }
   BatchOptions options;
-  options.memoize = false;
   options.control = control;
   const std::vector<ModelResult> results =
       BatchEvaluator(options).evaluate(batch);

@@ -2,9 +2,9 @@
 //
 // StreamingSweep (streaming_sweep.hpp) bounds a huge sweep's memory; this
 // driver adds the scale-out axis the ROADMAP names: real multi-core (and
-// multi-box-of-cores) throughput from *processes*, which share no allocator,
-// no Erlang snapshot tier, and no thread pool — so worker counts scale with
-// hardware instead of oversubscribing one process's scheduler.
+// multi-box-of-cores) throughput from *processes*, which share no allocator
+// and no thread pool — so worker counts scale with hardware instead of
+// oversubscribing one process's scheduler.
 //
 // The coordination protocol is a *claim ledger*: a directory next to the
 // store where every shard's ownership and result live as files.

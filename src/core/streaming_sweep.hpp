@@ -6,9 +6,8 @@
 // (inner parallelism, quarantine, run control all apply per shard), deliver
 // the shard's results to a sink, drop them — so resident memory is one
 // shard's inputs plus one shard's results no matter how many millions of
-// scenarios the store holds. The memoized Erlang kernel's published
-// snapshot tier persists across shards, so later shards reuse every
-// recursion prefix earlier shards staffed.
+// scenarios the store holds. Each shard's staffing passes walk their own
+// Erlang-B recurrences, so no state outlives a shard.
 //
 // After each completed shard the driver appends a record to a sidecar
 // *checkpoint manifest* (CSV, written via util CsvWriter and flushed per

@@ -211,7 +211,6 @@ SweepOutcome ConsolidationPlanner::sweep_all(const SweepGrid& grid,
 
   BatchOptions batch_options;
   batch_options.parallel = options.parallel;
-  batch_options.memoize = options.memoize;
   batch_options.kernel = options.kernel;
   batch_options.pool = options.pool;
   batch_options.policy = options.policy;

@@ -11,8 +11,8 @@
 // Axis semantics: an axis left empty contributes one point that inherits
 // the planner's current setting (so a grid with only target_losses set is
 // exactly the classic sweep_target_loss). The loss axis varies fastest,
-// which keeps points that share an offered load adjacent — the order in
-// which the memoized Erlang kernel reuses its recursion prefixes best.
+// which keeps points that share an offered load adjacent, so a shard's
+// Erlang walk meets each load at several targets.
 #pragma once
 
 #include <cstddef>
@@ -67,7 +67,7 @@ class SweepGrid {
 
   /// The index-derived point: loss varies fastest, then VMs, then scale,
   /// then fleet mix (slowest — mixes change the staffing envelope most, so
-  /// adjacent points keep sharing memoized Erlang prefixes).
+  /// adjacent points keep sharing offered loads).
   SweepPoint point(std::size_t index) const;
 
   /// All points in index order.
@@ -98,13 +98,7 @@ struct SweepOptions {
   /// Fan points out over a thread pool (results stay in index order and
   /// bit-identical to a serial run).
   bool parallel = true;
-  /// Route Erlang-B evaluations through a memoized incremental kernel.
-  /// The sweep is one batch, so it ends with one merge epoch: the kernel
-  /// publishes every recursion prefix the grid touched into its lock-free
-  /// snapshot tier.
-  bool memoize = true;
-  /// Kernel override (implies memoize); nullptr uses the process-wide
-  /// ErlangKernel::shared() when memoize is set.
+  /// Counter sink for the sweep's Erlang walks; see BatchOptions::kernel.
   queueing::ErlangKernel* kernel = nullptr;
   /// Pool to fan out over; nullptr uses ThreadPool::shared().
   ThreadPool* pool = nullptr;

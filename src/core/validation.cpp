@@ -122,10 +122,8 @@ std::vector<ValidationReport> validate_many(std::span<const ModelInputs> inputs,
                                             const ValidationOptions& options) {
   // Solve every scenario through one columnar batch; the simulated
   // measurements then run per scenario at the model's staffing. The batch
-  // is its own merge epoch: by the time the simulation phase starts, every
-  // Erlang prefix the analytic pass touched has been published to the
-  // shared kernel's snapshot tier, so nothing below contends with the
-  // simulation threads.
+  // keeps no Erlang state past its own staffing passes, so nothing below
+  // contends with the simulation threads.
   const ScenarioBatch batch = ScenarioBatch::from_inputs(inputs);
   BatchOptions batch_options;
   batch_options.control = options.control;

@@ -8,29 +8,17 @@
 #include <limits>
 #include <memory>
 
+#include "queueing/erlang.hpp"
 #include "util/error.hpp"
+#include "util/metrics.hpp"
 #include "util/simd.hpp"
 
 namespace vmcons::queueing {
 namespace {
 
-// Memory bounds: one cached prefix never stores more than kMaxStatePrefix
-// doubles (16 MB), and a published snapshot stays under kPrefixBudget
-// doubles (32 MB) by evicting least-recently-merged states at publish time.
-// Queries beyond the per-state cap still answer correctly; the tail of the
-// recursion just runs uncached.
+// A walk keeps at most kMaxStatePrefix values (16 MB) for one load. Loads
+// whose convergence guard, or deepest n, would outrun the cap keep none.
 constexpr std::size_t kMaxStatePrefix = std::size_t{1} << 21;
-constexpr std::size_t kPrefixBudget = std::size_t{1} << 22;
-
-// A thread whose private arena exceeds this many extension doubles (512 KB)
-// folds it into a fresh snapshot, so arenas stay small and other threads
-// start hitting the published prefixes instead of re-deriving them.
-constexpr std::size_t kArenaWatermark = std::size_t{1} << 16;
-
-/// Monotonically increasing kernel-generation ids. Never reused, so a
-/// thread-local arena pointer keyed by a retired serial can never collide
-/// with a live kernel.
-std::atomic<std::uint64_t> g_kernel_serial{1};
 
 /// The erlang.hpp convergence guard, kept bit-for-bit identical so the
 /// kernel throws exactly where the free function does.
@@ -38,10 +26,9 @@ std::uint64_t servers_limit(double rho) {
   return static_cast<std::uint64_t>(rho + 50.0 * std::sqrt(rho) + 64.0);
 }
 
-/// A staffing answer read off a cached prefix, held to the convergence
-/// guard `limit` (servers_limit(rho)): queueing::erlang_b_servers throws
-/// rather than return an n past it, however far an eval_many walk grew the
-/// prefix.
+/// A staffing answer read off kept values, held to the convergence guard
+/// `limit` (servers_limit(rho)): queueing::erlang_b_servers throws rather
+/// than return an n past it, however far an eval_many walk grew the values.
 std::uint64_t guarded_servers(std::uint64_t servers, std::uint64_t limit) {
   if (servers > limit) {
     throw NumericError("erlang_b_servers failed to converge");
@@ -63,9 +50,9 @@ double log_erlang_b_plain(std::uint64_t servers, double rho,
   return -log_inverse;
 }
 
-/// First index whose (strictly decreasing) value is <= target, or size().
-template <typename Vec>
-std::size_t descending_lower_bound(const Vec& values, double target) {
+/// First index whose (decreasing) value is <= target, or size().
+std::size_t descending_lower_bound(const std::vector<double>& values,
+                                   double target) {
   const auto it = std::lower_bound(
       values.begin(), values.end(), target,
       [](double blocking, double t) { return blocking > t; });
@@ -185,12 +172,12 @@ class LoadGroups {
 
 // --- Multi-lane recurrence engine ----------------------------------------
 //
-// The batch walks group queries by distinct rho (LoadGroups); each group
-// that outruns its cached prefix becomes one LaneTask — an independent
-// continuation of that rho's recurrence. run_lane_tasks advances up to
-// kRecurrenceLanes tasks in lockstep: the per-step loop over lanes has no
-// loop-carried dependence (each lane is its own chain), so the W
-// independent divide chains run at divider throughput instead of the
+// The walk groups queries by distinct rho (LoadGroups); each group that
+// outruns what the walk already holds becomes one LaneTask — an
+// independent continuation of that rho's recurrence. run_lane_tasks
+// advances up to kRecurrenceLanes tasks in lockstep: the per-step loop over
+// lanes has no loop-carried dependence (each lane is its own chain), so the
+// W independent divide chains run at divider throughput instead of the
 // ~15-cycle divide latency that serializes the scalar walk.
 //
 // The inner loop is completely branch- and mask-free on purpose. The
@@ -207,9 +194,9 @@ class LoadGroups {
 //
 // Bit-identity: an active lane executes exactly the scalar sequence
 // E_n = rho E_{n-1} / (n + rho E_{n-1}) with n counting up by 1 — the same
-// operations on the same operands in the same order as eval_one/staff_one —
-// and lanes never mix, so every value appended to a prefix is bit-for-bit
-// the value the scalar walk would have appended. Values computed past a
+// operations on the same operands in the same order as the erlang.cpp
+// loop — and lanes never mix, so every value a task produces is bit-for-bit
+// the value the scalar walk would have produced. Values computed past a
 // stop point are simply discarded, never appended.
 
 constexpr std::size_t kLanes = util::simd::kRecurrenceLanes;
@@ -225,9 +212,9 @@ constexpr std::size_t kLanes = util::simd::kRecurrenceLanes;
 /// one vector domain.
 struct LaneTask {
   /// Produced values append here; nullptr walks them without keeping any.
-  std::vector<double>* ext = nullptr;
+  std::vector<double>* keep = nullptr;
   double rho = 1.0;
-  double start_value = 1.0;  ///< last covered prefix value
+  double start_value = 1.0;  ///< value the task continues from
   double start_index = 1.0;  ///< absolute index of that value
   double target = -1.0;      ///< stop at first value <= target (-1 = count
                              ///< mode; real blocking values are >= 0)
@@ -241,8 +228,8 @@ struct LaneTask {
 
 /// Finish a count-mode task whose value has decayed below DBL_MIN.
 ///
-/// Deep prefix extensions (blocking evaluated at an N set by a different,
-/// busier resource) walk E_n far past rho, where the value goes subnormal
+/// Deep walks (blocking evaluated at an N set by a different, busier
+/// resource) walk E_n far past rho, where the value goes subnormal
 /// around n ~ 1.76 rho and then *hovers* in the subnormal range until
 /// n = 2 rho before underflowing to exact zero (k = 1 rounds back to 1
 /// while rho/n > 1/2). Subnormal operands cost a ~100 ns microcode assist
@@ -260,11 +247,11 @@ struct LaneTask {
 /// value is zero (rho*0 = 0, 0/n = 0), already supplied by resize().
 void finish_subnormal_tail(LaneTask& task, double value, double n_start) {
   double* __restrict__ out = nullptr;
-  if (task.ext != nullptr) {
-    std::vector<double>& ext = *task.ext;
-    const std::size_t old = ext.size();
-    ext.resize(old + task.remaining);  // value-initialized: the zero tail
-    out = ext.data() + old;
+  if (task.keep != nullptr) {
+    std::vector<double>& kept = *task.keep;
+    const std::size_t old = kept.size();
+    kept.resize(old + task.remaining);  // value-initialized: the zero tail
+    out = kept.data() + old;
   }
 
   int rho_exp = 0;
@@ -360,15 +347,15 @@ void run_lane_tasks(std::vector<LaneTask>& tasks) {
     --active;
   };
   /// Consume the first `count` staged values of `lane`: append them to the
-  /// task's prefix, if it keeps one, and remember the last.
+  /// task's kept values, if it keeps them, and remember the last.
   const auto drain = [&](LaneTask& task, std::size_t lane,
                          std::size_t count) {
     const double* const col = scratch.data() + lane * kLaneBlock;
-    if (task.ext != nullptr) {
-      std::vector<double>& ext = *task.ext;
-      const std::size_t old = ext.size();
-      ext.resize(old + count);
-      std::memcpy(ext.data() + old, col, count * sizeof(double));
+    if (task.keep != nullptr) {
+      std::vector<double>& kept = *task.keep;
+      const std::size_t old = kept.size();
+      kept.resize(old + count);
+      std::memcpy(kept.data() + old, col, count * sizeof(double));
     }
     task.last = col[count - 1];
     task.grown += count;
@@ -469,290 +456,327 @@ void run_lane_tasks(std::vector<LaneTask>& tasks) {
   }
 }
 
-}  // namespace
+/// A lane task continuing rho's recurrence from E_{index} = value, appending
+/// what it produces to `keep` unless that is nullptr.
+LaneTask walk_from(double rho, std::uint64_t index, double value,
+                   std::vector<double>* keep = nullptr) {
+  LaneTask task;
+  task.keep = keep;
+  task.rho = rho;
+  task.start_index = static_cast<double>(index);
+  task.start_value = value;
+  task.last = value;
+  return task;
+}
 
-/// One thread's private extension tier. The owning thread mutates it only
-/// under `m`; publish() reads it under `m`; the owner's own reads need no
-/// lock (it is the only writer). Entries are dropped by the owner once the
-/// snapshot covers them, so arenas stay transient.
-struct ErlangKernel::Arena {
-  /// Continuation of one rho's recurrence: values before `base->size()`
-  /// live in the immutable snapshot prefix `base` (null when the rho was
-  /// never published), values at index base_len + i live in ext[i].
-  struct Extension {
-    PrefixPtr base;
-    std::vector<double> ext;
-    std::size_t base_len() const noexcept { return base ? base->size() : 0; }
-    std::size_t combined() const noexcept { return base_len() + ext.size(); }
-    double value_at(std::uint64_t n) const {
-      return n < base_len() ? (*base)[n] : ext[n - base_len()];
+/// Answers the staffing queries at `positions` below target 1.0 by binary
+/// search over a load's kept values E_0..E_k, held to the convergence guard
+/// `limit`.
+void staff_from_values(std::span<const StaffingQuery> queries,
+                       std::span<const std::uint32_t> positions,
+                       const std::vector<double>& values, std::uint64_t limit,
+                       std::span<std::uint64_t> out) {
+  for (const std::uint32_t i : positions) {
+    const double target = queries[i].target_blocking;
+    if (target < 1.0) {
+      out[i] = guarded_servers(descending_lower_bound(values, target), limit);
     }
-    double last() const { return ext.empty() ? base->back() : ext.back(); }
-  };
-
-  std::mutex m;
-  std::unordered_map<std::uint64_t, Extension> states;  // key: rho bits
-  std::size_t doubles = 0;  ///< sum of ext sizes — the merge watermark gauge
-  std::uint64_t serial = 0;  ///< kernel generation this arena belongs to
-  std::atomic<bool> retired{false};  ///< orphaned by clear()
-
-  /// The slot for rho, created from (or rebased onto) the snapshot's
-  /// prefix. Requires `m` held by the owning thread.
-  Extension& state_for(const Snapshot& snapshot, std::uint64_t key) {
-    PrefixPtr published;
-    if (const auto it = snapshot.states.find(key);
-        it != snapshot.states.end()) {
-      published = it->second.prefix;
-    }
-    auto [it, inserted] = states.try_emplace(key);
-    Extension& state = it->second;
-    if (inserted) {
-      if (published) {
-        state.base = std::move(published);
-      } else {
-        state.ext.push_back(1.0);  // E_0 — seeded, not a recurrence step
-        ++doubles;
-      }
-    } else if (published && published->size() > state.combined()) {
-      // A merge published a longer prefix (bit-identical to anything this
-      // arena derived): adopt it and drop the now-redundant extension.
-      doubles -= state.ext.size();
-      state.ext.clear();
-      state.base = std::move(published);
-    }
-    return state;
   }
+}
+
+/// The point a task ended at: its start index plus the values it produced.
+std::uint64_t end_index(const LaneTask& task) {
+  return static_cast<std::uint64_t>(task.start_index) + task.grown;
+}
+
+/// The registry counters every walk's tally is reported to, looked up once.
+struct ErlangCounters {
+  metrics::Counter& evaluations;
+  metrics::Counter& cache_hits;
+  metrics::Counter& steps;
 };
 
-ErlangKernel::ErlangKernel(std::size_t max_states)
-    : snapshot_(std::make_shared<const Snapshot>()),
-      serial_(g_kernel_serial.fetch_add(1, std::memory_order_relaxed)),
-      max_states_(std::max<std::size_t>(1, max_states)),
-      evaluations_metric_(
-          metrics::registry().counter(metrics::names::kErlangEvaluations)),
-      cache_hits_metric_(
-          metrics::registry().counter(metrics::names::kErlangCacheHits)),
-      steps_metric_(metrics::registry().counter(metrics::names::kErlangSteps)),
-      snapshot_hits_metric_(
-          metrics::registry().counter(metrics::names::kErlangSnapshotHits)),
-      arena_extensions_metric_(
-          metrics::registry().counter(metrics::names::kErlangArenaExtensions)),
-      merges_metric_(
-          metrics::registry().counter(metrics::names::kErlangMerges)) {}
-
-// Leaves thread-map entries alone: it may run after this thread's map is
-// destroyed (shared() at exit); the entries expire and are pruned instead.
-ErlangKernel::~ErlangKernel() = default;
-
-ErlangKernel::SnapshotPtr ErlangKernel::load_snapshot() const {
-  return snapshot_.load(std::memory_order_acquire);
+const ErlangCounters& erlang_counters() {
+  static const ErlangCounters counters{
+      metrics::registry().counter(metrics::names::kErlangEvaluations),
+      metrics::registry().counter(metrics::names::kErlangCacheHits),
+      metrics::registry().counter(metrics::names::kErlangSteps)};
+  return counters;
 }
 
-std::unordered_map<std::uint64_t, ErlangKernel::ArenaRef>&
-ErlangKernel::thread_arena_map() {
-  // Keyed by kernel serial (never reused), so a stale entry can never
-  // collide with a live kernel; local_arena() prunes them.
-  thread_local std::unordered_map<std::uint64_t, ArenaRef> map;
-  return map;
+}  // namespace
+
+void ErlangTally::report() const {
+  const ErlangCounters& counters = erlang_counters();
+  counters.evaluations.add(evaluations);
+  counters.cache_hits.add(cache_hits);
+  counters.steps.add(steps);
 }
 
-std::size_t ErlangKernel::thread_arena_entries() {
-  return thread_arena_map().size();
+// --- ErlangWalk -------------------------------------------------------------
+//
+// Both entry points plan, run and answer. Planning visits each load group
+// once: groups already answerable from kept values are answered on the
+// spot; every other group plans one lane task, which appends to the load's
+// kept values if it keeps them. After the lane pass each task moves its
+// load's resume point, and its group is answered from the task (one point)
+// or from the kept values (several points).
+
+std::size_t ErlangWalk::kept_loads() const noexcept {
+  std::size_t kept = 0;
+  for (const auto& [key, load] : loads_) {
+    kept += load.values.empty() ? 0 : 1;
+  }
+  return kept;
 }
 
-std::size_t ErlangKernel::arena_count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return arenas_.size();
-}
+void ErlangWalk::servers_for_many(std::span<const StaffingQuery> queries,
+                                  std::span<std::uint64_t> out) {
+  VMCONS_REQUIRE(queries.size() == out.size(),
+                 "servers_for_many needs one output slot per query");
+  validate(queries);
+  LoadGroups by_load(queries);
+  std::vector<LaneTask> tasks;
+  std::vector<std::pair<std::size_t, Load*>> owners;  // group, load per task
+  for (std::size_t g = 0; g < by_load.size(); ++g) {
+    const std::span<const std::uint32_t> group = by_load[g];
+    const double rho = queries[group.front()].rho;
+    if (rho == 0.0) {
+      for (const std::uint32_t i : group) {
+        out[i] = 0;
+      }
+      continue;
+    }
+    tally_.evaluations += group.size();
+    // A target of 1.0 is met by E_0 = 1; the rest decide the walk.
+    double tightest = 1.0;
+    bool several = false;
+    for (const std::uint32_t i : group) {
+      const double target = queries[i].target_blocking;
+      if (target >= 1.0) {
+        out[i] = 0;
+        ++tally_.cache_hits;
+        continue;
+      }
+      several = several || (tightest < 1.0 && target != tightest);
+      tightest = std::min(tightest, target);
+    }
+    if (tightest >= 1.0) {
+      continue;
+    }
+    const std::uint64_t limit = servers_limit(rho);
+    // Room for the walk up to the guard plus one block of lane overshoot.
+    const bool keepable = limit + kLaneBlock + 1 < kMaxStatePrefix;
+    if (several && !keepable) {
+      // Too deep to keep values for: the scalar walk, query by query.
+      for (const std::uint32_t i : group) {
+        if (queries[i].target_blocking < 1.0) {
+          out[i] = erlang_b_servers(rho, queries[i].target_blocking);
+          tally_.steps += out[i];
+        }
+      }
+      continue;
+    }
+    Load& load = loads_[std::bit_cast<std::uint64_t>(rho)];
+    if ((several || !load.values.empty()) && keepable) {
+      std::vector<double>& values = load.values;
+      if (values.empty()) {
+        values.push_back(1.0);  // E_0: seeded, not a recurrence step
+      }
+      const double covered = values.back();
+      for (const std::uint32_t i : group) {
+        const double target = queries[i].target_blocking;
+        if (target < 1.0 && covered <= target) {
+          ++tally_.cache_hits;
+        }
+      }
+      if (covered > tightest) {
+        LaneTask task = walk_from(rho, values.size() - 1, covered, &values);
+        task.target = tightest;
+        task.limit = limit;
+        tasks.push_back(task);
+        owners.emplace_back(g, &load);
+        continue;
+      }
+      staff_from_values(queries, group, values, limit, out);
+      continue;
+    }
+    // One target: E_n is decreasing in n, so a target above the resume
+    // value is met only past it, and any other behind or at it.
+    LaneTask task = load.value > tightest
+                        ? walk_from(rho, load.index, load.value)
+                        : walk_from(rho, 0, 1.0);
+    task.target = tightest;
+    task.limit = limit;
+    tasks.push_back(task);
+    owners.emplace_back(g, &load);
+  }
 
-ErlangKernel::Arena& ErlangKernel::local_arena() {
-  auto& map = thread_arena_map();
-  if (const auto it = map.find(serial_.load(std::memory_order_acquire));
-      it != map.end()) {
-    return *it->second.arena;
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  // Re-read under the lock: a concurrent clear() may have bumped the
-  // generation between the fast-path lookup and here.
-  const std::uint64_t serial = serial_.load(std::memory_order_relaxed);
-  if (const auto it = map.find(serial); it != map.end()) {
-    return *it->second.arena;
-  }
-  // Registration is rare (once per thread per kernel generation), so it
-  // pays for dropping the entries of destroyed or cleared kernels. An arena
-  // kept alive by the lock() below is never freed under us.
-  std::erase_if(map, [](const auto& entry) {
-    const std::shared_ptr<Arena> arena = entry.second.alive.lock();
-    return arena == nullptr || arena->retired.load(std::memory_order_relaxed);
-  });
-  arenas_.push_back(std::make_shared<Arena>());
-  const std::shared_ptr<Arena>& arena = arenas_.back();
-  arena->serial = serial;
-  map.emplace(serial, ArenaRef{arena.get(), arena});
-  return *arena;
-}
-
-ErlangKernel::Arena* ErlangKernel::registered_local_arena() const {
-  auto& map = thread_arena_map();
-  const auto it = map.find(serial_.load(std::memory_order_acquire));
-  return it != map.end() ? it->second.arena : nullptr;
-}
-
-double ErlangKernel::eval_one(const Snapshot& snapshot, std::uint64_t servers,
-                              double rho, Tally& tally) {
-  ++tally.evaluations;
-  const std::uint64_t key = std::bit_cast<std::uint64_t>(rho);
-  if (const auto it = snapshot.states.find(key);
-      it != snapshot.states.end() && it->second.prefix->size() > servers) {
-    ++tally.cache_hits;
-    ++tally.snapshot_hits;
-    return (*it->second.prefix)[servers];
-  }
-  Arena& arena = local_arena();
-  std::lock_guard<std::mutex> lock(arena.m);
-  Arena::Extension& state = arena.state_for(snapshot, key);
-  std::size_t covered = state.combined();
-  if (servers < covered) {
-    ++tally.cache_hits;
-    return state.value_at(servers);
-  }
-  // Resume the recurrence privately where the covered prefix ends.
-  double blocking = state.last();
-  const std::uint64_t cap =
-      std::min<std::uint64_t>(servers, kMaxStatePrefix - 1);
-  std::uint64_t grown = 0;
-  for (std::uint64_t n = covered; n <= cap; ++n) {
-    blocking = rho * blocking / (static_cast<double>(n) + rho * blocking);
-    state.ext.push_back(blocking);
-    ++grown;
-  }
-  if (grown > 0) {
-    tally.steps += grown;
-    arena.doubles += grown;
-    ++tally.arena_extensions;
-  }
-  covered += grown;
-  if (servers < covered) {
-    return state.value_at(servers);
-  }
-  // Beyond the per-state cache cap: finish the recursion uncached.
-  std::uint64_t uncached = 0;
-  for (std::uint64_t n = covered; n <= servers; ++n) {
-    blocking = rho * blocking / (static_cast<double>(n) + rho * blocking);
-    ++uncached;
-  }
-  tally.steps += uncached;
-  return blocking;
-}
-
-std::uint64_t ErlangKernel::staff_one(const Snapshot& snapshot, double rho,
-                                      double target_blocking, Tally& tally) {
-  ++tally.evaluations;
-  const std::uint64_t key = std::bit_cast<std::uint64_t>(rho);
-  const std::uint64_t limit = servers_limit(rho);
-  if (const auto it = snapshot.states.find(key); it != snapshot.states.end()) {
-    // E_n is strictly decreasing in n for rho > 0, so the prefix is sorted
-    // descending: the answer is in it iff its last entry is <= target.
-    const Prefix& prefix = *it->second.prefix;
-    if (prefix.back() <= target_blocking) {
-      ++tally.cache_hits;
-      ++tally.snapshot_hits;
-      return guarded_servers(descending_lower_bound(prefix, target_blocking),
-                             limit);
+  run_lane_tasks(tasks);
+  bool overflowed = false;
+  for (std::size_t t = 0; t < tasks.size(); ++t) {
+    const LaneTask& task = tasks[t];
+    Load& load = *owners[t].second;
+    tally_.steps += task.grown;
+    overflowed = overflowed || task.overflowed;
+    if (end_index(task) > load.index) {
+      load.index = end_index(task);
+      load.value = task.last;
     }
   }
-  Arena& arena = local_arena();
-  std::lock_guard<std::mutex> lock(arena.m);
-  Arena::Extension& state = arena.state_for(snapshot, key);
-  if (state.base && state.base->back() <= target_blocking) {
-    ++tally.cache_hits;
-    return guarded_servers(
-        descending_lower_bound(*state.base, target_blocking), limit);
+  if (overflowed) {
+    throw NumericError("erlang_b_servers failed to converge");
   }
-  if (!state.ext.empty() && state.ext.back() <= target_blocking) {
-    ++tally.cache_hits;
-    return guarded_servers(
-        state.base_len() + descending_lower_bound(state.ext, target_blocking),
-        limit);
-  }
-  // Resume the recursion where the covered prefix ends instead of from E_0.
-  double blocking = state.last();
-  std::uint64_t n = state.combined() - 1;
-  std::uint64_t grown = 0;
-  std::uint64_t uncached = 0;
-  const auto settle = [&] {
-    tally.steps += grown + uncached;
-    arena.doubles += grown;
-    if (grown > 0) {
-      ++tally.arena_extensions;
+  for (std::size_t t = 0; t < tasks.size(); ++t) {
+    const LaneTask& task = tasks[t];
+    const std::span<const std::uint32_t> group = by_load[owners[t].first];
+    if (task.keep != nullptr) {
+      staff_from_values(queries, group, *task.keep, task.limit, out);
+      continue;
     }
-  };
-  while (blocking > target_blocking) {
-    ++n;
-    blocking = rho * blocking / (static_cast<double>(n) + rho * blocking);
-    if (n < kMaxStatePrefix) {
-      state.ext.push_back(blocking);
-      ++grown;
-    } else {
-      ++uncached;
+    for (const std::uint32_t i : group) {
+      if (queries[i].target_blocking < 1.0) {
+        out[i] = end_index(task);
+      }
     }
-    if (n > limit) {
-      settle();
-      throw NumericError("erlang_b_servers failed to converge");
-    }
-  }
-  settle();
-  return n;
-}
-
-void ErlangKernel::flush(const Tally& tally) {
-  if (tally.evaluations > 0) {
-    evaluations_.fetch_add(tally.evaluations, std::memory_order_relaxed);
-    evaluations_metric_.add(tally.evaluations);
-  }
-  if (tally.cache_hits > 0) {
-    cache_hits_.fetch_add(tally.cache_hits, std::memory_order_relaxed);
-    cache_hits_metric_.add(tally.cache_hits);
-  }
-  if (tally.snapshot_hits > 0) {
-    snapshot_hits_.fetch_add(tally.snapshot_hits, std::memory_order_relaxed);
-    snapshot_hits_metric_.add(tally.snapshot_hits);
-  }
-  if (tally.steps > 0) {
-    steps_.fetch_add(tally.steps, std::memory_order_relaxed);
-    steps_metric_.add(tally.steps);
-  }
-  if (tally.arena_extensions > 0) {
-    arena_extensions_.fetch_add(tally.arena_extensions,
-                                std::memory_order_relaxed);
-    arena_extensions_metric_.add(tally.arena_extensions);
   }
 }
 
-void ErlangKernel::maybe_publish() {
-  Arena* arena = registered_local_arena();
-  if (arena != nullptr && arena->doubles > kArenaWatermark) {
-    publish();
+void ErlangWalk::eval_many(std::span<const BlockingQuery> queries,
+                           std::span<double> out) {
+  VMCONS_REQUIRE(queries.size() == out.size(),
+                 "eval_many needs one output slot per query");
+  validate(queries);
+  LoadGroups by_load(queries);
+  std::vector<LaneTask> tasks;
+  std::vector<std::pair<std::size_t, Load*>> owners;  // group, load per task
+  for (std::size_t g = 0; g < by_load.size(); ++g) {
+    const std::span<const std::uint32_t> group = by_load[g];
+    const double rho = queries[group.front()].rho;
+    if (rho == 0.0) {
+      for (const std::uint32_t i : group) {
+        out[i] = queries[i].servers == 0 ? 1.0 : 0.0;
+      }
+      continue;
+    }
+    tally_.evaluations += group.size();
+    // n = 0 is E_0 = 1; the rest decide the walk.
+    std::uint64_t deepest = 0;
+    bool several = false;
+    for (const std::uint32_t i : group) {
+      const std::uint64_t servers = queries[i].servers;
+      if (servers == 0) {
+        out[i] = 1.0;
+        ++tally_.cache_hits;
+        continue;
+      }
+      several = several || (deepest != 0 && servers != deepest);
+      deepest = std::max(deepest, servers);
+    }
+    if (deepest == 0) {
+      continue;
+    }
+    const bool keepable = deepest < kMaxStatePrefix;
+    if (several && !keepable) {
+      // Too deep to keep values for: the scalar walk, query by query.
+      for (const std::uint32_t i : group) {
+        if (queries[i].servers > 0) {
+          out[i] = erlang_b(queries[i].servers, rho);
+          tally_.steps += queries[i].servers;
+        }
+      }
+      continue;
+    }
+    Load& load = loads_[std::bit_cast<std::uint64_t>(rho)];
+    if ((several || !load.values.empty()) && keepable) {
+      std::vector<double>& values = load.values;
+      if (values.empty()) {
+        values.push_back(1.0);  // E_0: seeded, not a recurrence step
+      }
+      const std::uint64_t covered = values.size() - 1;
+      for (const std::uint32_t i : group) {
+        const std::uint64_t servers = queries[i].servers;
+        if (servers > 0 && servers <= covered) {
+          ++tally_.cache_hits;
+        }
+      }
+      if (deepest > covered) {
+        values.reserve(deepest + 1);
+        LaneTask task = walk_from(rho, covered, values.back(), &values);
+        task.remaining = static_cast<std::size_t>(deepest - covered);
+        tasks.push_back(task);
+        owners.emplace_back(g, &load);
+        continue;
+      }
+      for (const std::uint32_t i : group) {
+        out[i] = values[queries[i].servers];
+      }
+      continue;
+    }
+    if (deepest == load.index) {
+      for (const std::uint32_t i : group) {
+        if (queries[i].servers > 0) {
+          out[i] = load.value;
+          ++tally_.cache_hits;
+        }
+      }
+      continue;
+    }
+    // One depth: continue from the resume point if it lies behind the
+    // depth, else walk again from E_0.
+    LaneTask task = deepest > load.index
+                        ? walk_from(rho, load.index, load.value)
+                        : walk_from(rho, 0, 1.0);
+    task.remaining = static_cast<std::size_t>(
+        deepest - static_cast<std::uint64_t>(task.start_index));
+    tasks.push_back(task);
+    owners.emplace_back(g, &load);
+  }
+
+  run_lane_tasks(tasks);
+  for (std::size_t t = 0; t < tasks.size(); ++t) {
+    const LaneTask& task = tasks[t];
+    Load& load = *owners[t].second;
+    tally_.steps += task.grown;
+    if (end_index(task) > load.index) {
+      load.index = end_index(task);
+      load.value = task.last;
+    }
+    for (const std::uint32_t i : by_load[owners[t].first]) {
+      const std::uint64_t servers = queries[i].servers;
+      if (servers > 0) {
+        out[i] = task.keep != nullptr ? (*task.keep)[servers] : task.last;
+      }
+    }
   }
 }
 
-double ErlangKernel::erlang_b(std::uint64_t servers, double rho) {
-  VMCONS_REQUIRE(rho >= 0.0, "offered load must be >= 0");
-  if (rho == 0.0) {
-    return servers == 0 ? 1.0 : 0.0;
-  }
-  const SnapshotPtr snapshot = load_snapshot();
-  Tally tally;
-  double result;
+// --- ErlangKernel -----------------------------------------------------------
+
+namespace {
+
+/// Runs `call` on a walk of its own and records the walk's tally on
+/// `kernel`, also when the call throws.
+template <typename Call>
+void walk_counted(ErlangKernel& kernel, Call&& call) {
+  ErlangWalk walk;
   try {
-    result = eval_one(*snapshot, servers, rho, tally);
+    call(walk);
   } catch (...) {
-    flush(tally);
+    kernel.record(walk.tally());
     throw;
   }
-  flush(tally);
-  maybe_publish();
-  return result;
+  kernel.record(walk.tally());
+}
+
+}  // namespace
+
+double ErlangKernel::erlang_b(std::uint64_t servers, double rho) {
+  double value = 0.0;
+  const BlockingQuery query{servers, rho};
+  eval_many(std::span<const BlockingQuery>(&query, 1),
+            std::span<double>(&value, 1));
+  return value;
 }
 
 double ErlangKernel::log_erlang_b(std::uint64_t servers, double rho) {
@@ -760,315 +784,31 @@ double ErlangKernel::log_erlang_b(std::uint64_t servers, double rho) {
   if (rho == 0.0) {
     return servers == 0 ? 0.0 : -std::numeric_limits<double>::infinity();
   }
-  Tally tally;
+  ErlangTally tally;
   ++tally.evaluations;
   const double result = log_erlang_b_plain(servers, rho, tally.steps);
-  flush(tally);
+  record(tally);
   return result;
 }
 
 std::uint64_t ErlangKernel::erlang_b_servers(double rho,
                                              double target_blocking) {
-  VMCONS_REQUIRE(rho >= 0.0, "offered load must be >= 0");
-  VMCONS_REQUIRE(target_blocking > 0.0 && target_blocking <= 1.0,
-                 "target blocking must be in (0, 1]");
-  if (rho == 0.0) {
-    return 0;
-  }
-  const SnapshotPtr snapshot = load_snapshot();
-  Tally tally;
-  std::uint64_t result;
-  try {
-    result = staff_one(*snapshot, rho, target_blocking, tally);
-  } catch (...) {
-    flush(tally);
-    throw;
-  }
-  flush(tally);
-  maybe_publish();
-  return result;
+  std::uint64_t servers = 0;
+  const StaffingQuery query{rho, target_blocking};
+  servers_for_many(std::span<const StaffingQuery>(&query, 1),
+                   std::span<std::uint64_t>(&servers, 1));
+  return servers;
 }
 
 void ErlangKernel::eval_many(std::span<const BlockingQuery> queries,
                              std::span<double> out) {
-  VMCONS_REQUIRE(queries.size() == out.size(),
-                 "eval_many needs one output slot per query");
-  validate(queries);
-  // Each caller groups its own span, so concurrent walks proceed
-  // independently against one shared snapshot load.
-  LoadGroups by_load(queries);
-  const SnapshotPtr snapshot = load_snapshot();
-  Tally tally;
-
-  // Plan → extend → answer. Each distinct rho becomes one group; groups
-  // whose largest query outruns the cached prefix contribute one LaneTask,
-  // and run_lane_tasks grows all of them together so independent rho
-  // chains fill the divider pipeline. Every value appended is bit-identical
-  // to the scalar walk (see the lane-engine comment above), so the answer
-  // phase reads exactly the prefixes eval_one would have built.
-  struct Group {
-    std::span<const std::uint32_t> positions;  ///< queries of this rho
-    const Prefix* snap = nullptr;       ///< published prefix for this rho
-    Arena::Extension* state = nullptr;  ///< arena continuation, if needed
-    std::size_t covered_before = 0;     ///< prefix length before growth
-  };
-  std::vector<Group> groups;
-  std::vector<LaneTask> tasks;
-  Arena* arena = nullptr;
-  std::unique_lock<std::mutex> arena_lock;
-  try {
-    for (std::size_t g = 0; g < by_load.size(); ++g) {
-      Group group;
-      group.positions = by_load[g];
-      const double rho = queries[group.positions.front()].rho;
-      if (rho == 0.0) {
-        for (const std::uint32_t i : group.positions) {
-          out[i] = queries[i].servers == 0 ? 1.0 : 0.0;
-        }
-        continue;
-      }
-      const std::uint64_t key = std::bit_cast<std::uint64_t>(rho);
-      if (const auto it = snapshot->states.find(key);
-          it != snapshot->states.end()) {
-        group.snap = it->second.prefix.get();
-      }
-      std::uint64_t max_servers = 0;
-      for (const std::uint32_t i : group.positions) {
-        max_servers = std::max(max_servers, queries[i].servers);
-      }
-      if (group.snap == nullptr || group.snap->size() <= max_servers) {
-        if (arena == nullptr) {
-          arena = &local_arena();
-          arena_lock = std::unique_lock<std::mutex>(arena->m);
-        }
-        group.state = &arena->state_for(*snapshot, key);
-        group.covered_before = group.state->combined();
-        const std::uint64_t cap =
-            std::min<std::uint64_t>(max_servers, kMaxStatePrefix - 1);
-        if (cap + 1 > group.covered_before) {
-          const std::uint64_t need = cap + 1 - group.covered_before;
-          group.state->ext.reserve(group.state->ext.size() + need);
-          LaneTask task;
-          task.ext = &group.state->ext;
-          task.rho = rho;
-          task.start_value = group.state->last();
-          task.start_index = static_cast<double>(group.covered_before - 1);
-          task.remaining = static_cast<std::size_t>(need);
-          tasks.push_back(task);
-        }
-      }
-      groups.push_back(group);
-    }
-
-    run_lane_tasks(tasks);
-    for (const LaneTask& task : tasks) {
-      tally.steps += task.grown;
-      arena->doubles += task.grown;
-      if (task.grown > 0) {
-        ++tally.arena_extensions;
-      }
-    }
-
-    for (const Group& group : groups) {
-      for (const std::uint32_t i : group.positions) {
-        const BlockingQuery& query = queries[i];
-        ++tally.evaluations;
-        if (group.snap != nullptr && group.snap->size() > query.servers) {
-          ++tally.cache_hits;
-          ++tally.snapshot_hits;
-          out[i] = (*group.snap)[query.servers];
-          continue;
-        }
-        const Arena::Extension& state = *group.state;
-        if (query.servers < group.covered_before) {
-          ++tally.cache_hits;
-        }
-        if (query.servers < state.combined()) {
-          out[i] = state.value_at(query.servers);
-          continue;
-        }
-        // Beyond the per-state cache cap: finish this recursion uncached,
-        // exactly as eval_one does.
-        double blocking = state.last();
-        std::uint64_t uncached = 0;
-        for (std::uint64_t n = state.combined(); n <= query.servers; ++n) {
-          blocking = query.rho * blocking /
-                     (static_cast<double>(n) + query.rho * blocking);
-          ++uncached;
-        }
-        tally.steps += uncached;
-        out[i] = blocking;
-      }
-    }
-  } catch (...) {
-    flush(tally);
-    throw;
-  }
-  if (arena_lock.owns_lock()) {
-    arena_lock.unlock();
-  }
-  flush(tally);
-  maybe_publish();
+  walk_counted(*this, [&](ErlangWalk& walk) { walk.eval_many(queries, out); });
 }
 
 void ErlangKernel::servers_for_many(std::span<const StaffingQuery> queries,
                                     std::span<std::uint64_t> out) {
-  VMCONS_REQUIRE(queries.size() == out.size(),
-                 "servers_for_many needs one output slot per query");
-  validate(queries);
-  LoadGroups by_load(queries);
-  const SnapshotPtr snapshot = load_snapshot();
-  Tally tally;
-
-  // Plan → extend → answer, mirroring eval_many. The tightest (smallest)
-  // target in a group decides how far that rho's prefix must grow; one
-  // target-driven LaneTask per group runs the predicated lane-count update
-  // in run_lane_tasks, and every query is then
-  // answered by binary search over the grown prefix, which lands on exactly
-  // the index where the scalar walk's per-step branch would have stopped.
-  struct Group {
-    std::span<const std::uint32_t> positions;  ///< queries of this rho
-    const Prefix* snap = nullptr;       ///< published prefix for this rho
-    Arena::Extension* state = nullptr;  ///< arena continuation, if needed
-    double last_before = 1.0;           ///< prefix tail before growth
-    bool fallback = false;              ///< huge-rho group: use staff_one
-  };
-  std::vector<Group> groups;
-  std::vector<LaneTask> tasks;
-  Arena* arena = nullptr;
-  std::unique_lock<std::mutex> arena_lock;
-  bool overflowed = false;
-  try {
-    for (std::size_t g = 0; g < by_load.size(); ++g) {
-      Group group;
-      group.positions = by_load[g];
-      const double rho = queries[group.positions.front()].rho;
-      if (rho == 0.0) {
-        for (const std::uint32_t i : group.positions) {
-          out[i] = 0;
-        }
-        continue;
-      }
-      const std::uint64_t key = std::bit_cast<std::uint64_t>(rho);
-      if (const auto it = snapshot->states.find(key);
-          it != snapshot->states.end()) {
-        group.snap = it->second.prefix.get();
-      }
-      double tightest = 1.0;
-      for (const std::uint32_t i : group.positions) {
-        tightest = std::min(tightest, queries[i].target_blocking);
-      }
-      if (group.snap != nullptr && group.snap->back() <= tightest) {
-        groups.push_back(group);  // every answer is in the snapshot prefix
-        continue;
-      }
-      const std::uint64_t limit = servers_limit(rho);
-      if (limit + kLaneBlock + 1 >= kMaxStatePrefix) {
-        // The walk could outrun the per-state cache cap, and the
-        // block-granular lanes would cache past it; keep the scalar walk
-        // (which switches to uncached steps at the cap) for huge rhos.
-        group.fallback = true;
-        groups.push_back(group);
-        continue;
-      }
-      if (arena == nullptr) {
-        arena = &local_arena();
-        arena_lock = std::unique_lock<std::mutex>(arena->m);
-      }
-      group.state = &arena->state_for(*snapshot, key);
-      group.last_before = group.state->last();
-      if (group.last_before > tightest) {
-        // Reserve up to the convergence guard plus one block of lane
-        // overshoot so drain() never reallocates mid-walk (a realloc would
-        // copy the whole grown prefix every doubling).
-        const std::size_t cap_bound = limit + kLaneBlock + 2;
-        const std::size_t combined = group.state->combined();
-        if (cap_bound > combined) {
-          group.state->ext.reserve(group.state->ext.size() +
-                                   (cap_bound - combined));
-        }
-        LaneTask task;
-        task.ext = &group.state->ext;
-        task.rho = rho;
-        task.start_value = group.last_before;
-        task.start_index =
-            static_cast<double>(group.state->combined() - 1);
-        task.target = tightest;
-        task.limit = limit;
-        tasks.push_back(task);
-      }
-      groups.push_back(group);
-    }
-
-    run_lane_tasks(tasks);
-    for (const LaneTask& task : tasks) {
-      tally.steps += task.grown;
-      arena->doubles += task.grown;
-      if (task.grown > 0) {
-        ++tally.arena_extensions;
-      }
-      overflowed = overflowed || task.overflowed;
-    }
-    if (overflowed) {
-      throw NumericError("erlang_b_servers failed to converge");
-    }
-
-    for (const Group& group : groups) {
-      if (group.fallback) {
-        continue;  // answered below, after the arena lock drops
-      }
-      const std::uint64_t limit =
-          servers_limit(queries[group.positions.front()].rho);
-      for (const std::uint32_t i : group.positions) {
-        const double target = queries[i].target_blocking;
-        ++tally.evaluations;
-        if (group.snap != nullptr && group.snap->back() <= target) {
-          ++tally.cache_hits;
-          ++tally.snapshot_hits;
-          out[i] = guarded_servers(
-              descending_lower_bound(*group.snap, target), limit);
-          continue;
-        }
-        const Arena::Extension& state = *group.state;
-        if (group.last_before <= target) {
-          ++tally.cache_hits;
-        }
-        if (state.base && state.base->back() <= target) {
-          out[i] = guarded_servers(
-              descending_lower_bound(*state.base, target), limit);
-        } else {
-          out[i] = guarded_servers(
-              state.base_len() + descending_lower_bound(state.ext, target),
-              limit);
-        }
-      }
-    }
-  } catch (...) {
-    flush(tally);
-    throw;
-  }
-  if (arena_lock.owns_lock()) {
-    arena_lock.unlock();
-  }
-
-  // Huge-rho fallback groups run the scalar walk; staff_one takes the
-  // arena lock itself, so these must run after the batch lock is released.
-  try {
-    for (const Group& group : groups) {
-      if (!group.fallback) {
-        continue;
-      }
-      for (const std::uint32_t i : group.positions) {
-        out[i] = staff_one(*snapshot, queries[i].rho,
-                           queries[i].target_blocking, tally);
-      }
-    }
-  } catch (...) {
-    flush(tally);
-    throw;
-  }
-  flush(tally);
-  maybe_publish();
+  walk_counted(*this,
+               [&](ErlangWalk& walk) { walk.servers_for_many(queries, out); });
 }
 
 double ErlangKernel::erlang_b_capacity(std::uint64_t servers,
@@ -1078,7 +818,7 @@ double ErlangKernel::erlang_b_capacity(std::uint64_t servers,
                  "target blocking must be in (0, 1)");
   const double log_target = std::log(target_blocking);
   const double n = static_cast<double>(servers);
-  Tally tally;
+  ErlangTally tally;
 
   // Bracket exactly like the bisection version, but in the log domain.
   double lo = 0.0;
@@ -1088,7 +828,7 @@ double ErlangKernel::erlang_b_capacity(std::uint64_t servers,
     hi *= 2.0;
     ++tally.evaluations;
     if (hi > 1e12) {
-      flush(tally);
+      record(tally);
       throw NumericError("erlang_b_capacity failed to bracket");
     }
   }
@@ -1122,70 +862,15 @@ double ErlangKernel::erlang_b_capacity(std::uint64_t servers,
     rho = next;
   }
 
-  flush(tally);
+  record(tally);
   return rho;
 }
 
-void ErlangKernel::publish() {
-  Arena* own = registered_local_arena();
-  std::lock_guard<std::mutex> lock(mutex_);
-  const std::uint64_t serial = serial_.load(std::memory_order_relaxed);
-  const SnapshotPtr old_snapshot = load_snapshot();
-  auto next = std::make_shared<Snapshot>();
-  next->version = old_snapshot->version + 1;
-  next->states = old_snapshot->states;  // shallow: prefixes are shared
-  next->doubles = old_snapshot->doubles;
-
-  for (const auto& arena_ptr : arenas_) {
-    Arena& arena = *arena_ptr;
-    if (arena.serial != serial) {
-      continue;  // orphaned by clear(); excluded from new snapshots
-    }
-    std::lock_guard<std::mutex> arena_lock(arena.m);
-    for (const auto& [key, state] : arena.states) {
-      const std::size_t combined = state.combined();
-      const auto it = next->states.find(key);
-      const std::size_t have =
-          it != next->states.end() ? it->second.prefix->size() : 0;
-      if (combined <= have) {
-        continue;
-      }
-      // The recurrence is deterministic, so every thread's extension of
-      // this rho agrees bit-for-bit on shared indices: the union is simply
-      // the longest prefix.
-      auto merged = std::make_shared<Prefix>();
-      merged->reserve(combined);
-      if (state.base) {
-        merged->insert(merged->end(), state.base->begin(), state.base->end());
-      }
-      merged->insert(merged->end(), state.ext.begin(), state.ext.end());
-      next->doubles += combined - have;
-      next->states[key] = SnapshotEntry{std::move(merged), next->version};
-    }
-    if (&arena == own) {
-      // Only the owner may mutate (its lock-free read path allows no other
-      // writer); foreign arenas self-clean on their owner's next query.
-      arena.states.clear();
-      arena.doubles = 0;
-    }
-  }
-
-  // Bound the published tier: least-recently-merged states go first.
-  while (next->states.size() > max_states_ ||
-         (next->doubles > kPrefixBudget && !next->states.empty())) {
-    auto victim = next->states.begin();
-    for (auto it = next->states.begin(); it != next->states.end(); ++it) {
-      if (it->second.touched < victim->second.touched) {
-        victim = it;
-      }
-    }
-    next->doubles -= victim->second.prefix->size();
-    next->states.erase(victim);
-  }
-
-  snapshot_.store(std::move(next), std::memory_order_release);
-  merges_.fetch_add(1, std::memory_order_relaxed);
-  merges_metric_.add();
+void ErlangKernel::record(const ErlangTally& tally) {
+  evaluations_.fetch_add(tally.evaluations, std::memory_order_relaxed);
+  cache_hits_.fetch_add(tally.cache_hits, std::memory_order_relaxed);
+  steps_.fetch_add(tally.steps, std::memory_order_relaxed);
+  tally.report();
 }
 
 ErlangKernel::Stats ErlangKernel::stats() const {
@@ -1193,185 +878,13 @@ ErlangKernel::Stats ErlangKernel::stats() const {
   stats.evaluations = evaluations_.load(std::memory_order_relaxed);
   stats.cache_hits = cache_hits_.load(std::memory_order_relaxed);
   stats.steps = steps_.load(std::memory_order_relaxed);
-  stats.snapshot_hits = snapshot_hits_.load(std::memory_order_relaxed);
-  stats.arena_extensions = arena_extensions_.load(std::memory_order_relaxed);
-  stats.merges = merges_.load(std::memory_order_relaxed);
   return stats;
 }
 
 void ErlangKernel::clear() {
-  Arena* own = registered_local_arena();
-  std::lock_guard<std::mutex> lock(mutex_);
-  // A new generation orphans every registered arena (threads re-register on
-  // their next query). Only the caller's own arena can be idle for sure —
-  // its owner is here, and merges are locked out — so it is freed now;
-  // other orphans are retained until destruction so a concurrent query
-  // never touches freed memory, and are marked for their threads to prune.
-  thread_arena_map().erase(serial_.load(std::memory_order_relaxed));
-  std::erase_if(arenas_, [own](const std::shared_ptr<Arena>& arena) {
-    return arena.get() == own;
-  });
-  for (const std::shared_ptr<Arena>& arena : arenas_) {
-    arena->retired.store(true, std::memory_order_relaxed);
-  }
-  serial_.store(g_kernel_serial.fetch_add(1, std::memory_order_relaxed),
-                std::memory_order_release);
-  snapshot_.store(std::make_shared<const Snapshot>(),
-                  std::memory_order_release);
   evaluations_.store(0, std::memory_order_relaxed);
   cache_hits_.store(0, std::memory_order_relaxed);
-  snapshot_hits_.store(0, std::memory_order_relaxed);
   steps_.store(0, std::memory_order_relaxed);
-  arena_extensions_.store(0, std::memory_order_relaxed);
-  merges_.store(0, std::memory_order_relaxed);
-}
-
-ErlangKernel& ErlangKernel::shared() {
-  static ErlangKernel kernel;
-  return kernel;
-}
-
-// --- ErlangWalk: the call-local walk ---------------------------------------
-//
-// Each entry point plans one lane task per distinct (rho, target) or
-// (rho, servers) of its span and runs them all in one lane pass. A task
-// starts at the resume point its rho had when the call began if its answer
-// lies past that point, else at E_0, and keeps no values. Each rho's
-// resume point then moves to the farthest point its tasks reached. Every
-// task is the lane engine's exact scalar sequence, so answers are
-// bit-identical to the free functions.
-
-namespace {
-
-/// A lane task continuing rho's recurrence from E_{index} = value.
-LaneTask walk_from(double rho, std::uint64_t index, double value) {
-  LaneTask task;
-  task.rho = rho;
-  task.start_index = static_cast<double>(index);
-  task.start_value = value;
-  task.last = value;
-  return task;
-}
-
-/// Moves each task's rho to the point the task ended at, if farther.
-template <typename ResumePoints>
-void advance(ResumePoints& points, const std::vector<LaneTask>& tasks) {
-  for (const LaneTask& task : tasks) {
-    auto& point = points[std::bit_cast<std::uint64_t>(task.rho)];
-    const std::uint64_t end =
-        static_cast<std::uint64_t>(task.start_index) + task.grown;
-    if (end > point.index) {
-      point.index = end;
-      point.value = task.last;
-    }
-  }
-}
-
-}  // namespace
-
-void ErlangWalk::servers_for_many(std::span<const StaffingQuery> queries,
-                                  std::span<std::uint64_t> out) {
-  VMCONS_REQUIRE(queries.size() == out.size(),
-                 "servers_for_many needs one output slot per query");
-  validate(queries);
-  LoadGroups by_load(queries);
-  std::vector<LaneTask> tasks;
-  std::vector<std::pair<std::uint32_t, std::size_t>> answers;  // query, task
-  for (std::size_t g = 0; g < by_load.size(); ++g) {
-    const std::span<std::uint32_t> group = by_load[g];
-    const double rho = queries[group.front()].rho;
-    if (rho == 0.0) {
-      for (const std::uint32_t i : group) {
-        out[i] = 0;
-      }
-      continue;
-    }
-    // Equal targets adjacent, so each distinct target plans one task.
-    std::sort(group.begin(), group.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                return queries[a].target_blocking > queries[b].target_blocking;
-              });
-    const ResumePoint from = resume_[std::bit_cast<std::uint64_t>(rho)];
-    double planned = 1.0;  // no task yet: a target of 1.0 never plans one
-    for (const std::uint32_t i : group) {
-      const double target = queries[i].target_blocking;
-      if (target >= 1.0) {
-        out[i] = 0;  // E_0 = 1 already meets the target
-        continue;
-      }
-      if (target != planned) {
-        // E_n is decreasing in n: a target above the resume value is met
-        // only at or behind it.
-        LaneTask task = from.value > target
-                            ? walk_from(rho, from.index, from.value)
-                            : walk_from(rho, 0, 1.0);
-        task.target = target;
-        task.limit = servers_limit(rho);
-        tasks.push_back(task);
-        planned = target;
-      }
-      answers.emplace_back(i, tasks.size() - 1);
-    }
-  }
-  run_lane_tasks(tasks);
-  for (const LaneTask& task : tasks) {
-    if (task.overflowed) {
-      throw NumericError("erlang_b_servers failed to converge");
-    }
-  }
-  advance(resume_, tasks);
-  for (const auto& [i, t] : answers) {
-    out[i] = static_cast<std::uint64_t>(tasks[t].start_index) + tasks[t].grown;
-  }
-}
-
-void ErlangWalk::eval_many(std::span<const BlockingQuery> queries,
-                           std::span<double> out) {
-  VMCONS_REQUIRE(queries.size() == out.size(),
-                 "eval_many needs one output slot per query");
-  validate(queries);
-  LoadGroups by_load(queries);
-  std::vector<LaneTask> tasks;
-  std::vector<std::pair<std::uint32_t, std::size_t>> answers;  // query, task
-  for (std::size_t g = 0; g < by_load.size(); ++g) {
-    const std::span<std::uint32_t> group = by_load[g];
-    const double rho = queries[group.front()].rho;
-    if (rho == 0.0) {
-      for (const std::uint32_t i : group) {
-        out[i] = queries[i].servers == 0 ? 1.0 : 0.0;
-      }
-      continue;
-    }
-    // Equal server counts adjacent, so each distinct count plans one task.
-    std::sort(group.begin(), group.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                return queries[a].servers < queries[b].servers;
-              });
-    const ResumePoint from = resume_[std::bit_cast<std::uint64_t>(rho)];
-    std::uint64_t planned = 0;  // no task yet: n = 0 never plans one
-    for (const std::uint32_t i : group) {
-      const std::uint64_t servers = queries[i].servers;
-      if (servers == 0 || servers == from.index) {
-        out[i] = servers == 0 ? 1.0 : from.value;
-        continue;
-      }
-      if (servers != planned) {
-        LaneTask task = servers > from.index
-                            ? walk_from(rho, from.index, from.value)
-                            : walk_from(rho, 0, 1.0);
-        task.remaining = static_cast<std::size_t>(
-            servers - static_cast<std::uint64_t>(task.start_index));
-        tasks.push_back(task);
-        planned = servers;
-      }
-      answers.emplace_back(i, tasks.size() - 1);
-    }
-  }
-  run_lane_tasks(tasks);
-  advance(resume_, tasks);
-  for (const auto& [i, t] : answers) {
-    out[i] = tasks[t].last;
-  }
 }
 
 }  // namespace vmcons::queueing

@@ -35,9 +35,9 @@ inline constexpr const char* kBatchShards = "batch.shards";
 inline constexpr const char* kBatchKernelHits = "batch.kernel_hits";
 inline constexpr const char* kBatchKernelMisses = "batch.kernel_misses";
 inline constexpr const char* kBatchWall = "batch.wall";
-/// Timer around the end-of-batch ErlangKernel::publish() — the only
-/// serialized section left on the batch path, so its total is the batch
-/// evaluator's contention bill.
+/// Retired: timed the end-of-batch merge of the shared Erlang memo, which
+/// no longer exists. Nothing feeds it; the name stays for readers that
+/// still report it, and reads 0.
 inline constexpr const char* kBatchLockWait = "batch.lock_wait";
 /// Scenario cells isolated as CellFailures under FailurePolicy::kQuarantine.
 inline constexpr const char* kBatchQuarantined = "batch.quarantined";
@@ -81,12 +81,12 @@ inline constexpr const char* kFsEioRetries = "fs.eio_retries";
 inline constexpr const char* kErlangEvaluations = "erlang.evaluations";
 inline constexpr const char* kErlangCacheHits = "erlang.cache_hits";
 inline constexpr const char* kErlangSteps = "erlang.steps";
-/// Queries answered lock-free from the published snapshot tier.
+/// Retired with the shared Erlang memo's snapshot, arena and merge tiers:
+/// nothing feeds these three, and they read 0. The names stay for readers
+/// that still report them.
 inline constexpr const char* kErlangSnapshotHits = "erlang.snapshot_hits";
-/// Times a thread resumed a recurrence privately in its extension arena.
 inline constexpr const char* kErlangArenaExtensions =
     "erlang.arena_extensions";
-/// Merge epochs: snapshots folded from the arenas and published.
 inline constexpr const char* kErlangMerges = "erlang.merges";
 }  // namespace names
 

@@ -1,11 +1,10 @@
-// Concurrency-determinism property test for the contention-free Erlang
-// kernel: the same randomized ScenarioBatch evaluated over 1-, 2-, and
-// 8-thread pools — with direct ErlangKernel queries interleaved from a
-// separate thread — must produce bit-identical plans under every
-// configuration. The two-tier snapshot/arena design makes this hold by
-// construction (the E_n(rho) recurrence is deterministic with a fixed
-// operation order, so every thread's private extension of a rho agrees
-// bit-for-bit with every other), and this suite is the enforcement.
+// Concurrency-determinism property test for the batch Erlang path: the
+// same randomized ScenarioBatch evaluated over 1-, 2-, and 8-thread pools —
+// counted on one ErlangKernel that a separate thread queries directly at
+// the same time — must produce bit-identical plans under every
+// configuration. Each shard walks its own recurrences and the E_n(rho)
+// recurrence is deterministic with a fixed operation order, so this holds
+// by construction; this suite is the enforcement.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -107,9 +106,8 @@ TEST(BatchDeterminism, PlansIdenticalAcross1And2And8Threads) {
 
     Run run;
     run.direct.resize(kDirectQueries);
-    // Direct scalar queries race the batch from a foreign thread: they mix
-    // snapshot hits, arena extensions, and (once an arena crosses the
-    // watermark) merges into the evaluation the batch is running.
+    // Direct scalar queries race the batch from a foreign thread, adding
+    // to the same kernel's counters while the shards record theirs.
     std::thread interleaved([&] {
       for (std::size_t i = 0; i < kDirectQueries; ++i) {
         run.direct[i] = kernel.erlang_b(direct_servers(i), direct_rho(i));
@@ -126,10 +124,11 @@ TEST(BatchDeterminism, PlansIdenticalAcross1And2And8Threads) {
     for (std::size_t i = 0; i < runs[0].results.size(); ++i) {
       expect_identical(runs[r].results[i], runs[0].results[i], i);
     }
-    // Steps and hit counts legitimately vary with timing (two threads may
-    // privately extend the same rho before a merge dedups them), but the
-    // number of public queries answered is fixed by the workload.
+    // Shards are fixed by shard_size, not by the worker count, so the
+    // counters are fixed by the workload too.
     EXPECT_EQ(runs[r].stats.evaluations, runs[0].stats.evaluations);
+    EXPECT_EQ(runs[r].stats.steps, runs[0].stats.steps);
+    EXPECT_EQ(runs[r].stats.cache_hits, runs[0].stats.cache_hits);
   }
 
   // The interleaved direct traffic is bit-identical to the free functions
@@ -162,10 +161,10 @@ TEST(BatchDeterminism, PostMergeProbesMatchEveryConfiguration) {
     options.pool = &pool;
     options.shard_size = 5;
     BatchEvaluator(options).evaluate(batch);
-    // evaluate() ended with a merge epoch, so the snapshot now holds every
-    // prefix the batch touched; probes through it must equal the free
-    // functions bit-for-bit no matter which worker built each prefix.
-    EXPECT_GE(kernel.stats().merges, 1u);
+    // The batch counted its walks on the kernel; probes through it after
+    // the batch must equal the free functions bit-for-bit no matter how
+    // many workers the batch ran on.
+    EXPECT_GT(kernel.stats().evaluations, 0u);
     for (std::size_t i = 0; i < 50; ++i) {
       const double rho = direct_rho(i * 3);
       const std::uint64_t servers = direct_servers(i * 7);

@@ -106,10 +106,9 @@ TEST(BatchModel, BitIdenticalToScalarSolveAcrossRandomScenarios) {
   const ScenarioBatch batch = ScenarioBatch::from_inputs(inputs);
   ASSERT_EQ(batch.size(), kScenarios);
 
-  // (a) Single-threaded, no memoization: pure free-function Erlang path.
+  // (a) Single-threaded, no counter sink.
   BatchOptions serial;
   serial.parallel = false;
-  serial.memoize = false;
   const std::vector<ModelResult> serial_results =
       BatchEvaluator(serial).evaluate(batch);
   ASSERT_EQ(serial_results.size(), kScenarios);
@@ -117,8 +116,8 @@ TEST(BatchModel, BitIdenticalToScalarSolveAcrossRandomScenarios) {
     expect_identical(serial_results[i], scalar[i], i);
   }
 
-  // (b) Sharded parallel evaluation through a caller-owned kernel: results
-  // must not depend on sharding or on cache state built up across shards.
+  // (b) Sharded parallel evaluation counted on a caller-owned kernel:
+  // results must not depend on sharding or on the counter sink.
   queueing::ErlangKernel kernel;
   BatchOptions sharded;
   sharded.parallel = true;

@@ -1,8 +1,8 @@
-// Tests for the incremental/memoized Erlang kernel: results must be
-// bit-identical to the stateless erlang.hpp free functions on every code
-// path (fresh state, prefix hit, prefix extension, uncached tail), the
+// Tests for the Erlang kernel's scalar and span entry points: results must
+// be bit-identical to the stateless erlang.hpp free functions, a span that
+// asks one load at several points must walk its recurrence once, the
 // log-domain evaluator must agree where the linear recurrence is
-// representable and stay finite where it is not, and the cache must be
+// representable and stay finite where it is not, and the counters must be
 // safe under concurrent use.
 #include "queueing/erlang_kernel.hpp"
 
@@ -32,34 +32,17 @@ TEST(ErlangKernel, MatchesFreeFunctionOnRandomizedGrid) {
   }
 }
 
-TEST(ErlangKernel, RepeatQueriesHitTheCache) {
-  ErlangKernel kernel;
-  const double rho = 120.0;
-  const double cold = kernel.erlang_b(150, rho);
-  const auto after_cold = kernel.stats();
-  const double warm = kernel.erlang_b(150, rho);
-  const auto after_warm = kernel.stats();
-  EXPECT_DOUBLE_EQ(cold, warm);
-  EXPECT_EQ(after_cold.cache_hits, 0u);
-  EXPECT_EQ(after_warm.cache_hits, 1u);
-  // The second query added no recursion steps.
-  EXPECT_EQ(after_warm.steps, after_cold.steps);
-  // A smaller n on the same rho is also a pure prefix lookup.
-  EXPECT_DOUBLE_EQ(kernel.erlang_b(40, rho), erlang_b(40, rho));
-  EXPECT_EQ(kernel.stats().steps, after_cold.steps);
-  EXPECT_GT(kernel.stats().hit_rate(), 0.5);
-}
-
 TEST(ErlangKernel, ExtensionReusesThePrefix) {
   ErlangKernel kernel;
   const double rho = 500.0;
-  kernel.erlang_b(100, rho);
-  const auto before = kernel.stats();
-  kernel.erlang_b(600, rho);
-  const auto after = kernel.stats();
-  // Extending 100 -> 600 costs exactly 500 steps, not 600.
-  EXPECT_EQ(after.steps - before.steps, 500u);
-  EXPECT_DOUBLE_EQ(kernel.erlang_b(600, rho), erlang_b(600, rho));
+  // One span asks the load at 100 and at 600: the walk keeps E_0..E_100
+  // and extends them to 600, so it costs 600 steps, not 100 + 600.
+  const std::vector<BlockingQuery> span{{100, rho}, {600, rho}};
+  std::vector<double> out(span.size());
+  kernel.eval_many(span, out);
+  EXPECT_EQ(kernel.stats().steps, 600u);
+  EXPECT_EQ(out[0], erlang_b(100, rho));
+  EXPECT_EQ(out[1], erlang_b(600, rho));
 }
 
 TEST(ErlangKernelServers, MatchesFreeFunctionOnRandomizedGrid) {
@@ -75,19 +58,27 @@ TEST(ErlangKernelServers, MatchesFreeFunctionOnRandomizedGrid) {
 }
 
 TEST(ErlangKernelServers, SweepOverTargetsSharesOneRecursion) {
-  ErlangKernel kernel;
   const double rho = 2000.0;
-  // Tightest target first builds the prefix; every later target is a
-  // binary search over it.
-  const std::vector<double> targets{1e-6, 1e-4, 1e-3, 0.01, 0.05, 0.2};
-  kernel.erlang_b_servers(rho, targets.front());
-  const auto built = kernel.stats();
+  const std::vector<double> targets{0.2, 1e-4, 0.05, 1e-6, 1e-3, 0.01};
+  // The tightest target alone sets the walk's length...
+  ErlangKernel tightest;
+  tightest.erlang_b_servers(rho, 1e-6);
+  const auto walked = tightest.stats().steps;
+  EXPECT_EQ(walked, erlang_b_servers(rho, 1e-6));
+  // ...and one span over every target walks no further: each target is a
+  // binary search over the values that one walk kept.
+  ErlangKernel kernel;
+  std::vector<StaffingQuery> sweep;
   for (const double target : targets) {
-    EXPECT_EQ(kernel.erlang_b_servers(rho, target),
-              erlang_b_servers(rho, target));
+    sweep.push_back({rho, target});
   }
-  EXPECT_EQ(kernel.stats().steps, built.steps);
-  EXPECT_EQ(kernel.stats().cache_hits, targets.size());
+  std::vector<std::uint64_t> out(sweep.size());
+  kernel.servers_for_many(sweep, out);
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    EXPECT_EQ(out[i], erlang_b_servers(rho, targets[i]));
+  }
+  EXPECT_EQ(kernel.stats().steps, walked);
+  EXPECT_EQ(kernel.stats().evaluations, targets.size());
 }
 
 TEST(ErlangKernelServers, EdgeCasesMatchFreeFunction) {
@@ -105,35 +96,32 @@ TEST(ErlangKernelServers, PrefixPastTheConvergenceGuardStillThrows) {
   ErlangKernel fresh;
   EXPECT_THROW(fresh.erlang_b_servers(1.0, 1e-300), NumericError);
 
-  // A 400-long prefix grown by evaluation holds the answer; staffing must
-  // still throw, from the arena and, after publish(), from the snapshot.
+  // A walk that kept 400 values by evaluation holds the answer; staffing
+  // must still throw, whether it reads the kept values (several targets)
+  // or walks on from the resume point (one target).
   const std::vector<StaffingQuery> past_guard = {{1.0, 1e-300}};
-  const auto expect_guarded = [&](ErlangKernel& kernel) {
-    EXPECT_THROW(kernel.erlang_b_servers(1.0, 1e-300), NumericError);
-    std::vector<std::uint64_t> out(1);
-    EXPECT_THROW(kernel.servers_for_many(past_guard, out), NumericError);
-    // Answers inside the guard are still served from the prefix.
-    EXPECT_EQ(kernel.erlang_b_servers(1.0, 1e-30),
-              erlang_b_servers(1.0, 1e-30));
-    const std::vector<StaffingQuery> inside = {{1.0, 1e-30}, {1.0, 0.01}};
-    std::vector<std::uint64_t> answers(2);
-    kernel.servers_for_many(inside, answers);
-    EXPECT_EQ(answers[0], erlang_b_servers(1.0, 1e-30));
-    EXPECT_EQ(answers[1], erlang_b_servers(1.0, 0.01));
-  };
-  ErlangKernel scalar;
-  scalar.erlang_b(400, 1.0);
-  expect_guarded(scalar);
-  scalar.publish();
-  expect_guarded(scalar);
-
-  ErlangKernel batched;
-  const std::vector<BlockingQuery> grow = {{400, 1.0}};
-  std::vector<double> blocking(1);
-  batched.eval_many(grow, blocking);
-  expect_guarded(batched);
-  batched.publish();
-  expect_guarded(batched);
+  const std::vector<StaffingQuery> several_past_guard = {{1.0, 1e-300},
+                                                         {1.0, 0.01}};
+  const std::vector<StaffingQuery> inside = {{1.0, 1e-30}, {1.0, 0.01}};
+  const std::vector<BlockingQuery> kept = {{400, 1.0}, {399, 1.0}};
+  const std::vector<BlockingQuery> resume = {{400, 1.0}};
+  for (const auto* grow : {&kept, &resume}) {
+    ErlangWalk walk;
+    std::vector<double> blocking(grow->size());
+    walk.eval_many(*grow, blocking);
+    std::vector<std::uint64_t> out(2);
+    EXPECT_THROW(walk.servers_for_many(past_guard,
+                                       std::span<std::uint64_t>(out.data(), 1)),
+                 NumericError);
+    EXPECT_THROW(walk.servers_for_many(several_past_guard, out), NumericError);
+    // Answers inside the guard are still served.
+    walk.servers_for_many(inside, out);
+    EXPECT_EQ(out[0], erlang_b_servers(1.0, 1e-30));
+    EXPECT_EQ(out[1], erlang_b_servers(1.0, 0.01));
+  }
+  ErlangKernel kernel;
+  std::vector<std::uint64_t> out(1);
+  EXPECT_THROW(kernel.servers_for_many(past_guard, out), NumericError);
 }
 
 TEST(ErlangKernelCapacity, AgreesWithBisectionInverse) {
@@ -202,17 +190,6 @@ TEST(ErlangKernelLog, FiniteWhereLinearDomainUnderflows) {
   EXPECT_TRUE(std::isinf(kernel.log_erlang_b(3, 0.0)));
 }
 
-TEST(ErlangKernel, EvictionKeepsAnswersCorrect) {
-  ErlangKernel kernel(/*max_states=*/2);
-  // Three distinct rho values churn the 2-slot cache; answers must be
-  // unaffected by which states survive.
-  for (int round = 0; round < 3; ++round) {
-    for (const double rho : {10.0, 20.0, 30.0}) {
-      EXPECT_DOUBLE_EQ(kernel.erlang_b(50, rho), erlang_b(50, rho));
-    }
-  }
-}
-
 TEST(ErlangKernel, ClearResetsStateAndStats) {
   ErlangKernel kernel;
   kernel.erlang_b(100, 80.0);
@@ -225,189 +202,59 @@ TEST(ErlangKernel, ClearResetsStateAndStats) {
 TEST(ErlangKernel, ConcurrentQueriesAreConsistent) {
   ErlangKernel kernel;
   ThreadPool pool(4);
-  constexpr std::size_t kQueries = 400;
+  constexpr std::size_t kQueries = 600;
   std::vector<double> results(kQueries);
+  std::vector<std::uint64_t> staffed(kQueries);
   parallel_for(
       kQueries,
       [&](std::size_t i) {
-        // A handful of rho values shared across threads maximizes cache
-        // contention; derive everything from the index for determinism.
+        // A handful of rho values shared across threads; derive everything
+        // from the index for determinism. Every third index asks a span.
         const double rho = 50.0 + static_cast<double>(i % 7) * 35.0;
         const std::uint64_t servers = 1 + (i % 200);
-        results[i] = kernel.erlang_b(servers, rho);
+        if (i % 3 == 0) {
+          const std::vector<BlockingQuery> span{{servers, rho},
+                                                {servers + 40, rho}};
+          std::vector<double> out(span.size());
+          kernel.eval_many(span, out);
+          results[i] = out[0];
+        } else {
+          results[i] = kernel.erlang_b(servers, rho);
+        }
+        staffed[i] = kernel.erlang_b_servers(rho, 1.0 / (2.0 + i % 50));
       },
       pool);
   for (std::size_t i = 0; i < kQueries; ++i) {
     const double rho = 50.0 + static_cast<double>(i % 7) * 35.0;
     const std::uint64_t servers = 1 + (i % 200);
     EXPECT_DOUBLE_EQ(results[i], erlang_b(servers, rho)) << "i=" << i;
+    EXPECT_EQ(staffed[i], erlang_b_servers(rho, 1.0 / (2.0 + i % 50)))
+        << "i=" << i;
   }
-}
-
-TEST(ErlangKernel, PublishMovesArenaIntoSnapshot) {
-  ErlangKernel kernel;
-  const double rho = 300.0;
-  kernel.erlang_b(200, rho);  // cold: built in this thread's arena
-  EXPECT_EQ(kernel.stats().snapshot_hits, 0u);
-  EXPECT_EQ(kernel.stats().arena_extensions, 1u);
-  EXPECT_EQ(kernel.stats().merges, 0u);
-
-  kernel.publish();
-  EXPECT_EQ(kernel.stats().merges, 1u);
-
-  // Any query inside the published prefix is now a lock-free snapshot hit
-  // costing zero recursion steps — including the exact boundary n.
-  const auto before = kernel.stats();
-  EXPECT_DOUBLE_EQ(kernel.erlang_b(150, rho), erlang_b(150, rho));
-  EXPECT_DOUBLE_EQ(kernel.erlang_b(200, rho), erlang_b(200, rho));
-  const auto after = kernel.stats();
-  EXPECT_EQ(after.snapshot_hits, before.snapshot_hits + 2);
-  EXPECT_EQ(after.cache_hits, before.cache_hits + 2);
-  EXPECT_EQ(after.steps, before.steps);
-}
-
-TEST(ErlangKernel, ExtensionResumesFromPublishedPrefix) {
-  ErlangKernel kernel;
-  const double rho = 500.0;
-  kernel.erlang_b(100, rho);
-  kernel.publish();
-  const auto before = kernel.stats();
-  // The arena was drained by publish(); extending past the snapshot still
-  // resumes at 100, it does not restart from E_0.
-  kernel.erlang_b(600, rho);
-  const auto after = kernel.stats();
-  EXPECT_EQ(after.steps - before.steps, 500u);
-  EXPECT_DOUBLE_EQ(kernel.erlang_b(600, rho), erlang_b(600, rho));
-}
-
-TEST(ErlangKernel, WatermarkFoldsArenaAutomatically) {
-  ErlangKernel kernel;
-  // One query whose extension crosses the arena watermark (2^16 doubles)
-  // must end its epoch by itself: the merge happens without any explicit
-  // publish() and the next covered query is a snapshot hit.
-  kernel.erlang_b(70000, 100.0);
-  EXPECT_EQ(kernel.stats().merges, 1u);
-  const auto before = kernel.stats();
-  EXPECT_DOUBLE_EQ(kernel.erlang_b(60000, 100.0), erlang_b(60000, 100.0));
-  const auto after = kernel.stats();
-  EXPECT_EQ(after.snapshot_hits, before.snapshot_hits + 1);
-  EXPECT_EQ(after.steps, before.steps);
-}
-
-TEST(ErlangKernel, PublishOnFreshKernelIsHarmless) {
-  ErlangKernel kernel;
-  kernel.publish();  // no arenas registered anywhere: empty snapshot
-  EXPECT_EQ(kernel.stats().merges, 1u);
-  EXPECT_DOUBLE_EQ(kernel.erlang_b(50, 40.0), erlang_b(50, 40.0));
+  // Every query was counted exactly once, whatever the interleaving.
+  EXPECT_EQ(kernel.stats().evaluations, kQueries * 2 + kQueries / 3);
 }
 
 TEST(ErlangKernel, ClearZeroesConcurrencyCounters) {
   ErlangKernel kernel;
-  kernel.erlang_b(200, 300.0);
-  kernel.publish();
-  kernel.erlang_b(100, 300.0);  // snapshot hit
-  ASSERT_GT(kernel.stats().snapshot_hits, 0u);
-  ASSERT_GT(kernel.stats().arena_extensions, 0u);
-  ASSERT_GT(kernel.stats().merges, 0u);
+  const std::vector<BlockingQuery> span{{200, 300.0}, {100, 300.0}};
+  std::vector<double> out(span.size());
+  kernel.eval_many(span, out);
+  kernel.erlang_b_servers(300.0, 0.01);
+  ASSERT_GT(kernel.stats().evaluations, 0u);
+  ASSERT_GT(kernel.stats().steps, 0u);
+  // The kernel has no snapshot, arena or merge tier left to count.
+  EXPECT_EQ(kernel.stats().snapshot_hits, 0u);
+  EXPECT_EQ(kernel.stats().arena_extensions, 0u);
+  EXPECT_EQ(kernel.stats().merges, 0u);
   kernel.clear();
   const auto stats = kernel.stats();
-  EXPECT_EQ(stats.snapshot_hits, 0u);
-  EXPECT_EQ(stats.arena_extensions, 0u);
-  EXPECT_EQ(stats.merges, 0u);
-  // The snapshot was dropped too: the same query is cold again.
-  const auto before = kernel.stats();
+  EXPECT_EQ(stats.evaluations, 0u);
+  EXPECT_EQ(stats.cache_hits, 0u);
+  EXPECT_EQ(stats.steps, 0u);
+  // Nothing is kept between calls: the same query walks its 100 steps.
   kernel.erlang_b(100, 300.0);
-  EXPECT_EQ(kernel.stats().steps - before.steps, 100u);
-}
-
-TEST(ErlangKernel, ConcurrentPublishAndQueriesAgree) {
-  ErlangKernel kernel;
-  ThreadPool pool(4);
-  constexpr std::size_t kQueries = 600;
-  std::vector<double> results(kQueries);
-  parallel_for(
-      kQueries,
-      [&](std::size_t i) {
-        // Interleave merges with reads and private extensions: every 97th
-        // index publishes mid-traffic. Results must be unaffected — merged
-        // prefixes are bit-identical to the arena values they replace.
-        if (i % 97 == 0) {
-          kernel.publish();
-        }
-        const double rho = 50.0 + static_cast<double>(i % 5) * 61.0;
-        const std::uint64_t servers = 1 + (i % 300);
-        results[i] = kernel.erlang_b(servers, rho);
-      },
-      pool);
-  for (std::size_t i = 0; i < kQueries; ++i) {
-    const double rho = 50.0 + static_cast<double>(i % 5) * 61.0;
-    const std::uint64_t servers = 1 + (i % 300);
-    EXPECT_DOUBLE_EQ(results[i], erlang_b(servers, rho)) << "i=" << i;
-  }
-  EXPECT_GE(kernel.stats().merges, 1u);
-}
-
-TEST(ErlangKernel, SharedInstanceIsAvailable) {
-  // Smoke test only: other suites also use the shared kernel, so no
-  // assumptions about its counters.
-  EXPECT_DOUBLE_EQ(ErlangKernel::shared().erlang_b(10, 5.0), erlang_b(10, 5.0));
-}
-
-TEST(ErlangKernel, ThreadArenaMapStaysBoundedByLiveKernels) {
-  // Every kernel generation a thread queries registers one entry in that
-  // thread's generation -> arena map. Entries of destroyed or cleared
-  // kernels are pruned at the thread's next registration, so however many
-  // generations pass through, the map holds the live ones plus at most the
-  // one retired since the last registration.
-  const std::size_t base = ErlangKernel::thread_arena_entries();
-  ErlangKernel resident;  // a live kernel across all the cycles
-  EXPECT_EQ(resident.erlang_b(12, 9.5), erlang_b(12, 9.5));
-  for (int cycle = 0; cycle < 100000; ++cycle) {
-    ErlangKernel kernel;
-    EXPECT_EQ(kernel.erlang_b(20, 17.25), erlang_b(20, 17.25));
-    ASSERT_LE(ErlangKernel::thread_arena_entries(), base + 2)
-        << "construct/destroy cycle " << cycle;
-  }
-  // clear() frees the calling thread's own arena outright, so a kernel
-  // cleared between queries on one thread holds one arena, not one per
-  // generation.
-  ErlangKernel cleared;
-  for (int cycle = 0; cycle < 100000; ++cycle) {
-    EXPECT_EQ(cleared.erlang_b(20, 17.25), erlang_b(20, 17.25));
-    ASSERT_LE(ErlangKernel::thread_arena_entries(), base + 3)
-        << "clear cycle " << cycle;
-    ASSERT_EQ(cleared.arena_count(), 1u) << "clear cycle " << cycle;
-    cleared.clear();
-    ASSERT_EQ(cleared.arena_count(), 0u) << "clear cycle " << cycle;
-  }
-  EXPECT_EQ(resident.erlang_b(13, 9.5), erlang_b(13, 9.5));
-  EXPECT_LE(ErlangKernel::thread_arena_entries(), base + 3);
-}
-
-TEST(ErlangKernel, PoolThreadsPruneArenasOfRetiredKernels) {
-  // A long-lived pool thread serving a fresh kernel per request (the
-  // grid-sweep pattern) or a kernel cleared between requests must not
-  // accumulate one map entry per generation.
-  ThreadPool pool(1);
-  const auto query_on_pool = [&](ErlangKernel& kernel) {
-    return pool
-        .submit([&kernel] {
-          EXPECT_EQ(kernel.erlang_b(30, 21.5), erlang_b(30, 21.5));
-          return ErlangKernel::thread_arena_entries();
-        })
-        .get();
-  };
-  for (int cycle = 0; cycle < 2000; ++cycle) {
-    ErlangKernel kernel;
-    ASSERT_LE(query_on_pool(kernel), 1u) << "cycle " << cycle;
-  }
-  ErlangKernel cleared;
-  for (int cycle = 0; cycle < 2000; ++cycle) {
-    ASSERT_LE(query_on_pool(cleared), 1u) << "cycle " << cycle;
-    cleared.clear();  // on this thread: the pool thread's arena is retired
-  }
-  // Retired, not freed: the pool thread could still be inside a query.
-  EXPECT_EQ(cleared.arena_count(), 2000u);
+  EXPECT_EQ(kernel.stats().steps, 100u);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // Property tests for the multi-lane batched Erlang walk: eval_many and
-// servers_for_many advance util::simd::kRecurrenceLanes independent rho
+// servers_for_many (of ErlangWalk, and of ErlangKernel through a walk of
+// its own) advance util::simd::kRecurrenceLanes independent rho
 // chains in lockstep, and the contract is bit-identity — every answer must
 // equal the scalar free function's answer bit-for-bit, for any span shape
 // (duplicate rhos, spans shorter than a lane pack, tails that do not fill
@@ -103,7 +104,7 @@ TEST(ErlangKernelLanes, DuplicateRhosShareOnePrefixWalk) {
   for (std::size_t i = 0; i < queries.size(); ++i) {
     EXPECT_EQ(bits(out[i]), bits(erlang_b(queries[i].servers, rho)));
   }
-  // One prefix, extended once to the deepest n — not one walk per query.
+  // One walk, kept to the deepest n — not one walk per query.
   EXPECT_EQ(steps_after, 7 * (3 * util::simd::kRecurrenceLanes - 1) + 1);
 }
 
@@ -133,34 +134,36 @@ TEST(ErlangKernelLanes, SubnormalTailMatchesScalarBitForBit) {
 }
 
 TEST(ErlangKernelLanes, SubnormalPrefixResumesExactly) {
-  // Second call resumes from a cached prefix whose last value is already
-  // subnormal — the plan-time tail shortcut must produce the same bits as
-  // a cold scalar walk to the deeper n.
-  ErlangKernel kernel;
+  // Later calls on one walk resume from a point whose value is already
+  // subnormal — the bare resume point of a one-depth call, then the end of
+  // the values a two-depth call kept — and the integer tail finisher must
+  // produce the same bits as a cold scalar walk to the deeper n.
+  ErlangWalk walk;
   const double rho = 200.0;
-  std::vector<BlockingQuery> first{{static_cast<std::uint64_t>(1.9 * rho),
-                                    rho}};
-  std::vector<double> out1(first.size());
-  kernel.eval_many(first, out1);
-  EXPECT_EQ(bits(out1[0]), bits(erlang_b(first[0].servers, rho)));
-
-  kernel.publish();  // resume from the snapshot tier, not the arena
-
-  std::vector<BlockingQuery> second{{static_cast<std::uint64_t>(2.5 * rho),
-                                     rho},
-                                    {static_cast<std::uint64_t>(4.0 * rho),
-                                     rho}};
-  std::vector<double> out2(second.size());
-  kernel.eval_many(second, out2);
-  for (std::size_t i = 0; i < second.size(); ++i) {
-    EXPECT_EQ(bits(out2[i]), bits(erlang_b(second[i].servers, rho)));
+  const auto at = [rho](double over) {
+    return BlockingQuery{static_cast<std::uint64_t>(over * rho), rho};
+  };
+  // E_n(200) is subnormal for n in ~[352, 400) and exactly 0 past that.
+  const std::vector<std::vector<BlockingQuery>> calls{
+      {at(1.9)},                      // one depth: a bare resume point
+      {at(1.975)},                    // resumes from it
+      {at(1.925), at(1.8)},           // two depths: kept from E_0
+      {at(2.5), at(4.0), at(1.85)}};  // extends the kept values
+  for (const auto& call : calls) {
+    std::vector<double> out(call.size());
+    walk.eval_many(call, out);
+    for (std::size_t i = 0; i < call.size(); ++i) {
+      EXPECT_EQ(bits(out[i]), bits(erlang_b(call[i].servers, rho)))
+          << "n=" << call[i].servers;
+    }
   }
+  EXPECT_EQ(walk.kept_loads(), 1u);
 }
 
 TEST(ErlangKernelLanes, QuarantineRerunsReproduceTheSpanWalk) {
   // BatchEvaluator's quarantine fallback re-evaluates one cell at a time;
   // its correctness rests on batches of one being bit-identical to the
-  // staged whole-span walk against the same kernel.
+  // staged whole-span walk.
   Rng rng = make_stream(7101, 3);
   for (int trial = 0; trial < 10; ++trial) {
     const std::size_t count = 3 + rng.uniform_index(30);
@@ -196,8 +199,8 @@ TEST(ErlangKernelLanes, QuarantineRerunsReproduceTheSpanWalk) {
 
 TEST(ErlangKernelLanes, StaffingTargetsSweepSharedPrefix) {
   // Same rho at many targets in one span: the walk groups them into one
-  // state, grows it once to the tightest target, and block-boundary stop
-  // resolution must give exactly the scalar minimum n for each target.
+  // load, keeps its values once to the tightest target, and block-boundary
+  // stop resolution must give exactly the scalar minimum n for each target.
   ErlangKernel kernel;
   const double rho = 512.5;
   std::vector<StaffingQuery> queries;
@@ -336,17 +339,14 @@ std::vector<double> answer(ErlangKernel& kernel,
 
 TEST(ErlangKernelLanes, GroupedSpanMatchesFreeFunctionsFreshAndPublished) {
   // 2,000 distinct loads in a span of thousands of queries; it also holds
-  // repeated pairs, +0.0 and -0.0, target 1.0, n = 0 and the huge-rho
-  // staff_one group.
+  // repeated pairs, +0.0 and -0.0, target 1.0, n = 0 and a huge-rho group
+  // asked at two targets. The second pass asks the same spans shuffled.
   const auto staffing = erlang_spans::staffing(7201, 2000, true);
   const auto blocking = erlang_spans::blocking(7201, 2000);
-  // Room for every load, so the second pass reads mostly the snapshot.
-  ErlangKernel kernel(4096);
+  ErlangKernel kernel;
   expect_oracle(staffing, answer(kernel, staffing));
   expect_oracle(blocking, answer(kernel, blocking));
-  kernel.publish();
 
-  const std::uint64_t hits_before = kernel.stats().snapshot_hits;
   auto restaffing = staffing;
   auto reblocking = blocking;
   Rng rng = make_stream(7201, 2);
@@ -354,12 +354,11 @@ TEST(ErlangKernelLanes, GroupedSpanMatchesFreeFunctionsFreshAndPublished) {
   erlang_spans::shuffle(rng, reblocking);
   expect_oracle(restaffing, answer(kernel, restaffing));
   expect_oracle(reblocking, answer(kernel, reblocking));
-  EXPECT_GT(kernel.stats().snapshot_hits, hits_before);
 }
 
 TEST(ErlangKernelLanes, GroupedSpanStepsDoNotDependOnQueryOrder) {
-  // Each answer depends only on its own load's recurrence, so a fresh
-  // kernel walks exactly as many steps for a span as for any permutation.
+  // Each answer depends only on its own load's recurrence, so a kernel
+  // walks exactly as many steps for a span as for any permutation.
   const auto staffing = erlang_spans::staffing(7202, 2000, true);
   const auto blocking = erlang_spans::blocking(7202, 2000);
   auto restaffing = staffing;

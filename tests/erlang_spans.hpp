@@ -1,9 +1,9 @@
 // Shuffled Erlang-B query spans that exercise every case of the batch
 // walks' load grouping: thousands of distinct loads, repeated (rho, B) and
 // (rho, n) pairs, +0.0 and -0.0 loads in separate groups, target 1.0 and
-// n = 0, and optionally a huge-rho group that ErlangKernel staffs with its
-// scalar staff_one fallback. Answers are checked against the erlang.hpp
-// free functions.
+// n = 0, and optionally a huge-rho group asked at two targets, which the
+// walk answers through the free functions. Answers are checked against the
+// erlang.hpp free functions.
 #pragma once
 
 #include <cmath>
@@ -16,7 +16,8 @@
 
 namespace vmcons::erlang_spans {
 
-/// Past ~2e6 erlangs ErlangKernel::servers_for_many staffs with staff_one.
+/// Past ~2e6 erlangs a walk keeps no values for a load, so a group asked at
+/// several targets falls back to queueing::erlang_b_servers.
 inline constexpr double kHugeRho = 2.5e6;
 
 /// `distinct` log-uniform loads in [0.05, 3000], pairwise distinct.

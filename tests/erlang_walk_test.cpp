@@ -1,13 +1,16 @@
-// Differential tests for the kernel-less Erlang path: UtilityAnalyticModel
-// ::solve() and BatchEvaluator with memoize = false answer their staged
+// Differential and property tests for the batch Erlang path:
+// UtilityAnalyticModel::solve() and BatchEvaluator answer their staged
 // queries through a call-local queueing::ErlangWalk, and the contract is
 // bit-identity with the per-query erlang.hpp free functions — the oracle.
 // Every staffing answer and blocking value of solve() is recomputed here
 // from the offered loads the result records, including blocking evaluated
 // deep in the subnormal/zero tail (a light resource at a heavy resource's
 // N), undemanded resources, fleets, batches that repeat one rho at several
-// targets, queries behind and past every resume point, and NumericError
-// parity at the convergence guard and at huge offered loads.
+// targets, shuffled spans mixing loads asked at one point and at several,
+// queries behind and past every resume point and kept value, and
+// NumericError parity at the convergence guard and at huge offered loads.
+// A walk keeps values only for loads asked at more than one point in one
+// call; the tests pin that too.
 #include <algorithm>
 #include <bit>
 #include <cmath>
@@ -217,7 +220,6 @@ TEST(ErlangWalk, MemoizeOffBatchRepeatsRhoAtSeveralTargets) {
   const ScenarioBatch batch = ScenarioBatch::from_inputs(inputs);
   BatchOptions options;
   options.parallel = false;
-  options.memoize = false;
   options.shard_size = inputs.size();  // one staffing pass over everything
   const std::vector<ModelResult> results =
       BatchEvaluator(options).evaluate(batch);
@@ -379,14 +381,25 @@ TEST(ErlangWalk, NumericErrorParityAtTheConvergenceGuard) {
       queueing::ErlangWalk walk;
       EXPECT_EQ(throws_numeric([&] { walk.servers_for_many(queries, out); }),
                 scalar);
-      // A resume point walked past the guard by eval_many must not hide
-      // the throw.
-      queueing::ErlangWalk deep;
-      std::vector<double> value(1);
-      deep.eval_many(std::vector<queueing::BlockingQuery>{{limit + 600, rho}},
-                     value);
-      EXPECT_EQ(throws_numeric([&] { deep.servers_for_many(queries, out); }),
-                scalar);
+      // Neither a resume point nor kept values walked past the guard by
+      // eval_many may hide the throw, for one target or for several.
+      for (const std::vector<queueing::BlockingQuery>& grow :
+           {std::vector<queueing::BlockingQuery>{{limit + 600, rho}},
+            std::vector<queueing::BlockingQuery>{{limit + 600, rho},
+                                                 {10, rho}}}) {
+        queueing::ErlangWalk deep;
+        std::vector<double> value(grow.size());
+        deep.eval_many(grow, value);
+        std::uint64_t one = 0;
+        const std::span<const queueing::StaffingQuery> tight(&queries[1], 1);
+        EXPECT_EQ(throws_numeric([&] {
+                    deep.servers_for_many(tight,
+                                          std::span<std::uint64_t>(&one, 1));
+                  }),
+                  scalar);
+        EXPECT_EQ(throws_numeric([&] { deep.servers_for_many(queries, out); }),
+                  scalar);
+      }
       if (!scalar) {
         EXPECT_EQ(out[1], queueing::erlang_b_servers(rho, target));
       }
@@ -410,9 +423,9 @@ TEST(ErlangWalk, NumericErrorParityAtTheConvergenceGuard) {
 }
 
 TEST(ErlangWalk, HugeRhoMatchesScalarIncludingNumericError) {
-  // Past ~2e6 erlangs the ErlangKernel staffs with its uncached scalar
-  // fallback; the walk keeps using lanes. Both must agree with the free
-  // functions, throws included.
+  // Past ~2e6 erlangs a walk keeps no values: one target runs in lanes from
+  // the resume point, several fall back to the free function. Both must
+  // agree with the free functions, throws included.
   const double rho = 2.5e6;
   for (const double target : {1e-2, 1e-300}) {
     SCOPED_TRACE("B=" + std::to_string(target));
@@ -426,9 +439,13 @@ TEST(ErlangWalk, HugeRhoMatchesScalarIncludingNumericError) {
     queueing::ErlangKernel kernel;
     EXPECT_EQ(throws_numeric([&] { walk.servers_for_many(queries, walked); }),
               scalar);
+    const std::vector<queueing::StaffingQuery> several{{rho, target},
+                                                       {rho, 0.2}};
+    std::vector<std::uint64_t> both(several.size());
     EXPECT_EQ(
-        throws_numeric([&] { kernel.servers_for_many(queries, memo); }),
+        throws_numeric([&] { kernel.servers_for_many(several, both); }),
         scalar);
+    memo[0] = both[0];
     if (!scalar) {
       EXPECT_EQ(walked[0], scalar_n);
       EXPECT_EQ(memo[0], scalar_n);
@@ -441,6 +458,175 @@ TEST(ErlangWalk, HugeRhoMatchesScalarIncludingNumericError) {
       }
     }
   }
+}
+
+TEST(ErlangWalk, ShuffledSpansMixingOneAndSeveralPointLoadsMatchFreeFunctions) {
+  // Twelve calls on one walk over a fixed pool of loads. In each call a
+  // load is asked at one point or at two to four, each point possibly
+  // repeated, and the span is shuffled; staffing and blocking calls
+  // alternate. The pool holds +0.0 and -0.0 and a huge load whose several
+  // targets fall back to the free function while its blocking depths keep
+  // values. Targets include 1.0 and depths include n = 0. A shadow of
+  // which loads were asked at several points, and how far each was walked,
+  // checks that the calls reach the cases the walk distinguishes.
+  Rng rng = make_stream(0x0a11ce, 1u << 23);
+  std::vector<double> rhos = erlang_spans::loads(rng, 60);
+  rhos.push_back(0.0);
+  rhos.push_back(-0.0);
+  const double huge = erlang_spans::kHugeRho;
+  struct Shadow {
+    bool several = false;        // asked at several points in some call
+    bool once_then_several = false;
+    std::uint64_t farthest = 0;  // farthest point any call walked to
+  };
+  std::vector<Shadow> shadow(rhos.size());
+  std::size_t behind_bare = 0;
+  std::size_t single_to_several = 0;
+  queueing::ErlangWalk walk;
+  for (int call = 0; call < 12; ++call) {
+    SCOPED_TRACE("call " + std::to_string(call));
+    const bool staffing_call = call % 2 == 0;
+    std::vector<queueing::StaffingQuery> staffing;
+    std::vector<queueing::BlockingQuery> blocking;
+    for (std::size_t l = 0; l < rhos.size(); ++l) {
+      if (!rng.bernoulli(0.6)) {
+        continue;
+      }
+      const double rho = rhos[l];
+      const std::size_t points =
+          rng.bernoulli(0.5) ? 1 : 2 + rng.uniform_index(3);
+      Shadow& seen = shadow[l];
+      std::uint64_t deepest = 0;
+      for (std::size_t p = 0; p < points; ++p) {
+        const std::size_t copies = 1 + rng.uniform_index(2);
+        if (staffing_call) {
+          const double target =
+              rng.uniform_index(10) == 0
+                  ? 1.0
+                  : std::exp(rng.uniform(std::log(1e-9), std::log(0.9)));
+          staffing.insert(staffing.end(), copies, {rho, target});
+          if (rho > 0.0) {
+            deepest = std::max(deepest,
+                               queueing::erlang_b_servers(rho, target));
+          }
+        } else {
+          const std::uint64_t servers =
+              rng.uniform_index(10) == 0
+                  ? 0
+                  : rng.uniform_index(
+                        static_cast<std::uint64_t>(3.0 * rho) + 40);
+          blocking.insert(blocking.end(), copies, {servers, rho});
+          deepest = std::max(deepest, servers);
+        }
+      }
+      if (rho > 0.0) {
+        if (points == 1 && !staffing_call && !seen.several &&
+            deepest > 0 && deepest < seen.farthest) {
+          ++behind_bare;
+        }
+        if (points > 1 && !seen.several && seen.farthest > 0) {
+          ++single_to_several;
+        }
+        seen.several = seen.several || points > 1;
+        seen.farthest = std::max(seen.farthest, deepest);
+      }
+    }
+    if (call == 4 || call == 8) {
+      staffing.push_back({huge, 1e-2});
+      staffing.push_back({huge, 0.2});
+    }
+    if (call == 3) {
+      blocking.push_back({1000, huge});
+      blocking.push_back({5000, huge});
+    }
+    if (call == 6) {
+      staffing.push_back({huge, 1e-2});
+    }
+    erlang_spans::shuffle(rng, staffing);
+    erlang_spans::shuffle(rng, blocking);
+    if (staffing_call) {
+      std::vector<std::uint64_t> out(staffing.size());
+      walk.servers_for_many(staffing, out);
+      for (std::size_t i = 0; i < staffing.size(); ++i) {
+        ASSERT_EQ(out[i], queueing::erlang_b_servers(
+                              staffing[i].rho, staffing[i].target_blocking))
+            << "rho=" << staffing[i].rho
+            << " B=" << staffing[i].target_blocking;
+      }
+    } else {
+      std::vector<double> out(blocking.size());
+      walk.eval_many(blocking, out);
+      for (std::size_t i = 0; i < blocking.size(); ++i) {
+        ASSERT_EQ(bits(out[i]), bits(queueing::erlang_b(blocking[i].servers,
+                                                        blocking[i].rho)))
+            << "rho=" << blocking[i].rho << " n=" << blocking[i].servers;
+      }
+    }
+  }
+  EXPECT_GT(behind_bare, 0u);
+  EXPECT_GT(single_to_several, 0u);
+  EXPECT_GT(walk.kept_loads(), 0u);
+}
+
+TEST(ErlangWalk, SinglePointLoadsKeepNoValues) {
+  // Every call asks each load at one point (repeated or not): the walk
+  // keeps resume points only, however the points move between calls.
+  Rng rng = make_stream(0x0a11ce, 1u << 24);
+  const std::vector<double> rhos = erlang_spans::loads(rng, 40);
+  queueing::ErlangWalk walk;
+  for (int call = 0; call < 6; ++call) {
+    std::vector<queueing::StaffingQuery> staffing;
+    std::vector<queueing::BlockingQuery> blocking;
+    for (const double rho : rhos) {
+      const double target =
+          std::exp(rng.uniform(std::log(1e-6), std::log(0.5)));
+      const std::uint64_t servers =
+          1 + rng.uniform_index(static_cast<std::uint64_t>(2.0 * rho) + 20);
+      const std::size_t copies = 1 + rng.uniform_index(3);
+      staffing.insert(staffing.end(), copies, {rho, target});
+      blocking.insert(blocking.end(), copies, {servers, rho});
+    }
+    expect_walk_matches_oracle(walk, staffing, blocking);
+  }
+  EXPECT_EQ(walk.kept_loads(), 0u);
+
+  // One load asked at two points in one call starts keeping its values.
+  const std::vector<queueing::BlockingQuery> two{{5, rhos[0]}, {9, rhos[0]}};
+  std::vector<double> out(two.size());
+  walk.eval_many(two, out);
+  EXPECT_EQ(walk.kept_loads(), 1u);
+}
+
+TEST(ErlangWalk, KeptValuesAnswerLaterCallsWithoutSteps) {
+  // A load asked at two depths keeps E_0..E_150 for the walk's lifetime:
+  // later calls read covered points without a step (counted as hits) and
+  // extend past them from E_150, not from E_0.
+  const double rho = 120.0;
+  queueing::ErlangWalk walk;
+  std::vector<double> out(2);
+  const std::vector<queueing::BlockingQuery> first{{150, rho}, {40, rho}};
+  walk.eval_many(first, out);
+  EXPECT_EQ(walk.tally().steps, 150u);
+  EXPECT_EQ(walk.tally().cache_hits, 0u);
+  walk.eval_many(first, out);
+  EXPECT_EQ(bits(out[0]), bits(queueing::erlang_b(150, rho)));
+  EXPECT_EQ(bits(out[1]), bits(queueing::erlang_b(40, rho)));
+  EXPECT_EQ(walk.tally().steps, 150u);
+  EXPECT_EQ(walk.tally().cache_hits, 2u);
+
+  const std::vector<queueing::BlockingQuery> deeper{{600, rho}};
+  walk.eval_many(deeper, std::span<double>(out.data(), 1));
+  EXPECT_EQ(bits(out[0]), bits(queueing::erlang_b(600, rho)));
+  EXPECT_EQ(walk.tally().steps, 600u);
+
+  // Staffing answers inside the kept values cost no step either.
+  const std::vector<queueing::StaffingQuery> staffing{{rho, 0.01}};
+  std::uint64_t servers = 0;
+  walk.servers_for_many(staffing, std::span<std::uint64_t>(&servers, 1));
+  EXPECT_EQ(servers, queueing::erlang_b_servers(rho, 0.01));
+  EXPECT_EQ(walk.tally().steps, 600u);
+  EXPECT_EQ(walk.tally().cache_hits, 3u);
+  EXPECT_EQ(walk.tally().evaluations, 6u);
 }
 
 }  // namespace

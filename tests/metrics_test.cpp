@@ -140,16 +140,21 @@ TEST(Metrics, BatchEvaluatorReportsCountersByCanonicalName) {
   EXPECT_GE(global.counter(names::kBatchShards).value(), shards_before + 1);
   EXPECT_EQ(global.timer(names::kBatchWall).count(), wall_before + 1);
 
-  // The memoizing kernel answers the three identical scenarios mostly from
-  // cache, and the batch attributes those hits to itself.
+  // Each staffing pass answers its blocking query at the staffed N from
+  // the point its staffing walk stopped at, and the batch counts those
+  // answers as hits.
   const auto hits_before = global.counter(names::kBatchKernelHits).value();
-  core::BatchEvaluator memoized;  // default: shared kernel, memoize on
-  ASSERT_EQ(memoized.evaluate(batch).size(), 3u);
+  core::BatchEvaluator defaults;
+  ASSERT_EQ(defaults.evaluate(batch).size(), 3u);
   EXPECT_GT(global.counter(names::kBatchKernelHits).value(), hits_before);
 }
 
 TEST(Metrics, ErlangKernelReportsConcurrencyCountersByCanonicalName) {
   Registry& global = registry();
+  const auto evaluations_before =
+      global.counter(names::kErlangEvaluations).value();
+  const auto steps_before = global.counter(names::kErlangSteps).value();
+  const auto hits_before = global.counter(names::kErlangCacheHits).value();
   const auto snapshot_before =
       global.counter(names::kErlangSnapshotHits).value();
   const auto arena_before =
@@ -157,39 +162,24 @@ TEST(Metrics, ErlangKernelReportsConcurrencyCountersByCanonicalName) {
   const auto merges_before = global.counter(names::kErlangMerges).value();
 
   queueing::ErlangKernel kernel;
-  kernel.erlang_b(120, 90.0);  // cold: one private arena extension
-  kernel.publish();            // one merge epoch
-  kernel.erlang_b(60, 90.0);   // warm: lock-free snapshot hit
+  kernel.erlang_b(120, 90.0);  // one evaluation, 120 steps
+  queueing::ErlangWalk walk;
+  const std::vector<queueing::BlockingQuery> span{{60, 90.0}, {120, 90.0}};
+  std::vector<double> out(span.size());
+  walk.eval_many(span, out);
+  walk.eval_many(span, out);  // both answered from the kept values
+  kernel.record(walk.tally());
 
+  EXPECT_EQ(global.counter(names::kErlangEvaluations).value(),
+            evaluations_before + 5);
+  EXPECT_EQ(global.counter(names::kErlangSteps).value(), steps_before + 240);
+  EXPECT_EQ(global.counter(names::kErlangCacheHits).value(), hits_before + 2);
+  // The shared memo's tiers are gone; their names stay, unfed.
   EXPECT_EQ(global.counter(names::kErlangSnapshotHits).value(),
-            snapshot_before + 1);
+            snapshot_before);
   EXPECT_EQ(global.counter(names::kErlangArenaExtensions).value(),
-            arena_before + 1);
-  EXPECT_EQ(global.counter(names::kErlangMerges).value(), merges_before + 1);
-}
-
-TEST(Metrics, BatchEvaluationTimesItsMergeEpoch) {
-  core::ModelInputs inputs;
-  inputs.target_loss = 0.01;
-  dc::ServiceSpec service;
-  service.name = "web";
-  service.arrival_rate = 100.0;
-  service.demand(dc::Resource::kCpu, 50.0, virt::Impact::constant(0.8));
-  inputs.services = {service};
-  core::ScenarioBatch batch;
-  batch.append(inputs);
-
-  Registry& global = registry();
-  const auto lock_wait_before = global.timer(names::kBatchLockWait).count();
-  queueing::ErlangKernel kernel;
-  core::BatchOptions options;
-  options.parallel = false;
-  options.kernel = &kernel;
-  ASSERT_EQ(core::BatchEvaluator(options).evaluate(batch).size(), 1u);
-  // The batch ended exactly one merge epoch and timed it.
-  EXPECT_EQ(global.timer(names::kBatchLockWait).count(),
-            lock_wait_before + 1);
-  EXPECT_EQ(kernel.stats().merges, 1u);
+            arena_before);
+  EXPECT_EQ(global.counter(names::kErlangMerges).value(), merges_before);
 }
 
 TEST(Metrics, PrintMetricsRendersBatchCounters) {

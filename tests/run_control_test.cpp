@@ -299,7 +299,6 @@ TEST(RunControl, BatchExpiredDeadlineAbortsCleanly) {
 TEST(RunControl, BatchPreCancelledCountsCancelMetric) {
   const ScenarioBatch batch = random_batch(0xbeef, 32);
   BatchOptions options;
-  options.memoize = false;
   options.control.token.cancel();
   auto& counter = metrics::registry().counter(metrics::names::kBatchCancelled);
   const std::uint64_t before = counter.value();
@@ -571,7 +570,6 @@ TEST(FaultInject, ErlangSiteFaultsAreQuarantinedPerCell) {
 
   const ScenarioBatch batch = random_batch(0xe14a, 24);
   BatchOptions options;
-  options.memoize = false;
   options.policy = FailurePolicy::kQuarantine;
   const BatchOutcome outcome = BatchEvaluator(options).evaluate_all(batch);
   // ...so every cell is quarantined, and the batch still returns.

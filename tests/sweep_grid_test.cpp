@@ -1,5 +1,5 @@
 // Tests for the SweepGrid what-if API: deterministic index-derived
-// enumeration, parallel/memoized output identical to a serial cold run,
+// enumeration, parallel output identical to a serial run,
 // and sweep_target_loss staying a faithful wrapper.
 #include "core/sweep.hpp"
 
@@ -126,7 +126,6 @@ TEST(Sweep, ParallelMemoizedMatchesSerialCold) {
 
   SweepOptions serial_cold;
   serial_cold.parallel = false;
-  serial_cold.memoize = false;
   const auto expected = planner.sweep(grid, serial_cold);
 
   queueing::ErlangKernel kernel;
@@ -151,7 +150,7 @@ TEST(Sweep, RerunningWithTheSameKernelIsDeterministic) {
   SweepOptions options;
   options.kernel = &kernel;
   const auto first = planner.sweep(grid, options);
-  const auto second = planner.sweep(grid, options);  // warm cache this time
+  const auto second = planner.sweep(grid, options);
   ASSERT_EQ(first.size(), second.size());
   for (std::size_t i = 0; i < first.size(); ++i) {
     expect_same_report(first[i].report, second[i].report);
