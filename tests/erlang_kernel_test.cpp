@@ -202,16 +202,38 @@ TEST(ErlangKernel, ClearResetsStateAndStats) {
 TEST(ErlangKernel, ConcurrentQueriesAreConsistent) {
   ErlangKernel kernel;
   ThreadPool pool(4);
+  constexpr std::size_t kQueries = 400;
+  std::vector<double> results(kQueries);
+  parallel_for(
+      kQueries,
+      [&](std::size_t i) {
+        // A handful of rho values shared across threads; derive everything
+        // from the index for determinism.
+        const double rho = 50.0 + static_cast<double>(i % 7) * 35.0;
+        const std::uint64_t servers = 1 + (i % 200);
+        results[i] = kernel.erlang_b(servers, rho);
+      },
+      pool);
+  for (std::size_t i = 0; i < kQueries; ++i) {
+    const double rho = 50.0 + static_cast<double>(i % 7) * 35.0;
+    const std::uint64_t servers = 1 + (i % 200);
+    EXPECT_DOUBLE_EQ(results[i], erlang_b(servers, rho)) << "i=" << i;
+  }
+}
+
+TEST(ErlangKernel, ConcurrentSpansAndStaffingAgree) {
+  ErlangKernel kernel;
+  ThreadPool pool(4);
   constexpr std::size_t kQueries = 600;
   std::vector<double> results(kQueries);
   std::vector<std::uint64_t> staffed(kQueries);
   parallel_for(
       kQueries,
       [&](std::size_t i) {
-        // A handful of rho values shared across threads; derive everything
-        // from the index for determinism. Every third index asks a span.
-        const double rho = 50.0 + static_cast<double>(i % 7) * 35.0;
-        const std::uint64_t servers = 1 + (i % 200);
+        // Interleave scalar queries, spans and staffing searches on shared
+        // loads; every third index asks a span of two points.
+        const double rho = 50.0 + static_cast<double>(i % 5) * 61.0;
+        const std::uint64_t servers = 1 + (i % 300);
         if (i % 3 == 0) {
           const std::vector<BlockingQuery> span{{servers, rho},
                                                 {servers + 40, rho}};
@@ -225,8 +247,8 @@ TEST(ErlangKernel, ConcurrentQueriesAreConsistent) {
       },
       pool);
   for (std::size_t i = 0; i < kQueries; ++i) {
-    const double rho = 50.0 + static_cast<double>(i % 7) * 35.0;
-    const std::uint64_t servers = 1 + (i % 200);
+    const double rho = 50.0 + static_cast<double>(i % 5) * 61.0;
+    const std::uint64_t servers = 1 + (i % 300);
     EXPECT_DOUBLE_EQ(results[i], erlang_b(servers, rho)) << "i=" << i;
     EXPECT_EQ(staffed[i], erlang_b_servers(rho, 1.0 / (2.0 + i % 50)))
         << "i=" << i;
