@@ -36,6 +36,9 @@ UtilityAnalyticModel::UtilityAnalyticModel(ModelInputs inputs)
   for (const auto& service : inputs_.services) {
     VMCONS_REQUIRE(service.arrival_rate > 0.0,
                    "service '" + service.name + "' needs arrival rate > 0");
+    VMCONS_REQUIRE(service.native_rates.all_finite_non_negative(),
+                   "service '" + service.name +
+                       "' needs finite native rates >= 0");
     VMCONS_REQUIRE(service.native_rates.any_positive(),
                    "service '" + service.name + "' demands no resource");
   }

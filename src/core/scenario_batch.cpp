@@ -5,8 +5,39 @@
 #include <limits>
 
 #include "util/error.hpp"
+#include "virt/impact.hpp"
 
 namespace vmcons::core {
+namespace {
+
+/// One service row's bottleneck and effective rates from its native rates
+/// and clamped impact factors, with the exact arithmetic of the scalar
+/// accessors (ServiceSpec::native_bottleneck_rate / effective_rate):
+/// resources in all_resources() order, zero rates skipped,
+/// min-accumulation. write_rows derives the stored columns with it and
+/// from_columns checks stored columns against it.
+struct DerivedRates {
+  double bottleneck = std::numeric_limits<double>::infinity();
+  double effective = std::numeric_limits<double>::infinity();
+};
+
+DerivedRates derive_rates(
+    const dc::ResourceVector& native,
+    const std::array<double, dc::kResourceCount>& factor) {
+  DerivedRates rates;
+  for (const dc::Resource resource : dc::all_resources()) {
+    const double mu = native[resource];
+    if (mu <= 0.0) {
+      continue;
+    }
+    rates.bottleneck = std::min(rates.bottleneck, mu);
+    rates.effective = std::min(
+        rates.effective, mu * factor[static_cast<std::size_t>(resource)]);
+  }
+  return rates;
+}
+
+}  // namespace
 
 std::size_t ScenarioBatch::append(const ModelInputs& inputs) {
   // Same preconditions as the UtilityAnalyticModel constructor, so a batch
@@ -17,6 +48,9 @@ std::size_t ScenarioBatch::append(const ModelInputs& inputs) {
   for (const auto& service : inputs.services) {
     VMCONS_REQUIRE(service.arrival_rate > 0.0,
                    "service '" + service.name + "' needs arrival rate > 0");
+    VMCONS_REQUIRE(service.native_rates.all_finite_non_negative(),
+                   "service '" + service.name +
+                       "' needs finite native rates >= 0");
     VMCONS_REQUIRE(service.native_rates.any_positive(),
                    "service '" + service.name + "' demands no resource");
   }
@@ -39,26 +73,18 @@ std::size_t ScenarioBatch::append(const ModelInputs& inputs) {
 
 void ScenarioBatch::write_rows(std::span<const dc::ServiceSpec> services,
                                unsigned v, const dc::Fleet& fleet) {
-  // Derived rate columns, with the exact arithmetic of the scalar accessors
-  // (ServiceSpec::native_bottleneck_rate / effective_rate).
   for (const dc::ServiceSpec& service : services) {
     service_name_.push_back(service.name);
-    double bottleneck = std::numeric_limits<double>::infinity();
-    double effective = std::numeric_limits<double>::infinity();
+    std::array<double, dc::kResourceCount> factor{};
     for (const dc::Resource resource : dc::all_resources()) {
       const auto r = static_cast<std::size_t>(resource);
-      const double mu = service.native_rates[resource];
-      const double factor = service.impacts[r].factor(v);
-      native_rate_[r].push_back(mu);
-      impact_[r].push_back(factor);
-      if (mu <= 0.0) {
-        continue;
-      }
-      bottleneck = std::min(bottleneck, mu);
-      effective = std::min(effective, mu * factor);
+      factor[r] = service.impacts[r].factor(v);
+      native_rate_[r].push_back(service.native_rates[resource]);
+      impact_[r].push_back(factor[r]);
     }
-    bottleneck_rate_.push_back(bottleneck);
-    effective_rate_.push_back(effective);
+    const DerivedRates rates = derive_rates(service.native_rates, factor);
+    bottleneck_rate_.push_back(rates.bottleneck);
+    effective_rate_.push_back(rates.effective);
   }
 
   // Fleet-class rows. A Fleet is valid by construction (its only mutator
@@ -122,11 +148,14 @@ ScenarioBatch::Prototype::Prototype(const ModelInputs& shape)
           static_cast<unsigned>(shape.services.size()))),
       dedicated_power_(shape.dedicated_power),
       consolidated_power_(shape.consolidated_power) {
-  rows_.write_rows(shape.services, vm_count_, shape.fleet);
   demands_.reserve(shape.services.size());
   for (const dc::ServiceSpec& service : shape.services) {
+    VMCONS_REQUIRE(service.native_rates.all_finite_non_negative(),
+                   "service '" + service.name +
+                       "' needs finite native rates >= 0");
     demands_.push_back(service.native_rates.any_positive() ? 1 : 0);
   }
+  rows_.write_rows(shape.services, vm_count_, shape.fleet);
 }
 
 namespace {
@@ -226,9 +255,36 @@ ScenarioBatch ScenarioBatch::from_columns(Columns&& columns) {
     VMCONS_REQUIRE(columns.vm_count[s] >= 1, "need at least one VM per server");
   }
   for (std::size_t row = 0; row < rows; ++row) {
+    const std::string& name = columns.service_name[row];
     VMCONS_REQUIRE(columns.arrival_rate[row] > 0.0,
-                   "service '" + columns.service_name[row] +
-                       "' needs arrival rate > 0");
+                   "service '" + name + "' needs arrival rate > 0");
+    // The rate columns are untrusted too: re-derive the stored rates, so a
+    // corrupted row cannot plan with rates append() would never write.
+    dc::ResourceVector native;
+    std::array<double, dc::kResourceCount> factor{};
+    for (const dc::Resource resource : dc::all_resources()) {
+      const auto r = static_cast<std::size_t>(resource);
+      native[resource] = columns.native_rate[r][row];
+      factor[r] = columns.impact[r][row];
+      VMCONS_REQUIRE(factor[r] >= virt::Impact::kMinFactor && factor[r] <= 1.0,
+                     "service '" + name +
+                         "' stores an impact factor outside the planning "
+                         "range [Impact::kMinFactor, 1]");
+    }
+    VMCONS_REQUIRE(native.all_finite_non_negative(),
+                   "service '" + name +
+                       "' stores a native rate that is not finite and >= 0");
+    VMCONS_REQUIRE(native.any_positive(),
+                   "service '" + name + "' demands no resource");
+    const DerivedRates rates = derive_rates(native, factor);
+    VMCONS_REQUIRE(columns.bottleneck_rate[row] == rates.bottleneck,
+                   "service '" + name +
+                       "' stores a bottleneck rate its native rates do not "
+                       "derive");
+    VMCONS_REQUIRE(columns.effective_rate[row] == rates.effective,
+                   "service '" + name +
+                       "' stores an effective rate its native rates and "
+                       "impact factors do not derive");
   }
 
   if (columns.class_begin.empty()) {
@@ -259,22 +315,20 @@ ScenarioBatch ScenarioBatch::from_columns(Columns&& columns) {
   VMCONS_REQUIRE(class_rows_consistent,
                  "fleet-class columns disagree with the class_begin offsets");
   for (std::size_t row = 0; row < class_rows; ++row) {
-    // Rebuild the class and run the same validation Fleet::add applies, so
-    // corrupted columns cannot smuggle in a class append() would reject.
-    dc::ServerClass server_class;
-    server_class.name = columns.class_name[row];
+    // The same validation Fleet::add applies, read straight from the
+    // columns, so corrupted columns cannot smuggle in a class append()
+    // would reject.
+    const std::string& name = columns.class_name[row];
+    dc::ResourceVector capacity;
     for (const dc::Resource resource : dc::all_resources()) {
-      server_class.capacity[resource] =
+      capacity[resource] =
           columns.class_capacity[static_cast<std::size_t>(resource)][row];
     }
-    server_class.power.base_watts = columns.class_base_watts[row];
-    server_class.power.max_watts = columns.class_max_watts[row];
-    server_class.count = columns.class_count[row];
-    dc::validate_server_class(server_class);
+    dc::validate_server_class(name, capacity, columns.class_base_watts[row],
+                              columns.class_max_watts[row]);
     VMCONS_REQUIRE(columns.class_speed[row] > 0.0 &&
                        std::isfinite(columns.class_speed[row]),
-                   "class '" + server_class.name +
-                       "' stores a non-positive derived speed");
+                   "class '" + name + "' stores a non-positive derived speed");
   }
 
   ScenarioBatch batch;

@@ -121,10 +121,14 @@ class ScenarioBatch {
   };
 
   /// Rebuilds a batch from raw columns (the deserialization path). Validates
-  /// the structural invariants (offset monotonicity and column lengths) and
-  /// the same per-scenario value preconditions append() enforces; throws
-  /// InvalidArgument naming the violated invariant. Derived columns are
-  /// adopted as stored so the round trip stays bit-identical.
+  /// the structural invariants (offset monotonicity and column lengths), the
+  /// same per-scenario value preconditions append() enforces, the values
+  /// append() can write (native rates finite and >= 0 with one positive,
+  /// impact factors in [Impact::kMinFactor, 1], fleet classes as Fleet::add
+  /// checks them), and that each stored bottleneck and effective rate is
+  /// bit for bit the one its row's native rates and impact factors derive;
+  /// throws InvalidArgument naming the violated invariant. Derived columns
+  /// are adopted as stored so the round trip stays bit-identical.
   static ScenarioBatch from_columns(Columns&& columns);
 
   // --- per-scenario columns ----------------------------------------------

@@ -2,7 +2,9 @@
 
 #include <cerrno>
 #include <cstring>
+#include <memory>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 
 #include <sys/stat.h>
@@ -74,24 +76,30 @@ class ByteSink {
 // truncated or garbled payload surfaces as IoError, never as a wild read.
 class ByteSource {
  public:
-  ByteSource(const std::vector<char>& in, const std::string& path,
+  ByteSource(const char* data, std::size_t size, const std::string& path,
              std::size_t shard)
-      : in_(in),
+      : data_(data),
+        size_(size),
         context_("scenario store '" + path + "': shard " +
                  std::to_string(shard)) {}
 
+  /// Claims the next `bytes` payload bytes and returns where they start.
+  const char* take(std::size_t bytes) {
+    if (bytes > size_ - pos_) {
+      throw IoError(context_ + " payload is truncated (need " +
+                    std::to_string(bytes) + " bytes at offset " +
+                    std::to_string(pos_) + " of " + std::to_string(size_) +
+                    ")");
+    }
+    const char* at = data_ + pos_;
+    pos_ += bytes;
+    return at;
+  }
   void raw(void* data, std::size_t bytes) {
     if (bytes == 0) {
       return;  // empty columns may hand over a null data()
     }
-    if (bytes > in_.size() - pos_) {
-      throw IoError(context_ + " payload is truncated (need " +
-                    std::to_string(bytes) + " bytes at offset " +
-                    std::to_string(pos_) + " of " +
-                    std::to_string(in_.size()) + ")");
-    }
-    std::memcpy(data, in_.data() + pos_, bytes);
-    pos_ += bytes;
+    std::memcpy(data, take(bytes), bytes);
   }
   std::uint32_t u32() {
     std::uint32_t value = 0;
@@ -103,24 +111,32 @@ class ByteSource {
     raw(&value, sizeof value);
     return value;
   }
-  void f64_column(std::vector<double>& column, std::size_t count) {
+  /// `count` host-endian elements stored back to back, in one bounded read.
+  template <typename T>
+  void column(std::vector<T>& column, std::size_t count) {
+    static_assert(std::is_trivially_copyable_v<T>);
     column.resize(count);
-    raw(column.data(), count * sizeof(double));
+    raw(column.data(), count * sizeof(T));
   }
-  std::string name() {
-    std::string text(bounded(u32(), 1, "name length"), '\0');
-    raw(text.data(), text.size());
-    return text;
+  /// `count` length-prefixed names, each built in place in `names`.
+  void names(std::vector<std::string>& names, std::size_t count) {
+    names.clear();
+    names.reserve(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::size_t length = bounded(u32(), 1, "name length");
+      names.emplace_back(take(length), length);
+    }
   }
   /// bounded_count (util/error.hpp) against what is left of this payload.
   std::size_t bounded(std::uint64_t count, std::size_t bytes_each,
                       const char* field) const {
     return bounded_count(count, bytes_each, remaining(), context_, field);
   }
-  std::size_t remaining() const { return in_.size() - pos_; }
+  std::size_t remaining() const { return size_ - pos_; }
 
  private:
-  const std::vector<char>& in_;
+  const char* data_;
+  std::size_t size_;
   std::string context_;
   std::size_t pos_ = 0;
 };
@@ -138,10 +154,13 @@ void read_power_column(ByteSource& source, std::vector<dc::PowerModel>& column,
                        std::size_t count, const std::string& path,
                        std::size_t shard) {
   column.resize(count);
+  const char* at = source.take(count * kPowerModelBytes);
   for (dc::PowerModel& model : column) {
-    source.raw(&model.base_watts, sizeof model.base_watts);
-    source.raw(&model.max_watts, sizeof model.max_watts);
-    const std::uint32_t platform = source.u32();
+    std::uint32_t platform = 0;
+    std::memcpy(&model.base_watts, at, sizeof model.base_watts);
+    std::memcpy(&model.max_watts, at + sizeof(double), sizeof model.max_watts);
+    std::memcpy(&platform, at + 2 * sizeof(double), sizeof platform);
+    at += kPowerModelBytes;
     if (platform > static_cast<std::uint32_t>(dc::Platform::kXen)) {
       std::ostringstream message;
       message << "shard " << shard << " holds unknown platform enum value "
@@ -208,10 +227,13 @@ void serialize_shard(const ScenarioBatch& batch, std::vector<char>& bytes) {
   }
 }
 
-ScenarioBatch deserialize_shard(const std::vector<char>& bytes,
+ScenarioBatch deserialize_shard(const char* bytes, std::size_t size,
                                 const std::string& path, std::size_t shard,
                                 const ShardInfo& info) {
-  ByteSource source(bytes, path, shard);
+  // The offset and count columns are stored as u64 and decoded in bulk.
+  static_assert(sizeof(std::size_t) == sizeof(std::uint64_t));
+  static_assert(sizeof(unsigned) == sizeof(std::uint32_t));
+  ByteSource source(bytes, size, path, shard);
   ScenarioBatch::Columns columns;
   const std::uint64_t declared_scenarios = source.u64();
   const std::uint64_t declared_rows = source.u64();
@@ -228,50 +250,32 @@ ScenarioBatch deserialize_shard(const std::vector<char>& bytes,
       source.bounded(declared_scenarios, kScenarioBytes, "scenario count");
   const std::size_t rows =
       source.bounded(declared_rows, kServiceRowBytes, "service row count");
-  source.f64_column(columns.target_loss, scenarios);
-  columns.vm_count.resize(scenarios);
-  for (unsigned& v : columns.vm_count) {
-    v = source.u32();
-  }
+  source.column(columns.target_loss, scenarios);
+  source.column(columns.vm_count, scenarios);
   read_power_column(source, columns.dedicated_power, scenarios, path, shard);
   read_power_column(source, columns.consolidated_power, scenarios, path, shard);
-  columns.row_begin.resize(scenarios + 1);
-  for (std::size_t& offset : columns.row_begin) {
-    offset = static_cast<std::size_t>(source.u64());
-  }
-  source.f64_column(columns.arrival_rate, rows);
+  source.column(columns.row_begin, scenarios + 1);
+  source.column(columns.arrival_rate, rows);
   for (std::size_t r = 0; r < dc::kResourceCount; ++r) {
-    source.f64_column(columns.native_rate[r], rows);
+    source.column(columns.native_rate[r], rows);
   }
   for (std::size_t r = 0; r < dc::kResourceCount; ++r) {
-    source.f64_column(columns.impact[r], rows);
+    source.column(columns.impact[r], rows);
   }
-  source.f64_column(columns.bottleneck_rate, rows);
-  source.f64_column(columns.effective_rate, rows);
-  columns.service_name.resize(rows);
-  for (std::string& name : columns.service_name) {
-    name = source.name();
-  }
+  source.column(columns.bottleneck_rate, rows);
+  source.column(columns.effective_rate, rows);
+  source.names(columns.service_name, rows);
   const std::size_t class_rows =
       source.bounded(source.u64(), kClassRowBytes, "class row count");
-  columns.class_begin.resize(scenarios + 1);
-  for (std::size_t& offset : columns.class_begin) {
-    offset = static_cast<std::size_t>(source.u64());
-  }
+  source.column(columns.class_begin, scenarios + 1);
   for (std::size_t r = 0; r < dc::kResourceCount; ++r) {
-    source.f64_column(columns.class_capacity[r], class_rows);
+    source.column(columns.class_capacity[r], class_rows);
   }
-  source.f64_column(columns.class_base_watts, class_rows);
-  source.f64_column(columns.class_max_watts, class_rows);
-  columns.class_count.resize(class_rows);
-  for (std::uint64_t& count : columns.class_count) {
-    count = source.u64();
-  }
-  source.f64_column(columns.class_speed, class_rows);
-  columns.class_name.resize(class_rows);
-  for (std::string& name : columns.class_name) {
-    name = source.name();
-  }
+  source.column(columns.class_base_watts, class_rows);
+  source.column(columns.class_max_watts, class_rows);
+  source.column(columns.class_count, class_rows);
+  source.column(columns.class_speed, class_rows);
+  source.names(columns.class_name, class_rows);
   if (source.remaining() != 0) {
     std::ostringstream message;
     message << "shard " << shard << " payload has " << source.remaining()
@@ -511,7 +515,7 @@ ScenarioStore::ScenarioStore(std::string path) : path_(std::move(path)) {
   }
   checksum_ = footer_checksum;
 
-  ByteSource source(footer, path_, 0);
+  ByteSource source(footer.data(), footer.size(), path_, 0);
   const std::uint64_t shard_count = source.u64();
   if (footer_bytes !=
       sizeof(std::uint64_t) * (1 + kShardInfoFields * shard_count)) {
@@ -561,11 +565,14 @@ const ShardInfo& ScenarioStore::shard(std::size_t index) const {
 
 ScenarioBatch ScenarioStore::read_shard(std::size_t index) const {
   const ShardInfo& info = shard(index);
-  std::vector<char> payload(static_cast<std::size_t>(info.bytes));
+  const auto bytes = static_cast<std::size_t>(info.bytes);
+  // Left uninitialized: pread_all either fills every byte or fails, and the
+  // checksum below vouches for all of them before any is decoded.
+  const auto payload = std::make_unique_for_overwrite<char[]>(bytes);
   // pread: the offset travels with each call, never with the fd, so any
   // number of concurrent read_shard calls share the descriptor safely.
   const util::fs::Status status =
-      util::fs::pread_all(file_, payload.data(), payload.size(), info.offset,
+      util::fs::pread_all(file_, payload.get(), bytes, info.offset,
                           util::fs::sites::kStoreRead);
   if (!status.ok()) {
     std::ostringstream message;
@@ -576,8 +583,7 @@ ScenarioBatch ScenarioStore::read_shard(std::size_t index) const {
                     : status.message());
     fail(path_, message.str());
   }
-  const std::uint64_t actual =
-      util::digest64(payload.data(), payload.size());
+  const std::uint64_t actual = util::digest64(payload.get(), bytes);
   if (actual != info.checksum) {
     std::ostringstream message;
     message << "shard " << index << " checksum mismatch (footer "
@@ -587,10 +593,8 @@ ScenarioBatch ScenarioStore::read_shard(std::size_t index) const {
     fail(path_, message.str());
   }
   metrics::registry().counter(metrics::names::kStoreShardsRead).add();
-  metrics::registry()
-      .counter(metrics::names::kStoreBytesRead)
-      .add(payload.size());
-  return deserialize_shard(payload, path_, index, info);
+  metrics::registry().counter(metrics::names::kStoreBytesRead).add(bytes);
+  return deserialize_shard(payload.get(), bytes, path_, index, info);
 }
 
 }  // namespace vmcons::core

@@ -1,8 +1,10 @@
 #include "core/streaming_sweep.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <charconv>
+#include <cstring>
 #include <iomanip>
 #include <map>
 #include <optional>
@@ -233,46 +235,81 @@ std::uint64_t checksum_model_results(std::span<const ModelResult> results,
                                      std::span<const std::uint8_t> evaluated) {
   VMCONS_REQUIRE(results.size() == evaluated.size(),
                  "results and evaluated flags must have the same length");
+  // The fields' host bytes are appended to a stack block and each full
+  // block is hashed with one update(), which keeps the hash lanes in
+  // registers. Digest64 is split-invariant, so the digest is that of
+  // feeding every field on its own. The block and its fill are plain
+  // locals so the compiler keeps `fill` in a register across the stores.
+  constexpr std::size_t kBlock = 4096;
   util::Digest64 hash;
+  char block[kBlock];
+  std::size_t fill = 0;
+  const auto flush = [&] {
+    hash.update(block, fill);
+    fill = 0;
+  };
+  const auto u64 = [&](std::uint64_t value) {
+    if (fill > kBlock - sizeof value) {
+      flush();
+    }
+    std::memcpy(block + fill, &value, sizeof value);
+    fill += sizeof value;
+  };
+  const auto f64 = [&](double value) {
+    u64(std::bit_cast<std::uint64_t>(value));
+  };
+  const auto bytes = [&](const std::string& text) {
+    if (text.size() > kBlock - fill) {
+      flush();
+      if (text.size() > kBlock) {
+        hash.update(text.data(), text.size());
+        return;
+      }
+    }
+    std::memcpy(block + fill, text.data(), text.size());
+    fill += text.size();
+  };
+
   for (std::size_t i = 0; i < results.size(); ++i) {
-    hash.u64(evaluated[i]);
+    u64(evaluated[i]);
     if (!evaluated[i]) {
       continue;
     }
     const ModelResult& result = results[i];
-    hash.u64(result.dedicated.size());
+    u64(result.dedicated.size());
     for (const ServicePlan& plan : result.dedicated) {
-      hash.u64(plan.name.size());
-      hash.update(plan.name.data(), plan.name.size());
+      u64(plan.name.size());
+      bytes(plan.name);
       for (const dc::Resource resource : dc::all_resources()) {
-        hash.f64(plan.offered_load[resource]);
+        f64(plan.offered_load[resource]);
       }
       for (const std::uint64_t servers : plan.servers_per_resource) {
-        hash.u64(servers);
+        u64(servers);
       }
-      hash.u64(plan.servers);
-      hash.f64(plan.blocking);
+      u64(plan.servers);
+      f64(plan.blocking);
     }
-    hash.u64(result.dedicated_servers);
+    u64(result.dedicated_servers);
     for (const ConsolidatedResourcePlan& plan : result.consolidated) {
-      hash.u64(static_cast<std::uint64_t>(plan.resource));
-      hash.f64(plan.merged_arrival_rate);
-      hash.f64(plan.effective_service_rate);
-      hash.f64(plan.offered_load);
-      hash.u64(plan.servers);
-      hash.u64(plan.demanded ? 1 : 0);
+      u64(static_cast<std::uint64_t>(plan.resource));
+      f64(plan.merged_arrival_rate);
+      f64(plan.effective_service_rate);
+      f64(plan.offered_load);
+      u64(plan.servers);
+      u64(plan.demanded ? 1 : 0);
     }
-    hash.u64(result.consolidated_servers);
-    hash.f64(result.consolidated_blocking);
-    hash.f64(result.dedicated_utilization);
-    hash.f64(result.consolidated_utilization);
-    hash.f64(result.utilization_improvement);
-    hash.f64(result.dedicated_power_watts);
-    hash.f64(result.consolidated_power_watts);
-    hash.f64(result.power_ratio);
-    hash.f64(result.power_saving);
-    hash.f64(result.infrastructure_saving);
+    u64(result.consolidated_servers);
+    f64(result.consolidated_blocking);
+    f64(result.dedicated_utilization);
+    f64(result.consolidated_utilization);
+    f64(result.utilization_improvement);
+    f64(result.dedicated_power_watts);
+    f64(result.consolidated_power_watts);
+    f64(result.power_ratio);
+    f64(result.power_saving);
+    f64(result.infrastructure_saving);
   }
+  flush();
   return hash.digest();
 }
 

@@ -67,10 +67,14 @@ ScenarioStoreWriter::Summary write_sweep_store(
     const RunControl& control = {});
 
 /// Order-sensitive XXH64 digest (util::Digest64) of a shard's results:
-/// each evaluated flag, then for evaluated cells every numeric field of the
-/// ModelResult (plans included) in a fixed canonical order. Two shards agree
-/// iff their results are bit-identical, which is what the manifest's result
-/// checksums assert across kill/resume boundaries.
+/// each evaluated flag, then for evaluated cells the dedicated service
+/// plans (names included), the consolidated resource plans and every
+/// scalar field of the ModelResult, in a fixed canonical order. The
+/// FleetPlan is not covered: two shards agree iff their results are
+/// bit-identical apart from their fleet plans, which is what the manifest's
+/// result checksums assert across kill/resume boundaries. The canonical
+/// bytes are a durable format (manifests and result files store digests of
+/// them); changing them needs a format bump.
 std::uint64_t checksum_model_results(std::span<const ModelResult> results,
                                      std::span<const std::uint8_t> evaluated);
 

@@ -9,6 +9,7 @@
 
 #include <array>
 #include <cstddef>
+#include <limits>
 #include <string_view>
 
 namespace vmcons::dc {
@@ -70,6 +71,17 @@ class ResourceVector {
       }
     }
     return false;
+  }
+
+  /// Every entry finite and >= 0 (false if any is NaN): the domain of
+  /// native rates a model, a batch or a scenario store accepts.
+  constexpr bool all_finite_non_negative() const {
+    for (const double value : values_) {
+      if (!(value >= 0.0 && value <= std::numeric_limits<double>::max())) {
+        return false;
+      }
+    }
+    return true;
   }
 
  private:

@@ -8,14 +8,15 @@
 namespace vmcons::dc {
 namespace {
 
-/// "class 'legacy': cpu capacity = -1" — every validation error names the
-/// class and the offending field so operators can find the line.
-std::string class_field_value(const std::string& name, const std::string& field,
-                              double value) {
+/// Throws "class 'legacy': cpu capacity = -1<requirement>": every validation
+/// error names the class and the offending field so operators can find the
+/// line. Only the failing branch formats anything.
+[[noreturn]] void reject_field(std::string_view name, std::string_view field,
+                               double value, std::string_view requirement) {
   std::ostringstream out;
   out.precision(17);
-  out << "class '" << name << "': " << field << " = " << value;
-  return out.str();
+  out << "class '" << name << "': " << field << " = " << value << requirement;
+  throw InvalidArgument(out.str());
 }
 
 }  // namespace
@@ -45,39 +46,41 @@ ServerClass ServerClass::reference(std::string name, PowerModel power,
   return server_class;
 }
 
-void validate_server_class(const ServerClass& server_class) {
-  VMCONS_REQUIRE(!server_class.name.empty(),
-                 "server class needs a non-empty name");
+void validate_server_class(std::string_view name,
+                           const ResourceVector& capacity, double base_watts,
+                           double max_watts) {
+  VMCONS_REQUIRE(!name.empty(), "server class needs a non-empty name");
   for (const Resource resource : all_resources()) {
-    const double capacity = server_class.capacity[resource];
-    const std::string field =
-        std::string(resource_name(resource)) + " capacity";
-    VMCONS_REQUIRE(std::isfinite(capacity),
-                   class_field_value(server_class.name, field, capacity) +
-                       " must be finite");
-    VMCONS_REQUIRE(capacity > 0.0,
-                   class_field_value(server_class.name, field, capacity) +
-                       " must be > 0 (relative to the reference server)");
+    const double value = capacity[resource];
+    if (!std::isfinite(value)) {
+      reject_field(name, std::string(resource_name(resource)) + " capacity",
+                   value, " must be finite");
+    }
+    if (!(value > 0.0)) {
+      reject_field(name, std::string(resource_name(resource)) + " capacity",
+                   value, " must be > 0 (relative to the reference server)");
+    }
   }
-  const double base = server_class.power.base_watts;
-  const double max = server_class.power.max_watts;
-  VMCONS_REQUIRE(std::isfinite(base),
-                 class_field_value(server_class.name, "base_watts", base) +
-                     " must be finite");
-  VMCONS_REQUIRE(std::isfinite(max),
-                 class_field_value(server_class.name, "max_watts", max) +
-                     " must be finite");
-  VMCONS_REQUIRE(base > 0.0,
-                 class_field_value(server_class.name, "base_watts", base) +
-                     " must be > 0");
-  VMCONS_REQUIRE(max >= base,
-                 class_field_value(server_class.name, "max_watts", max) +
-                     " must be >= base_watts (a negative dynamic range would "
-                     "reward utilization with phantom savings)");
+  if (!std::isfinite(base_watts)) {
+    reject_field(name, "base_watts", base_watts, " must be finite");
+  }
+  if (!std::isfinite(max_watts)) {
+    reject_field(name, "max_watts", max_watts, " must be finite");
+  }
+  if (!(base_watts > 0.0)) {
+    reject_field(name, "base_watts", base_watts, " must be > 0");
+  }
+  if (!(max_watts >= base_watts)) {
+    reject_field(name, "max_watts", max_watts,
+                 " must be >= base_watts (a negative dynamic range would "
+                 "reward utilization with phantom savings)");
+  }
 }
 
 Fleet& Fleet::add(ServerClass server_class) {
-  validate_server_class(server_class);
+  validate_server_class(server_class.name, server_class.capacity,
+                        server_class.power.base_watts,
+                        server_class.power.max_watts);
   for (const ServerClass& existing : classes_) {
     VMCONS_REQUIRE(existing.name != server_class.name,
                    "fleet already has a class named '" + server_class.name +

@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "datacenter/power.hpp"
@@ -63,9 +64,14 @@ struct ServerClass {
                                std::uint64_t count = kUnbounded);
 };
 
-/// Throws InvalidArgument naming the offending class and field if the class
-/// is malformed (empty name, non-positive/non-finite capacity, bad watts).
-void validate_server_class(const ServerClass& server_class);
+/// Throws InvalidArgument naming the offending class and field if these
+/// field values describe a malformed class (empty name, non-positive or
+/// non-finite capacity, bad watts). Fleet::add checks a ServerClass with it,
+/// and ScenarioBatch::from_columns checks stored class rows with it straight
+/// from the columns. The valid path builds no string.
+void validate_server_class(std::string_view name,
+                           const ResourceVector& capacity, double base_watts,
+                           double max_watts);
 
 /// A validated, ordered list of server classes. The only mutator is add(),
 /// which validates loudly — so any Fleet reachable by client code is valid

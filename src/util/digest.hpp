@@ -30,23 +30,6 @@ class Digest64 {
 
   void update(const void* data, std::size_t bytes) noexcept;
 
-  /// The 8 host bytes of `value`; equal to update(&value, 8), inlined for
-  /// the field-by-field digests that feed one word at a time.
-  void u64(std::uint64_t value) noexcept {
-    std::memcpy(stripe_ + fill_, &value, sizeof value);
-    fill_ += sizeof value;
-    if (fill_ >= kStripe) {
-      consume_stripe(stripe_);
-      fill_ -= kStripe;
-      std::memcpy(stripe_, stripe_ + kStripe, sizeof value);  // spill-over
-    }
-  }
-  void f64(double value) noexcept {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &value, sizeof bits);
-    u64(bits);
-  }
-
   /// Digest of everything fed so far; does not disturb the state, so
   /// feeding may continue afterwards.
   std::uint64_t digest() const noexcept;
@@ -68,8 +51,6 @@ class Digest64 {
                                   std::uint64_t input) noexcept {
     return std::rotl(acc + input * kPrime2, 31) * kPrime1;
   }
-  // Inline, like u64(): a word-at-a-time digest then keeps its state in
-  // registers instead of round-tripping it through an out-of-line call.
   void consume_stripe(const unsigned char* p) noexcept {
     for (std::size_t lane = 0; lane < 4; ++lane) {
       acc_[lane] = lane_round(acc_[lane], load64(p + 8 * lane));
@@ -80,9 +61,7 @@ class Digest64 {
   std::uint64_t acc_[4];
   std::uint64_t consumed_ = 0;  ///< bytes folded into acc_, a multiple of 32
   std::size_t fill_ = 0;  ///< bytes buffered in stripe_, always < kStripe
-  /// One stripe plus room for a word that runs past it, so u64() never
-  /// splits its copy.
-  unsigned char stripe_[kStripe + sizeof(std::uint64_t)] = {};
+  unsigned char stripe_[kStripe] = {};
 };
 
 /// One-shot XXH64 of a byte range.

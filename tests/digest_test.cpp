@@ -1,13 +1,11 @@
-// util/digest: Digest64 is XXH64 (the published vectors hold), feeding it
-// in any split gives the one-shot digest, and the word feeders equal
-// update() of the same 8 bytes. fnv1a64/mix64 keep their historical bits,
-// which the fault-injection draws and the benchmark's input witnesses
-// depend on.
+// util/digest: Digest64 is XXH64 (the published vectors hold) and feeding
+// it in any split gives the one-shot digest. fnv1a64/mix64 keep their
+// historical bits, which the fault-injection draws and the benchmark's
+// input witnesses depend on.
 #include "util/digest.hpp"
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -68,28 +66,6 @@ TEST(Digest, DigestDoesNotDisturbTheState) {
   EXPECT_EQ(digest.digest(), digest64(bytes.data(), 40));
   digest.update(bytes.data() + 40, 50);
   EXPECT_EQ(digest.digest(), digest64(bytes.data(), 90));
-}
-
-TEST(Digest, WordFeedersEqualUpdateOfTheSameBytes) {
-  // Every buffered offset, so the inline fast path and its spill into
-  // update() are both compared.
-  const std::vector<unsigned char> bytes = pattern(31);
-  const std::array<std::uint64_t, 3> words = {0, 0x0123456789abcdefULL,
-                                              ~0ULL};
-  const std::array<double, 3> reals = {0.0, -1.5e-300, 6.02214076e23};
-  for (std::size_t head = 0; head < 32; ++head) {
-    Digest64 fed;
-    Digest64 bytewise;
-    fed.update(bytes.data(), head);
-    bytewise.update(bytes.data(), head);
-    for (std::size_t i = 0; i < words.size(); ++i) {
-      fed.u64(words[i]);
-      bytewise.update(&words[i], sizeof words[i]);
-      fed.f64(reals[i]);
-      bytewise.update(&reals[i], sizeof reals[i]);
-    }
-    ASSERT_EQ(fed.digest(), bytewise.digest()) << "head=" << head;
-  }
 }
 
 TEST(Digest, FnvAndMixKeepTheirBits) {

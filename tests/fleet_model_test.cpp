@@ -10,8 +10,12 @@
 // fleet_mix axis unchanged.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/batch_eval.hpp"
@@ -19,6 +23,8 @@
 #include "core/planner.hpp"
 #include "core/scenario_batch.hpp"
 #include "core/scenario_store.hpp"
+#include "core/sharded_sweep.hpp"
+#include "core/streaming_sweep.hpp"
 #include "core/sweep.hpp"
 #include "datacenter/server_class.hpp"
 #include "datacenter/service_spec.hpp"
@@ -292,6 +298,113 @@ TEST(FleetModelTest, ScenarioStoreRoundTripsFleetColumns) {
   }
   EXPECT_EQ(begin, kScenarios);
   std::remove(path.c_str());
+}
+
+void expect_same_bits(double a, double b) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b));
+}
+
+// The result digest does not cover FleetPlan, so the digest equality the
+// sharded suites assert cannot see a fleet plan lost or changed between
+// paths. Compare the plans themselves: a 1-process StreamingSweep sink
+// against the merge sink of a 2-worker ShardedSweepDriver, field by field.
+TEST(FleetModelTest, FleetPlansMatchBetweenStreamingAndShardedMerge) {
+  const std::string store_path =
+      ::testing::TempDir() + "vmcons_fleet_paths.store";
+  const std::string ledger = ::testing::TempDir() + "vmcons_fleet_paths.ledger";
+  std::remove(store_path.c_str());
+  std::filesystem::remove_all(ledger);
+
+  constexpr std::size_t kScenarios = 24;
+  {
+    ScenarioStoreWriter writer(store_path, /*shard_size=*/5);
+    for (std::size_t i = 0; i < kScenarios; ++i) {
+      ModelInputs inputs = random_inputs(67, i);
+      if (i % 3 != 0) {
+        // Bounded counts, so some plans fall short and report it.
+        inputs.fleet.add(reference_class(inputs, i % 2 == 0 ? i : 1));
+        inputs.fleet.add(fast_class("boxy", 1.5, i));
+      }
+      writer.append(inputs);
+    }
+    writer.finish();
+  }
+  const ScenarioStore store(store_path);
+
+  BatchOptions batch;
+  batch.parallel = false;
+  batch.policy = FailurePolicy::kQuarantine;
+  const auto collect = [](std::vector<ModelResult>& into) {
+    return [&into](ShardOutcome&& shard) {
+      for (std::size_t i = 0; i < shard.outcome.results.size(); ++i) {
+        into[shard.scenario_begin + i] = std::move(shard.outcome.results[i]);
+      }
+    };
+  };
+  std::vector<ModelResult> streamed(kScenarios);
+  StreamingSweepOptions streaming;
+  streaming.batch = batch;
+  const StreamingSweepReport report =
+      StreamingSweep(streaming).run(store, collect(streamed));
+  ASSERT_TRUE(report.complete());
+
+  const auto options = [&](const std::string& worker_id) {
+    ShardedSweepOptions sharded;
+    sharded.batch = batch;
+    sharded.ledger_dir = ledger;
+    sharded.worker_id = worker_id;
+    sharded.lease = std::chrono::milliseconds(60000);
+    sharded.poll = std::chrono::milliseconds(2);
+    return sharded;
+  };
+  std::vector<std::thread> workers;
+  for (const char* id : {"w0", "w1"}) {
+    workers.emplace_back([&, id] {
+      ShardedSweepDriver(options(id)).run_worker(ScenarioStore(store_path));
+    });
+  }
+  for (std::thread& worker : workers) {
+    worker.join();
+  }
+  std::vector<ModelResult> merged(kScenarios);
+  const MergedSweep merge =
+      ShardedSweepDriver(options("merger")).merge(store, collect(merged));
+  EXPECT_EQ(merge.report.shard_checksums, report.shard_checksums);
+
+  std::size_t planned = 0;
+  std::size_t short_plans = 0;
+  for (std::size_t s = 0; s < kScenarios; ++s) {
+    SCOPED_TRACE("scenario " + std::to_string(s));
+    const FleetPlan& a = streamed[s].fleet;
+    const FleetPlan& b = merged[s].fleet;
+    EXPECT_EQ(a.planned, b.planned);
+    EXPECT_EQ(a.dedicated_feasible, b.dedicated_feasible);
+    EXPECT_EQ(a.consolidated_feasible, b.consolidated_feasible);
+    expect_same_bits(a.dedicated_shortfall, b.dedicated_shortfall);
+    expect_same_bits(a.consolidated_shortfall, b.consolidated_shortfall);
+    ASSERT_EQ(a.classes.size(), b.classes.size());
+    for (std::size_t c = 0; c < a.classes.size(); ++c) {
+      const ClassAllocation& x = a.classes[c];
+      const ClassAllocation& y = b.classes[c];
+      EXPECT_EQ(x.name, y.name);
+      expect_same_bits(x.speed, y.speed);
+      EXPECT_EQ(x.available, y.available);
+      EXPECT_EQ(x.dedicated_servers, y.dedicated_servers);
+      EXPECT_EQ(x.consolidated_servers, y.consolidated_servers);
+      expect_same_bits(x.dedicated_power_watts, y.dedicated_power_watts);
+      expect_same_bits(x.consolidated_power_watts,
+                       y.consolidated_power_watts);
+    }
+    planned += a.planned ? 1 : 0;
+    short_plans += a.dedicated_feasible && a.consolidated_feasible ? 0 : 1;
+  }
+  // The store exercises both fleet shapes and both feasibility outcomes.
+  EXPECT_EQ(planned, 16u);
+  EXPECT_GT(short_plans, 0u);
+  EXPECT_LT(short_plans, planned);
+
+  std::remove(store_path.c_str());
+  std::filesystem::remove_all(ledger);
 }
 
 TEST(FleetModelTest, SweepFleetMixAxisVariesSlowest) {

@@ -7,13 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "core/scenario_batch.hpp"
+#include "datacenter/server_class.hpp"
 #include "file_bytes.hpp"
 #include "util/digest.hpp"
 #include "util/error.hpp"
@@ -364,32 +367,76 @@ TEST(ScenarioStore, WriterRejectsZeroShardSize) {
   EXPECT_THROW(ScenarioStoreWriter(temp_path("zero.bin"), 0), InvalidArgument);
 }
 
-TEST(ScenarioBatchColumns, FromColumnsRejectsInconsistentColumns) {
-  const ScenarioBatch reference =
-      ScenarioBatch::from_inputs(std::vector<ModelInputs>{random_inputs(7, 0)});
+/// Scenario 0 of seed 7 with a one-class fleet ("edge"), so its columns
+/// carry a class row as well as service rows.
+ScenarioBatch fleet_reference() {
+  ModelInputs inputs = random_inputs(7, 0);
+  dc::ServerClass edge;
+  edge.name = "edge";
+  edge.capacity[dc::Resource::kCpu] = 1.5;
+  edge.capacity[dc::Resource::kDiskIo] = 2.0;
+  edge.power.base_watts = 150.0;
+  edge.power.max_watts = 250.0;
+  edge.count = 12;
+  inputs.fleet.add(edge);
+  return ScenarioBatch::from_inputs(std::vector<ModelInputs>{inputs});
+}
 
-  // A minimal valid Columns set, derived from a real batch via accessors.
-  const auto make_columns = [&reference] {
-    ScenarioBatch::Columns columns;
-    columns.target_loss = {reference.target_loss(0)};
-    columns.vm_count = {reference.vm_count(0)};
-    columns.dedicated_power = {reference.dedicated_power()[0]};
-    columns.consolidated_power = {reference.consolidated_power()[0]};
-    columns.row_begin = {0, reference.service_rows()};
-    const auto rows = reference.service_rows();
-    for (std::size_t row = 0; row < rows; ++row) {
-      columns.arrival_rate.push_back(reference.arrival_rate()[row]);
-      columns.bottleneck_rate.push_back(reference.bottleneck_rate()[row]);
-      columns.effective_rate.push_back(reference.effective_rate()[row]);
-      columns.service_name.push_back(reference.service_name(row));
-      for (const dc::Resource resource : dc::all_resources()) {
-        const auto r = static_cast<std::size_t>(resource);
-        columns.native_rate[r].push_back(reference.native_rate(resource)[row]);
-        columns.impact[r].push_back(reference.impact(resource)[row]);
-      }
+/// A minimal valid Columns set, derived from a real batch via accessors.
+ScenarioBatch::Columns columns_of(const ScenarioBatch& reference) {
+  ScenarioBatch::Columns columns;
+  columns.target_loss = {reference.target_loss(0)};
+  columns.vm_count = {reference.vm_count(0)};
+  columns.dedicated_power = {reference.dedicated_power()[0]};
+  columns.consolidated_power = {reference.consolidated_power()[0]};
+  columns.row_begin = {0, reference.service_rows()};
+  const auto rows = reference.service_rows();
+  for (std::size_t row = 0; row < rows; ++row) {
+    columns.arrival_rate.push_back(reference.arrival_rate()[row]);
+    columns.bottleneck_rate.push_back(reference.bottleneck_rate()[row]);
+    columns.effective_rate.push_back(reference.effective_rate()[row]);
+    columns.service_name.push_back(reference.service_name(row));
+    for (const dc::Resource resource : dc::all_resources()) {
+      const auto r = static_cast<std::size_t>(resource);
+      columns.native_rate[r].push_back(reference.native_rate(resource)[row]);
+      columns.impact[r].push_back(reference.impact(resource)[row]);
     }
-    return columns;
-  };
+  }
+  columns.class_begin = {0, reference.class_rows()};
+  for (std::size_t row = 0; row < reference.class_rows(); ++row) {
+    columns.class_name.push_back(reference.class_name(row));
+    for (const dc::Resource resource : dc::all_resources()) {
+      columns.class_capacity[static_cast<std::size_t>(resource)].push_back(
+          reference.class_capacity(resource)[row]);
+    }
+    columns.class_base_watts.push_back(reference.class_base_watts()[row]);
+    columns.class_max_watts.push_back(reference.class_max_watts()[row]);
+    columns.class_count.push_back(reference.class_available()[row]);
+    columns.class_speed.push_back(reference.class_speed()[row]);
+  }
+  return columns;
+}
+
+/// The InvalidArgument message `call` raises, or "" if it raises none.
+template <typename Call>
+std::string rejection(Call&& call) {
+  try {
+    call();
+  } catch (const InvalidArgument& error) {
+    return error.what();
+  }
+  return "";
+}
+
+std::string from_columns_rejection(ScenarioBatch::Columns columns) {
+  return rejection(
+      [&] { ScenarioBatch::from_columns(std::move(columns)); });
+}
+
+TEST(ScenarioBatchColumns, FromColumnsRejectsInconsistentColumns) {
+  const ScenarioBatch reference = fleet_reference();
+  ASSERT_EQ(reference.class_rows(), 1u);
+  const auto make_columns = [&reference] { return columns_of(reference); };
 
   EXPECT_NO_THROW(ScenarioBatch::from_columns(make_columns()));
 
@@ -412,6 +459,196 @@ TEST(ScenarioBatchColumns, FromColumnsRejectsInconsistentColumns) {
   bad_counts.vm_count.push_back(2);  // scenario columns disagree
   EXPECT_THROW(ScenarioBatch::from_columns(std::move(bad_counts)),
                InvalidArgument);
+
+  // One bad value per class field. Each stored class row must be refused
+  // with the very message Fleet::add gives the same class; the expected
+  // texts are the ones Fleet::add produced before class rows were checked
+  // straight from the columns.
+  const auto class_of = [](const ScenarioBatch::Columns& columns) {
+    dc::ServerClass server_class;
+    server_class.name = columns.class_name[0];
+    for (const dc::Resource resource : dc::all_resources()) {
+      server_class.capacity[resource] =
+          columns.class_capacity[static_cast<std::size_t>(resource)][0];
+    }
+    server_class.power.base_watts = columns.class_base_watts[0];
+    server_class.power.max_watts = columns.class_max_watts[0];
+    server_class.count = columns.class_count[0];
+    return server_class;
+  };
+  const auto expect_class_rejected = [&](ScenarioBatch::Columns columns,
+                                         const std::string& expected) {
+    SCOPED_TRACE(expected);
+    const dc::ServerClass server_class = class_of(columns);
+    EXPECT_EQ(rejection([&] { dc::Fleet().add(server_class); }), expected);
+    EXPECT_EQ(from_columns_rejection(std::move(columns)), expected);
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+
+  auto unnamed = make_columns();
+  unnamed.class_name[0].clear();
+  expect_class_rejected(std::move(unnamed),
+                        "server class needs a non-empty name");
+
+  struct BadValue {
+    double value;
+    const char* text;
+    const char* requirement;
+  };
+  const std::string positive_capacity =
+      " must be > 0 (relative to the reference server)";
+  for (const dc::Resource resource : dc::all_resources()) {
+    for (const BadValue& bad :
+         {BadValue{nan, "nan", " must be finite"},
+          BadValue{inf, "inf", " must be finite"},
+          BadValue{-inf, "-inf", " must be finite"},
+          BadValue{0.0, "0", positive_capacity.c_str()},
+          BadValue{-2.5, "-2.5", positive_capacity.c_str()}}) {
+      auto columns = make_columns();
+      columns.class_capacity[static_cast<std::size_t>(resource)][0] =
+          bad.value;
+      expect_class_rejected(std::move(columns),
+                            "class 'edge': " +
+                                std::string(dc::resource_name(resource)) +
+                                " capacity = " + bad.text + bad.requirement);
+    }
+  }
+  for (const BadValue& bad : {BadValue{nan, "nan", " must be finite"},
+                              BadValue{inf, "inf", " must be finite"},
+                              BadValue{0.0, "0", " must be > 0"},
+                              BadValue{-150.0, "-150", " must be > 0"}}) {
+    auto columns = make_columns();
+    columns.class_base_watts[0] = bad.value;
+    expect_class_rejected(std::move(columns), std::string("class 'edge': ") +
+                                                  "base_watts = " + bad.text +
+                                                  bad.requirement);
+  }
+  auto unbounded_max = make_columns();
+  unbounded_max.class_max_watts[0] = inf;
+  expect_class_rejected(std::move(unbounded_max),
+                        "class 'edge': max_watts = inf must be finite");
+  auto inverted = make_columns();
+  inverted.class_max_watts[0] = 149.5;
+  expect_class_rejected(
+      std::move(inverted),
+      "class 'edge': max_watts = 149.5 must be >= base_watts (a negative "
+      "dynamic range would reward utilization with phantom savings)");
+
+  for (const double speed : {nan, 0.0, -1.0, inf}) {
+    auto columns = make_columns();
+    columns.class_speed[0] = speed;
+    EXPECT_EQ(from_columns_rejection(std::move(columns)),
+              "class 'edge' stores a non-positive derived speed");
+  }
+}
+
+TEST(ScenarioBatchColumns, FromColumnsRejectsRatesTheRowCannotDerive) {
+  const ScenarioBatch reference = fleet_reference();
+  const ScenarioBatch::Columns valid = columns_of(reference);
+  EXPECT_EQ(from_columns_rejection(valid), "");
+  const std::string service = "service '" + reference.service_name(0) + "'";
+  // The first resource row 0 demands, and one it does not demand (if any).
+  std::size_t demanded = dc::kResourceCount;
+  std::size_t idle = dc::kResourceCount;
+  for (std::size_t r = dc::kResourceCount; r-- > 0;) {
+    (valid.native_rate[r][0] > 0.0 ? demanded : idle) = r;
+  }
+  ASSERT_LT(demanded, dc::kResourceCount);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+
+  const auto expect_rejected = [&](auto&& edit, const std::string& what) {
+    ScenarioBatch::Columns columns = valid;
+    edit(columns);
+    const std::string message = from_columns_rejection(std::move(columns));
+    EXPECT_NE(message.find(service), std::string::npos) << message;
+    EXPECT_NE(message.find(what), std::string::npos) << message;
+  };
+
+  for (const double rate : {nan, inf, -inf, 0.0, 1e300,
+                            std::nextafter(valid.effective_rate[0], 0.0)}) {
+    SCOPED_TRACE("effective rate " + std::to_string(rate));
+    expect_rejected([&](auto& c) { c.effective_rate[0] = rate; },
+                    "effective rate");
+  }
+  for (const double rate : {nan, 0.0, std::nextafter(valid.bottleneck_rate[0],
+                                                     inf)}) {
+    SCOPED_TRACE("bottleneck rate " + std::to_string(rate));
+    expect_rejected([&](auto& c) { c.bottleneck_rate[0] = rate; },
+                    "bottleneck rate");
+  }
+  for (const double rate : {nan, inf, -1.0}) {
+    SCOPED_TRACE("native rate " + std::to_string(rate));
+    expect_rejected([&](auto& c) { c.native_rate[demanded][0] = rate; },
+                    "native rate");
+  }
+  // A tiny but legal native rate still has to match the stored rates.
+  expect_rejected([&](auto& c) { c.native_rate[demanded][0] = 1e-300; },
+                  "rate its native rates");
+  expect_rejected(
+      [&](auto& c) {
+        for (std::size_t r = 0; r < dc::kResourceCount; ++r) {
+          c.native_rate[r][0] = 0.0;
+        }
+      },
+      "demands no resource");
+  // The write side refuses the same native rates, so a store never holds a
+  // row its reader would refuse.
+  for (const double rate : {nan, inf, -1.0}) {
+    SCOPED_TRACE("appended native rate " + std::to_string(rate));
+    ModelInputs inputs = random_inputs(7, 0);
+    inputs.services[0].native_rates[dc::Resource::kMemory] = rate;
+    const std::string expected =
+        "service '" + inputs.services[0].name +
+        "' needs finite native rates >= 0";
+    EXPECT_EQ(rejection([&] { ScenarioBatch().append(inputs); }), expected);
+    EXPECT_EQ(rejection([&] { ScenarioBatch::Prototype{inputs}; }), expected);
+    EXPECT_EQ(rejection([&] { UtilityAnalyticModel{inputs}; }), expected);
+  }
+  for (const double factor : {nan, 0.0, virt::Impact::kMinFactor / 2, 1.5,
+                              -0.5}) {
+    SCOPED_TRACE("impact " + std::to_string(factor));
+    expect_rejected([&](auto& c) { c.impact[demanded][0] = factor; },
+                    "impact factor");
+    if (idle < dc::kResourceCount) {
+      expect_rejected([&](auto& c) { c.impact[idle][0] = factor; },
+                      "impact factor");
+    }
+  }
+}
+
+TEST(ScenarioStore, CraftedClassCapacityIsRefusedAsIoError) {
+  const std::string path = temp_path("crafted_capacity.bin");
+  {
+    const ScenarioBatch reference = fleet_reference();
+    ScenarioStoreWriter writer(path, 4);
+    writer.write_shard(reference);
+    writer.finish();
+  }
+  std::string file = slurp(path);
+  // The class's cpu capacity (1.5) is the only such double in the file.
+  const double stored = 1.5;
+  const std::string pattern(reinterpret_cast<const char*>(&stored),
+                            sizeof stored);
+  const std::size_t at = file.find(pattern);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(file.find(pattern, at + 1), std::string::npos);
+  put(file, at, -1.5);
+  reseal(file);
+  spit(path, file);
+  try {
+    const ScenarioStore store(path);
+    store.read_shard(0);
+    ADD_FAILURE() << "a crafted class capacity was accepted";
+  } catch (const IoError& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("shard 0"), std::string::npos) << what;
+    EXPECT_NE(what.find("class 'edge': cpu capacity = -1.5 must be > 0"),
+              std::string::npos)
+        << what;
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -135,8 +135,9 @@ void expect_bit_identical(const MergedSweep& merged, const Reference& ref) {
   EXPECT_EQ(merged.report.shards_completed, ref.report.shards_total);
   EXPECT_EQ(merged.report.scenarios_evaluated,
             ref.report.scenarios_evaluated);
-  // The per-shard result digests cover every numeric field of every
-  // ModelResult, so equality here is bit-identity of the whole sweep.
+  // The per-shard result digests cover every field of every ModelResult
+  // but its FleetPlan, and this store has no fleets, so equality here is
+  // bit-identity of the whole sweep.
   EXPECT_EQ(merged.report.shard_checksums, ref.report.shard_checksums);
   ASSERT_EQ(merged.report.failures.size(), ref.report.failures.size());
   for (std::size_t i = 0; i < merged.report.failures.size(); ++i) {

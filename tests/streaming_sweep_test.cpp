@@ -10,9 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -20,6 +22,7 @@
 #include "core/batch_eval.hpp"
 #include "core/planner.hpp"
 #include "core/scenario_store.hpp"
+#include "util/digest.hpp"
 #include "util/error.hpp"
 #include "util/fault_inject.hpp"
 #include "virt/impact.hpp"
@@ -449,6 +452,161 @@ TEST(StreamingSweep, ChecksumIsOrderAndValueSensitive) {
   EXPECT_NE(checksum_model_results(masked.results, masked.evaluated), base);
 
   std::remove(store_path.c_str());
+}
+
+/// A hand-built result span for the pinned digest: an unevaluated cell
+/// with nonzero fields (which the digest must skip), empty names, a name
+/// longer than the digest's 4096-byte stack block, and ~40 KB of names of
+/// every length 0..300 so that many of them meet a block's end part-way.
+/// Values are plain arithmetic plus -0.0, inf and a quiet NaN, so their
+/// bits are the same on every host.
+struct PinnedSpan {
+  std::vector<ModelResult> results;
+  std::vector<std::uint8_t> evaluated;
+};
+
+PinnedSpan pinned_span() {
+  PinnedSpan span;
+  std::size_t name_length = 0;
+  for (std::size_t i = 0; i < 48; ++i) {
+    ModelResult result;
+    const double x = static_cast<double>(i);
+    const std::size_t plans = i % 5;
+    for (std::size_t p = 0; p < plans; ++p) {
+      ServicePlan plan;
+      plan.name = std::string(name_length, static_cast<char>('a' + (i + p) % 26));
+      name_length = (name_length + 37) % 301;
+      for (const dc::Resource resource : dc::all_resources()) {
+        const auto r = static_cast<std::size_t>(resource);
+        plan.offered_load[resource] = x * 0.25 + static_cast<double>(r) / 3.0;
+        plan.servers_per_resource[r] = i * 11 + p * 3 + r;
+      }
+      plan.servers = i + p + 1;
+      plan.blocking = 1e-3 / (x + 1.0);
+      result.dedicated.push_back(std::move(plan));
+    }
+    result.dedicated_servers = 10 * i + 1;
+    for (const dc::Resource resource : dc::all_resources()) {
+      const auto r = static_cast<std::size_t>(resource);
+      ConsolidatedResourcePlan& plan = result.consolidated[r];
+      plan.resource = resource;
+      plan.merged_arrival_rate = 100.0 + x + static_cast<double>(r);
+      plan.effective_service_rate = 7.5 * static_cast<double>(r + 1);
+      plan.offered_load = plan.merged_arrival_rate / plan.effective_service_rate;
+      plan.servers = (i + r) % 4 == 0 ? 0 : i + r;
+      plan.demanded = (i + r) % 4 != 0;
+    }
+    result.consolidated_servers = 5 * i + 2;
+    result.consolidated_blocking = i % 7 == 3 ? -0.0 : 0.01 / (x + 2.0);
+    result.dedicated_utilization = 0.4 + x / 100.0;
+    result.consolidated_utilization = 0.6 + x / 200.0;
+    result.utilization_improvement =
+        i % 11 == 5 ? std::numeric_limits<double>::infinity() : 1.5;
+    result.dedicated_power_watts = 200.0 * x;
+    result.consolidated_power_watts = 150.0 * x;
+    result.power_ratio =
+        i % 13 == 6 ? std::numeric_limits<double>::quiet_NaN() : 0.75;
+    result.power_saving = 0.25;
+    result.infrastructure_saving = 1.0 - x / 64.0;
+    span.results.push_back(std::move(result));
+    span.evaluated.push_back(i % 9 == 4 ? 0 : 1);
+  }
+  // Empty names, then one name longer than the block.
+  span.results[1].dedicated.front().name.clear();
+  span.results[2].dedicated.back().name.clear();
+  span.results[7].dedicated[1].name = std::string(10000, 'L');
+  return span;
+}
+
+/// The canonical digest bytes of `span`, built independently of
+/// checksum_model_results: host bytes of each field in the documented
+/// order. `name_meets_block_end` counts names that do not fit what is left
+/// of a 4096-byte block filled the way the digest fills it, and
+/// `names_over_block` names longer than a whole block.
+struct CanonicalBytes {
+  std::string bytes;
+  std::size_t name_meets_block_end = 0;
+  std::size_t names_over_block = 0;
+};
+
+CanonicalBytes canonical_bytes(const PinnedSpan& span) {
+  constexpr std::size_t kBlock = 4096;
+  CanonicalBytes out;
+  std::size_t fill = 0;  // shadow of the digest's block fill
+  const auto word = [&](std::uint64_t value) {
+    out.bytes.append(reinterpret_cast<const char*>(&value), sizeof value);
+    fill = fill > kBlock - sizeof value ? sizeof value : fill + sizeof value;
+  };
+  const auto real = [&](double value) {
+    word(std::bit_cast<std::uint64_t>(value));
+  };
+  const auto name = [&](const std::string& text) {
+    out.bytes.append(text);
+    if (text.size() > kBlock - fill) {
+      ++out.name_meets_block_end;
+      out.names_over_block += text.size() > kBlock ? 1 : 0;
+      fill = text.size() > kBlock ? 0 : text.size();
+    } else {
+      fill += text.size();
+    }
+  };
+  for (std::size_t i = 0; i < span.results.size(); ++i) {
+    word(span.evaluated[i]);
+    if (!span.evaluated[i]) {
+      continue;
+    }
+    const ModelResult& result = span.results[i];
+    word(result.dedicated.size());
+    for (const ServicePlan& plan : result.dedicated) {
+      word(plan.name.size());
+      name(plan.name);
+      for (const dc::Resource resource : dc::all_resources()) {
+        real(plan.offered_load[resource]);
+      }
+      for (const std::uint64_t servers : plan.servers_per_resource) {
+        word(servers);
+      }
+      word(plan.servers);
+      real(plan.blocking);
+    }
+    word(result.dedicated_servers);
+    for (const ConsolidatedResourcePlan& plan : result.consolidated) {
+      word(static_cast<std::uint64_t>(plan.resource));
+      real(plan.merged_arrival_rate);
+      real(plan.effective_service_rate);
+      real(plan.offered_load);
+      word(plan.servers);
+      word(plan.demanded ? 1 : 0);
+    }
+    word(result.consolidated_servers);
+    for (const double value :
+         {result.consolidated_blocking, result.dedicated_utilization,
+          result.consolidated_utilization, result.utilization_improvement,
+          result.dedicated_power_watts, result.consolidated_power_watts,
+          result.power_ratio, result.power_saving,
+          result.infrastructure_saving}) {
+      real(value);
+    }
+  }
+  return out;
+}
+
+// The result digest is a durable format: manifests and result files hold
+// it, and a resumed or merged sweep compares against digests an older build
+// wrote. This value was computed by the field-at-a-time digest that
+// preceded the block-fed one; any change to the canonical bytes breaks it.
+TEST(StreamingSweep, ResultDigestIsPinnedToItsCanonicalBytes) {
+  const PinnedSpan span = pinned_span();
+  const CanonicalBytes canonical = canonical_bytes(span);
+  EXPECT_GE(canonical.name_meets_block_end, 3u);
+  EXPECT_EQ(canonical.names_over_block, 1u);
+  EXPECT_GT(canonical.bytes.size(), 8 * 4096u);
+
+  const std::uint64_t digest =
+      checksum_model_results(span.results, span.evaluated);
+  EXPECT_EQ(digest,
+            util::digest64(canonical.bytes.data(), canonical.bytes.size()));
+  EXPECT_EQ(digest, 0x5e63c5d4ab10c71eULL) << std::hex << digest;
 }
 
 }  // namespace
