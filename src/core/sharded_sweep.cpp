@@ -13,7 +13,6 @@
 #include <string_view>
 #include <thread>
 
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include "util/backoff.hpp"
@@ -64,37 +63,17 @@ std::int64_t now_wall_ms() {
   throw IoError("claim ledger '" + path + "': " + what);
 }
 
-std::string hex64(std::uint64_t value) {
-  std::ostringstream out;
-  out << std::hex << value;
-  return out.str();
-}
-
 std::string shard_tag(std::size_t shard) {
   char buffer[16];
   std::snprintf(buffer, sizeof buffer, "%06zu", shard);
   return buffer;
 }
 
-bool filename_safe(const std::string& name) {
-  if (name.empty()) {
-    return false;
-  }
-  for (const char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '-';
-    if (!ok) {
-      return false;
-    }
-  }
-  return true;
-}
-
 std::string format_claim(const ShardClaim& claim) {
   std::ostringstream out;
   out << claim.worker << ',' << claim.pid << ',' << claim.hostname << ','
-      << hex64(claim.token) << ',' << claim.lease_deadline_ms << ','
-      << hex64(claim.store_checksum) << '\n';
+      << util::hex64(claim.token) << ',' << claim.lease_deadline_ms << ','
+      << util::hex64(claim.store_checksum) << '\n';
   return out.str();
 }
 
@@ -151,17 +130,6 @@ std::optional<ShardClaim> parse_claim(const std::string& text) {
   claim.lease_deadline_ms = *deadline;
   claim.store_checksum = *checksum;
   return claim;
-}
-
-/// Age of a file in milliseconds via stat mtime; nullopt when it is gone.
-std::optional<std::int64_t> file_age_ms(const std::string& path) {
-  struct ::stat st {};
-  if (::stat(path.c_str(), &st) != 0) {
-    return std::nullopt;
-  }
-  const std::int64_t mtime_ms =
-      static_cast<std::int64_t>(st.st_mtime) * 1000;
-  return now_wall_ms() - mtime_ms;
 }
 
 // --- BatchOutcome (de)serialization --------------------------------------
@@ -491,9 +459,9 @@ bool ClaimLedger::try_claim(std::size_t shard, const std::string& worker_id,
   if (held.has_value()) {
     if (held->store_checksum != store_checksum_) {
       ledger_fail(path, "claim is branded for store checksum " +
-                            hex64(held->store_checksum) +
+                            util::hex64(held->store_checksum) +
                             " but this sweep runs against " +
-                            hex64(store_checksum_) +
+                            util::hex64(store_checksum_) +
                             " (two sweeps sharing one ledger?)");
     }
     const bool held_locally = held->hostname.empty() ||
@@ -503,7 +471,7 @@ bool ClaimLedger::try_claim(std::size_t shard, const std::string& worker_id,
         !util::pid_alive(static_cast<::pid_t>(held->pid));
     stale = pid_dead || now_wall_ms() > held->lease_deadline_ms;
   } else {
-    const auto age = file_age_ms(path);
+    const auto age = util::file_age_ms(path);
     stale = age.has_value() && *age > lease_.count() + 1000;
   }
   if (!stale) {
@@ -515,7 +483,7 @@ bool ClaimLedger::try_claim(std::size_t shard, const std::string& worker_id,
   // doing the work.
   mine.lease_deadline_ms = now_wall_ms() + lease_.count();
   const util::fs::Status committed = util::fs::commit_file(
-      path, format_claim(mine), hex64(token), util::fs::sites::kClaim);
+      path, format_claim(mine), util::hex64(token), util::fs::sites::kClaim);
   if (!committed.ok()) {
     ledger_fail(path, "claim takeover failed: " + committed.message());
   }
@@ -548,7 +516,9 @@ ShardedSweepDriver::ShardedSweepDriver(ShardedSweepOptions options)
   worker_id_ = options_.worker_id.empty()
                    ? "w" + std::to_string(static_cast<long long>(::getpid()))
                    : options_.worker_id;
-  VMCONS_REQUIRE(filename_safe(worker_id_),
+  VMCONS_REQUIRE(!worker_id_.empty() &&
+                     std::all_of(worker_id_.begin(), worker_id_.end(),
+                                 util::filename_safe_char),
                  "worker id '" + worker_id_ +
                      "' must be non-empty and use only [A-Za-z0-9._-]");
 }
@@ -673,7 +643,8 @@ WorkerReport ShardedSweepDriver::run_worker(const ScenarioStore& store) const {
       // commit releases the claim and propagates — the shard stays
       // uncommitted for a peer rather than half-written.
       const util::fs::Status committed =
-          util::fs::commit_file(ledger.result_path(shard), file, hex64(token),
+          util::fs::commit_file(ledger.result_path(shard), file,
+                                util::hex64(token),
                                 util::fs::sites::kResultCommit);
       if (!committed.ok()) {
         ledger.release_if_ours(shard, token);
@@ -767,8 +738,8 @@ MergedSweep ShardedSweepDriver::merge(const ScenarioStore& store,
     const std::uint64_t payload_bytes = header.u64();
     if (store_checksum != store.checksum()) {
       throw IoError(context + ": was evaluated against store checksum " +
-                    hex64(store_checksum) + " but this store is " +
-                    hex64(store.checksum()) +
+                    util::hex64(store_checksum) + " but this store is " +
+                    util::hex64(store.checksum()) +
                     " (mixed-store ledger; refusing to merge)");
     }
     const ShardInfo& info = store.shard(shard);
@@ -797,8 +768,8 @@ MergedSweep ShardedSweepDriver::merge(const ScenarioStore& store,
         util::digest64(file.data() + payload_begin, payload_bytes);
     if (payload_checksum != actual_checksum) {
       throw IoError(context + ": payload checksum mismatch (recorded " +
-                    hex64(payload_checksum) + ", actual " +
-                    hex64(actual_checksum) + "): corrupted result file");
+                    util::hex64(payload_checksum) + ", actual " +
+                    util::hex64(actual_checksum) + "): corrupted result file");
     }
 
     ByteReader payload(file, payload_begin, payload_begin + payload_bytes,
@@ -813,8 +784,8 @@ MergedSweep ShardedSweepDriver::merge(const ScenarioStore& store,
         checksum_model_results(outcome.results, outcome.evaluated);
     if (recomputed != result_checksum) {
       throw IoError(context + ": result digest mismatch (recorded " +
-                    hex64(result_checksum) + ", deserialized " +
-                    hex64(recomputed) + ")");
+                    util::hex64(result_checksum) + ", deserialized " +
+                    util::hex64(recomputed) + ")");
     }
 
     merged.report.shard_checksums[shard] = result_checksum;

@@ -5,10 +5,8 @@
 #include <cerrno>
 #include <charconv>
 #include <cstring>
-#include <iomanip>
 #include <map>
 #include <optional>
-#include <sstream>
 #include <utility>
 
 #include "core/planner.hpp"
@@ -35,12 +33,6 @@ constexpr std::size_t kManifestColumns = 9;
 [[noreturn]] void manifest_fail(const std::string& path,
                                 const std::string& what) {
   throw IoError("checkpoint manifest '" + path + "': " + what);
-}
-
-std::string hex64(std::uint64_t value) {
-  std::ostringstream out;
-  out << std::hex << value;
-  return out.str();
 }
 
 std::uint64_t parse_u64(const std::string& field, int base,
@@ -205,8 +197,8 @@ void append_shard_records(CsvWriter& writer, std::size_t shard,
               static_cast<long long>(shard),
               static_cast<long long>(info.scenario_begin),
               static_cast<long long>(info.scenarios),
-              hex64(store_checksum),
-              hex64(result_checksum),
+              util::hex64(store_checksum),
+              util::hex64(result_checksum),
               0LL,
               0LL,
               std::string()});

@@ -1,5 +1,7 @@
 #include "util/digest.hpp"
 
+#include <charconv>
+
 namespace vmcons::util {
 namespace {
 
@@ -113,6 +115,12 @@ std::uint64_t fnv1a64(const void* data, std::size_t bytes,
     hash *= 0x100000001b3ULL;
   }
   return hash;
+}
+
+std::string hex64(std::uint64_t value) {
+  char buffer[16];
+  char* end = std::to_chars(buffer, buffer + sizeof buffer, value, 16).ptr;
+  return std::string(buffer, end);
 }
 
 }  // namespace vmcons::util

@@ -13,12 +13,16 @@
 // fnv1a64 and mix64 are the small stable hashes of in-memory identities:
 // fault-injection site names, worker-id shard placement, benchmark input
 // witnesses. They guard no stored byte.
+//
+// hex64 is the one text form a digest takes in durable records (manifest
+// rows, claim records, commit tokens) and in error messages.
 #pragma once
 
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <string>
 
 namespace vmcons::util {
 
@@ -71,6 +75,9 @@ std::uint64_t digest64(const void* data, std::size_t bytes) noexcept;
 /// chain incremental updates; the default seed is the FNV offset basis.
 std::uint64_t fnv1a64(const void* data, std::size_t bytes,
                       std::uint64_t seed = 0xcbf29ce484222325ULL) noexcept;
+
+/// Lowercase hex without prefix or padding ("0", "1f", "deadbeef").
+std::string hex64(std::uint64_t value);
 
 /// splitmix64 finalizer: a bijective avalanche of one word.
 constexpr std::uint64_t mix64(std::uint64_t x) noexcept {

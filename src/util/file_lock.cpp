@@ -55,18 +55,6 @@ std::optional<LockRecord> read_lock_record(const std::string& path) {
   return record;
 }
 
-/// Age of the lock file in milliseconds; nullopt when it vanished.
-std::optional<std::int64_t> lock_age_ms(const std::string& path) {
-  struct ::stat st {};
-  if (::stat(path.c_str(), &st) != 0) {
-    return std::nullopt;
-  }
-  const auto now = std::chrono::duration_cast<std::chrono::milliseconds>(
-                       std::chrono::system_clock::now().time_since_epoch())
-                       .count();
-  return now - static_cast<std::int64_t>(st.st_mtime) * 1000;
-}
-
 }  // namespace
 
 bool pid_alive(::pid_t pid) noexcept {
@@ -80,6 +68,11 @@ bool pid_alive(::pid_t pid) noexcept {
   return errno == EPERM;
 }
 
+bool filename_safe_char(char c) noexcept {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+         (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '-';
+}
+
 const std::string& local_hostname() {
   static const std::string hostname = [] {
     char buffer[256] = {};
@@ -88,16 +81,24 @@ const std::string& local_hostname() {
     }
     std::string name(buffer);
     for (char& c : name) {
-      const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                      (c >= '0' && c <= '9') || c == '.' || c == '_' ||
-                      c == '-';
-      if (!ok) {
+      if (!filename_safe_char(c)) {
         c = '_';
       }
     }
     return name;
   }();
   return hostname;
+}
+
+std::optional<std::int64_t> file_age_ms(const std::string& path) {
+  struct ::stat st {};
+  if (::stat(path.c_str(), &st) != 0) {
+    return std::nullopt;
+  }
+  const auto now = std::chrono::duration_cast<std::chrono::milliseconds>(
+                       std::chrono::system_clock::now().time_since_epoch())
+                       .count();
+  return now - static_cast<std::int64_t>(st.st_mtime) * 1000;
 }
 
 std::optional<std::string> read_file(const std::string& path) {
@@ -145,7 +146,7 @@ PidLockFile::PidLockFile(std::string path, std::string what,
         // Another host: its pid numbers mean nothing here. The only
         // liveness signal is the lock's age against the lease (holders
         // refresh() at progress points).
-        const auto age = lock_age_ms(path_);
+        const auto age = file_age_ms(path_);
         if (age.has_value() && *age <= lease.count()) {
           throw IoError(
               what + " is locked by pid " +

@@ -45,9 +45,17 @@ namespace vmcons::util {
 /// EPERM counts as alive: the process exists, we just may not signal it.
 bool pid_alive(::pid_t pid) noexcept;
 
+/// True iff `c` is in the filename-safe charset [A-Za-z0-9._-] that worker
+/// ids and hostnames in claim and lock records are held to.
+bool filename_safe_char(char c) noexcept;
+
 /// This host's name (gethostname, cached; "localhost" if the call fails),
-/// sanitized to the filename-safe charset claim records use.
+/// every character outside the filename-safe charset replaced by '_'.
 const std::string& local_hostname();
+
+/// Age of a file in milliseconds (wall clock minus stat mtime); nullopt
+/// when the file does not exist.
+std::optional<std::int64_t> file_age_ms(const std::string& path);
 
 /// Whole file as a string; nullopt when the file does not exist. Throws
 /// IoError for any other read failure. Delegates to util::fs::read_file at

@@ -75,5 +75,15 @@ TEST(Digest, FnvAndMixKeepTheirBits) {
   EXPECT_EQ(mix64(0), 0xe220a8397b1dcdafULL);  // splitmix64's first output
 }
 
+// The text form of every digest in manifest rows, claim records and commit
+// tokens: changing it would orphan ledgers and manifests already on disk.
+TEST(Digest, Hex64IsLowercaseUnpadded) {
+  EXPECT_EQ(hex64(0), "0");
+  EXPECT_EQ(hex64(0x1f), "1f");
+  EXPECT_EQ(hex64(0xdeadbeefULL), "deadbeef");
+  EXPECT_EQ(hex64(0x0123456789abcdefULL), "123456789abcdef");
+  EXPECT_EQ(hex64(~std::uint64_t{0}), "ffffffffffffffff");
+}
+
 }  // namespace
 }  // namespace vmcons::util

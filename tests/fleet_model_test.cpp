@@ -205,13 +205,20 @@ TEST(FleetModelTest, BatchEvaluationMatchesScalarSolveWithFleets) {
   constexpr std::size_t kScenarios = 64;
   ScenarioBatch batch;
   std::vector<ModelInputs> all;
+  std::vector<ModelInputs> fleetless;
   for (std::size_t i = 0; i < kScenarios; ++i) {
     ModelInputs inputs = random_inputs(59, i);
+    fleetless.push_back(inputs);
     if (i % 3 != 0) {  // mix fleetless scenarios into the same batch
       inputs.fleet.add(reference_class(inputs, dc::ServerClass::kUnbounded));
       inputs.fleet.add(fast_class("gen" + std::to_string(i % 5),
                                   1.0 + 0.5 * static_cast<double>(i % 4),
                                   (i % 2 == 0) ? 3 : dc::ServerClass::kUnbounded));
+    }
+    if (i % 3 == 2) {  // a third class with its own wattage pair
+      dc::ServerClass mid = fast_class("mid-gen", 1.5, 64);
+      mid.power = dc::PowerModel{280.0, 340.0};
+      inputs.fleet.add(mid);
     }
     batch.append(inputs);
     all.push_back(std::move(inputs));
@@ -223,6 +230,12 @@ TEST(FleetModelTest, BatchEvaluationMatchesScalarSolveWithFleets) {
     const ModelResult scalar = UtilityAnalyticModel(all[i]).solve();
     const ModelResult& batched = outcome.results[i];
     expect_core_identical(scalar, batched);
+    // A fleet of any class count is post-processing in reference units:
+    // staffing, blocking and utilization match the fleetless solve.
+    expect_core_identical(UtilityAnalyticModel(fleetless[i]).solve(),
+                          batched);
+    EXPECT_EQ(batched.fleet.planned, i % 3 != 0);
+    EXPECT_EQ(batched.fleet.classes.size(), i % 3 == 0 ? 0u : i % 3 + 1);
     EXPECT_EQ(scalar.dedicated_power_watts, batched.dedicated_power_watts);
     EXPECT_EQ(scalar.consolidated_power_watts,
               batched.consolidated_power_watts);
