@@ -2,7 +2,10 @@
 # Asserts the five analytic column kernels in src/core/batch_eval.cpp
 # (staff_dedicated, staff_consolidated, staff_fleet, derive_utility,
 # derive_power)
-# actually auto-vectorize under the Release flags. Compiles the one file
+# actually auto-vectorize under the Release flags. The two staffing kernels'
+# column loops live in the classes that stage them (DedicatedStaffing,
+# ConsolidatedStaffing), which staff_dedicated, staff_consolidated and
+# staff_deployments all run. Compiles the one file
 # with -fopt-info-vec and requires at least one "loop vectorized" report
 # inside each kernel's line range — so a refactor that quietly reintroduces
 # control flow or aliasing into a hot loop fails here, not in a bench
@@ -31,7 +34,7 @@ fi
 # Line ranges of the five kernels: each starts at its definition and ends at
 # the next kernel (or EOF). grep -n keeps this robust against edits.
 mapfile -t STARTS < <(grep -n \
-  -e '^void staff_dedicated' -e '^void staff_consolidated' \
+  -e '^class DedicatedStaffing' -e '^class ConsolidatedStaffing' \
   -e '^void staff_fleet' \
   -e '^void derive_utility' -e '^void derive_power' \
   "${SRC}" | cut -d: -f1)

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <mutex>
+#include <vector>
 
 #include "queueing/erlang_kernel.hpp"
 #include "util/error.hpp"
@@ -14,11 +15,11 @@
 namespace vmcons::core {
 namespace {
 
-/// Answers a staff_* call's staged query lists through one ErlangWalk that
-/// lives as long as the dispatch, so each rho's blocking query resumes its
-/// staffing walk, and a rho asked at several targets or depths answers
-/// them all from one walk. Per-query results are bit-identical to the
-/// queueing::erlang_b* free functions. On destruction the walk's tally goes
+/// Answers the staged query lists of one staff_* call through one
+/// ErlangWalk that lives as long as the dispatch, so each rho's blocking
+/// query resumes its staffing walk, and a rho asked at several targets or
+/// depths answers them all from one walk. Per-query results are
+/// bit-identical to the queueing::erlang_b* free functions. On destruction the walk's tally goes
 /// to the erlang.* and batch.kernel_* counters, and to `kernel` if set.
 ///
 /// Fault-injection sites erlang.eval / staffing.inverse fire here, one draw
@@ -79,6 +80,278 @@ struct ErlangDispatch {
   }
 };
 
+/// Dedicated staffing (Fig. 4 per service) split at its two Erlang calls:
+/// stage_staffing appends the staffing queries, grant reads their answers,
+/// writes M and appends the blocking queries at each service's staffing,
+/// and write_blocking reads those answers. Each stage reads back exactly
+/// the answers its predecessor staged, from the offset it recorded, so the
+/// stages run unchanged whether the query lists hold this kernel's queries
+/// alone or another kernel's as well.
+class DedicatedStaffing {
+ public:
+  DedicatedStaffing(const ScenarioBatch& batch, std::size_t begin,
+                    std::size_t end, std::span<ModelResult> results)
+      : batch_(batch),
+        begin_(begin),
+        end_(end),
+        results_(results),
+        row0_(batch.services_begin(begin)),
+        rows_(batch.services_end(end - 1) - row0_),
+        rho_cols_(dc::kResourceCount * rows_) {
+    // Per-resource offered-load columns over the range's contiguous row
+    // range. The divisions are hoisted out of the per-scenario query loop
+    // into one branch-free stream per resource: divide by a safe stand-in,
+    // then blend, so undemanded rows (mu <= 0) come out exactly 0.0 without
+    // a branch in the loop body. Demanded rows perform the very same
+    // arrival/mu division the fused loop did, hence bit-identical.
+    const auto arrival = batch.arrival_rate();
+    for (std::size_t r = 0; r < dc::kResourceCount; ++r) {
+      const double* __restrict__ arr = arrival.data() + row0_;
+      const double* __restrict__ mu_col =
+          batch.native_rate(static_cast<dc::Resource>(r)).data() + row0_;
+      double* __restrict__ rho = rho_cols_.data() + r * rows_;
+      // Two passes on purpose: fusing the safe-divide with the mask gives
+      // the compiler two selects on one predicate, which it re-branches
+      // around the divide instead of if-converting ("control flow in
+      // loop"). Split, each loop is a single blend stream and both
+      // vectorize.
+      for (std::size_t i = 0; i < rows_; ++i) {
+        rho[i] = arr[i] / (mu_col[i] > 0.0 ? mu_col[i] : 1.0);
+      }
+      for (std::size_t i = 0; i < rows_; ++i) {
+        rho[i] = mu_col[i] > 0.0 ? rho[i] : 0.0;
+      }
+    }
+  }
+
+  /// Every staffing query of the range, in deterministic (scenario,
+  /// service, resource) order.
+  void stage_staffing(std::vector<queueing::StaffingQuery>& staffing) {
+    staffing_first_ = staffing.size();
+    for (std::size_t s = begin_; s < end_; ++s) {
+      const double b = batch_.target_loss(s);
+      for (std::size_t row = batch_.services_begin(s);
+           row < batch_.services_end(s); ++row) {
+        for (const dc::Resource resource : dc::all_resources()) {
+          if (batch_.native_rate(resource)[row] > 0.0) {
+            staffing.push_back({rho_of(resource, row), b});
+          }
+        }
+      }
+    }
+  }
+
+  /// Consumes the answers in staging order, building the per-service plans
+  /// (servers = max over resources, M = sum over services), and stages the
+  /// blocking queries at each granted staffing.
+  void grant(std::span<const std::uint64_t> staffed,
+             std::vector<queueing::BlockingQuery>& blocking) {
+    blocking_first_ = blocking.size();
+    std::size_t cursor = staffing_first_;
+    for (std::size_t s = begin_; s < end_; ++s) {
+      ModelResult& result = results_[s - begin_];
+      for (std::size_t row = batch_.services_begin(s);
+           row < batch_.services_end(s); ++row) {
+        ServicePlan plan;
+        plan.name = batch_.service_name(row);
+        for (const dc::Resource resource : dc::all_resources()) {
+          const double rho = rho_of(resource, row);
+          plan.offered_load[resource] = rho;
+          const std::uint64_t n = rho > 0.0 ? staffed[cursor++] : 0;
+          plan.servers_per_resource[static_cast<std::size_t>(resource)] = n;
+          plan.servers = std::max(plan.servers, n);
+        }
+        for (const dc::Resource resource : dc::all_resources()) {
+          if (plan.offered_load[resource] > 0.0) {
+            blocking.push_back({plan.servers, plan.offered_load[resource]});
+          }
+        }
+        result.dedicated_servers += plan.servers;
+        result.dedicated.push_back(std::move(plan));
+      }
+    }
+  }
+
+  /// Per-service blocking is the worst demanded resource.
+  void write_blocking(std::span<const double> blocked) {
+    std::size_t cursor = blocking_first_;
+    for (std::size_t s = begin_; s < end_; ++s) {
+      for (ServicePlan& plan : results_[s - begin_].dedicated) {
+        double worst = 0.0;
+        for (const dc::Resource resource : dc::all_resources()) {
+          if (plan.offered_load[resource] > 0.0) {
+            worst = std::max(worst, blocked[cursor++]);
+          }
+        }
+        plan.blocking = worst;
+      }
+    }
+  }
+
+ private:
+  double rho_of(dc::Resource resource, std::size_t row) const {
+    return rho_cols_[static_cast<std::size_t>(resource) * rows_ +
+                     (row - row0_)];
+  }
+
+  const ScenarioBatch& batch_;
+  std::size_t begin_;
+  std::size_t end_;
+  std::span<ModelResult> results_;
+  std::size_t row0_;
+  std::size_t rows_;
+  std::vector<double> rho_cols_;
+  std::size_t staffing_first_ = 0;
+  std::size_t blocking_first_ = 0;
+};
+
+/// Merged-stream staffing (Eq. 4-5) in the same three stages as
+/// DedicatedStaffing.
+class ConsolidatedStaffing {
+ public:
+  ConsolidatedStaffing(const ScenarioBatch& batch, std::size_t begin,
+                       std::size_t end, std::span<ModelResult> results)
+      : batch_(batch),
+        begin_(begin),
+        end_(end),
+        results_(results),
+        row0_(batch.services_begin(begin)),
+        rows_(batch.services_end(end - 1) - row0_),
+        merge_cols_(2 * dc::kResourceCount * rows_) {
+    // Masked per-row merge terms of Eq. 4/5 as contiguous columns, the
+    // columnar twin of UtilityAnalyticModel::consolidated_offered_load.
+    // Undemanded rows (mu <= 0) contribute exact +0.0; arrival rates and
+    // weighted capacities are non-negative, so x + 0.0 is a bit-level
+    // identity on every partial sum and accumulating the masked columns in
+    // row order is bit-identical to the fused loop that skipped those rows.
+    const auto arrival = batch.arrival_rate();
+    for (std::size_t r = 0; r < dc::kResourceCount; ++r) {
+      const dc::Resource resource = static_cast<dc::Resource>(r);
+      const double* __restrict__ arr = arrival.data() + row0_;
+      const double* __restrict__ mu_col =
+          batch.native_rate(resource).data() + row0_;
+      const double* __restrict__ imp = batch.impact(resource).data() + row0_;
+      double* __restrict__ lam = merge_cols_.data() + (2 * r) * rows_;
+      double* __restrict__ wcap = merge_cols_.data() + (2 * r + 1) * rows_;
+      for (std::size_t i = 0; i < rows_; ++i) {
+        const double mu = mu_col[i];
+        lam[i] = mu > 0.0 ? arr[i] : 0.0;
+        // sum_i lambda_i * mu_ij * a_ij, same operand order as the fused loop
+        wcap[i] = mu > 0.0 ? arr[i] * mu * imp[i] : 0.0;
+      }
+    }
+  }
+
+  /// Merged offered loads per (scenario, resource) — forward sums of the
+  /// staged columns — and the staffing queries for every demanded resource.
+  void stage_staffing(std::vector<queueing::StaffingQuery>& staffing) {
+    staffing_first_ = staffing.size();
+    for (std::size_t s = begin_; s < end_; ++s) {
+      ModelResult& result = results_[s - begin_];
+      const double b = batch_.target_loss(s);
+      for (const dc::Resource resource : dc::all_resources()) {
+        const std::size_t r = static_cast<std::size_t>(resource);
+        auto& plan = result.consolidated[r];
+        plan.resource = resource;
+        const double* __restrict__ lam = merge_cols_.data() + (2 * r) * rows_;
+        const double* __restrict__ wcap =
+            merge_cols_.data() + (2 * r + 1) * rows_;
+        double merged_lambda = 0.0;
+        double weighted_capacity = 0.0;
+        for (std::size_t row = batch_.services_begin(s);
+             row < batch_.services_end(s); ++row) {
+          merged_lambda += lam[row - row0_];
+          weighted_capacity += wcap[row - row0_];
+        }
+        // rho' = lambda / mu' with mu' = weighted_capacity / lambda (Eq. 4).
+        plan.offered_load =
+            merged_lambda <= 0.0
+                ? 0.0
+                : merged_lambda * merged_lambda / weighted_capacity;
+        plan.merged_arrival_rate = merged_lambda;
+        plan.demanded = plan.offered_load > 0.0;
+        if (plan.demanded) {
+          plan.effective_service_rate = merged_lambda / plan.offered_load;
+          staffing.push_back({plan.offered_load, b});
+        }
+      }
+    }
+  }
+
+  /// N = max over resources; stages the blocking queries at N.
+  void grant(std::span<const std::uint64_t> staffed,
+             std::vector<queueing::BlockingQuery>& blocking) {
+    blocking_first_ = blocking.size();
+    std::size_t cursor = staffing_first_;
+    for (std::size_t s = begin_; s < end_; ++s) {
+      ModelResult& result = results_[s - begin_];
+      for (const dc::Resource resource : dc::all_resources()) {
+        auto& plan = result.consolidated[static_cast<std::size_t>(resource)];
+        if (plan.demanded) {
+          plan.servers = staffed[cursor++];
+          result.consolidated_servers =
+              std::max(result.consolidated_servers, plan.servers);
+        }
+      }
+      for (const dc::Resource resource : dc::all_resources()) {
+        const auto& plan =
+            result.consolidated[static_cast<std::size_t>(resource)];
+        if (plan.demanded) {
+          blocking.push_back({result.consolidated_servers, plan.offered_load});
+        }
+      }
+    }
+  }
+
+  /// Consolidated blocking is the worst demanded resource at N.
+  void write_blocking(std::span<const double> blocked) {
+    std::size_t cursor = blocking_first_;
+    for (std::size_t s = begin_; s < end_; ++s) {
+      ModelResult& result = results_[s - begin_];
+      double worst = 0.0;
+      for (const dc::Resource resource : dc::all_resources()) {
+        if (result.consolidated[static_cast<std::size_t>(resource)].demanded) {
+          worst = std::max(worst, blocked[cursor++]);
+        }
+      }
+      result.consolidated_blocking = worst;
+    }
+  }
+
+ private:
+  const ScenarioBatch& batch_;
+  std::size_t begin_;
+  std::size_t end_;
+  std::span<ModelResult> results_;
+  std::size_t row0_;
+  std::size_t rows_;
+  std::vector<double> merge_cols_;
+  std::size_t staffing_first_ = 0;
+  std::size_t blocking_first_ = 0;
+};
+
+/// Runs the staffing kernels' three stages interleaved on one walk: every
+/// kernel's staffing queries in one servers_for_many, then every kernel's
+/// blocking queries in one eval_many. The folds run left to right, so the
+/// query lists hold the kernels' queries in argument order. Every answer
+/// depends only on its own load's recurrence, so the results are
+/// bit-identical to one walk per kernel.
+template <typename... Staffing>
+void staff_on_one_walk(queueing::ErlangKernel* kernel,
+                       Staffing&... staffing_kernels) {
+  ErlangDispatch erlang(kernel);
+  std::vector<queueing::StaffingQuery> staffing;
+  (staffing_kernels.stage_staffing(staffing), ...);
+  std::vector<std::uint64_t> staffed(staffing.size());
+  erlang.servers_for_many(staffing, staffed);
+
+  std::vector<queueing::BlockingQuery> blocking;
+  (staffing_kernels.grant(staffed, blocking), ...);
+  std::vector<double> blocked(blocking.size());
+  erlang.eval_many(blocking, blocked);
+  (staffing_kernels.write_blocking(blocked), ...);
+}
+
 }  // namespace
 
 namespace batch_kernels {
@@ -86,204 +359,23 @@ namespace batch_kernels {
 void staff_dedicated(const ScenarioBatch& batch, std::size_t begin,
                      std::size_t end, queueing::ErlangKernel* kernel,
                      std::span<ModelResult> results) {
-  ErlangDispatch erlang(kernel);
-  const auto arrival = batch.arrival_rate();
-  const std::size_t row0 = batch.services_begin(begin);
-  const std::size_t rows = batch.services_end(end - 1) - row0;
-
-  // Stage 0: per-resource offered-load columns over the shard's contiguous
-  // row range. The divisions are hoisted out of the per-scenario query loop
-  // into one branch-free stream per resource: divide by a safe stand-in,
-  // then blend, so undemanded rows (mu <= 0) come out exactly 0.0 without a
-  // branch in the loop body. Demanded rows perform the very same
-  // arrival/mu division the fused loop did, hence bit-identical.
-  std::vector<double> rho_cols(dc::kResourceCount * rows);
-  for (std::size_t r = 0; r < dc::kResourceCount; ++r) {
-    const double* __restrict__ arr = arrival.data() + row0;
-    const double* __restrict__ mu_col =
-        batch.native_rate(static_cast<dc::Resource>(r)).data() + row0;
-    double* __restrict__ rho = rho_cols.data() + r * rows;
-    // Two passes on purpose: fusing the safe-divide with the mask gives the
-    // compiler two selects on one predicate, which it re-branches around
-    // the divide instead of if-converting ("control flow in loop"). Split,
-    // each loop is a single blend stream and both vectorize.
-    for (std::size_t i = 0; i < rows; ++i) {
-      rho[i] = arr[i] / (mu_col[i] > 0.0 ? mu_col[i] : 1.0);
-    }
-    for (std::size_t i = 0; i < rows; ++i) {
-      rho[i] = mu_col[i] > 0.0 ? rho[i] : 0.0;
-    }
-  }
-  const auto rho_of = [&](dc::Resource resource, std::size_t row) {
-    return rho_cols[static_cast<std::size_t>(resource) * rows + (row - row0)];
-  };
-
-  // Stage 1: gather every staffing query of the range, in deterministic
-  // (scenario, service, resource) order, reading the staged columns.
-  std::vector<queueing::StaffingQuery> staffing;
-  for (std::size_t s = begin; s < end; ++s) {
-    const double b = batch.target_loss(s);
-    for (std::size_t row = batch.services_begin(s);
-         row < batch.services_end(s); ++row) {
-      for (const dc::Resource resource : dc::all_resources()) {
-        if (batch.native_rate(resource)[row] > 0.0) {
-          staffing.push_back({rho_of(resource, row), b});
-        }
-      }
-    }
-  }
-  std::vector<std::uint64_t> staffed(staffing.size());
-  erlang.servers_for_many(staffing, staffed);
-
-  // Stage 2: consume the answers in the same order, building the per-service
-  // plans (servers = max over resources, M = sum over services), and gather
-  // the blocking queries at each granted staffing.
-  std::vector<queueing::BlockingQuery> blocking;
-  std::size_t cursor = 0;
-  for (std::size_t s = begin; s < end; ++s) {
-    ModelResult& result = results[s - begin];
-    for (std::size_t row = batch.services_begin(s);
-         row < batch.services_end(s); ++row) {
-      ServicePlan plan;
-      plan.name = batch.service_name(row);
-      for (const dc::Resource resource : dc::all_resources()) {
-        const double rho = rho_of(resource, row);
-        plan.offered_load[resource] = rho;
-        const std::uint64_t n = rho > 0.0 ? staffed[cursor++] : 0;
-        plan.servers_per_resource[static_cast<std::size_t>(resource)] = n;
-        plan.servers = std::max(plan.servers, n);
-      }
-      for (const dc::Resource resource : dc::all_resources()) {
-        if (plan.offered_load[resource] > 0.0) {
-          blocking.push_back({plan.servers, plan.offered_load[resource]});
-        }
-      }
-      result.dedicated_servers += plan.servers;
-      result.dedicated.push_back(std::move(plan));
-    }
-  }
-  std::vector<double> blocked(blocking.size());
-  erlang.eval_many(blocking, blocked);
-
-  // Stage 3: per-service blocking is the worst demanded resource.
-  cursor = 0;
-  for (std::size_t s = begin; s < end; ++s) {
-    for (ServicePlan& plan : results[s - begin].dedicated) {
-      double worst = 0.0;
-      for (const dc::Resource resource : dc::all_resources()) {
-        if (plan.offered_load[resource] > 0.0) {
-          worst = std::max(worst, blocked[cursor++]);
-        }
-      }
-      plan.blocking = worst;
-    }
-  }
+  DedicatedStaffing dedicated(batch, begin, end, results);
+  staff_on_one_walk(kernel, dedicated);
 }
 
 void staff_consolidated(const ScenarioBatch& batch, std::size_t begin,
                         std::size_t end, queueing::ErlangKernel* kernel,
                         std::span<ModelResult> results) {
-  ErlangDispatch erlang(kernel);
-  const auto arrival = batch.arrival_rate();
-  const std::size_t row0 = batch.services_begin(begin);
-  const std::size_t rows = batch.services_end(end - 1) - row0;
+  ConsolidatedStaffing consolidated(batch, begin, end, results);
+  staff_on_one_walk(kernel, consolidated);
+}
 
-  // Stage 0: masked per-row merge terms of Eq. 4/5 as contiguous columns,
-  // the columnar twin of UtilityAnalyticModel::consolidated_offered_load.
-  // Undemanded rows (mu <= 0) contribute exact +0.0; arrival rates and
-  // weighted capacities are non-negative, so x + 0.0 is a bit-level
-  // identity on every partial sum and accumulating the masked columns in
-  // row order is bit-identical to the fused loop that skipped those rows.
-  std::vector<double> merge_cols(2 * dc::kResourceCount * rows);
-  for (std::size_t r = 0; r < dc::kResourceCount; ++r) {
-    const dc::Resource resource = static_cast<dc::Resource>(r);
-    const double* __restrict__ arr = arrival.data() + row0;
-    const double* __restrict__ mu_col =
-        batch.native_rate(resource).data() + row0;
-    const double* __restrict__ imp = batch.impact(resource).data() + row0;
-    double* __restrict__ lam = merge_cols.data() + (2 * r) * rows;
-    double* __restrict__ wcap = merge_cols.data() + (2 * r + 1) * rows;
-    for (std::size_t i = 0; i < rows; ++i) {
-      const double mu = mu_col[i];
-      lam[i] = mu > 0.0 ? arr[i] : 0.0;
-      // sum_i lambda_i * mu_ij * a_ij, same operand order as the fused loop
-      wcap[i] = mu > 0.0 ? arr[i] * mu * imp[i] : 0.0;
-    }
-  }
-
-  // Stage 1: merged offered loads per (scenario, resource) — forward sums
-  // of the staged columns — and the staffing queries for every demanded
-  // resource.
-  std::vector<queueing::StaffingQuery> staffing;
-  for (std::size_t s = begin; s < end; ++s) {
-    ModelResult& result = results[s - begin];
-    const double b = batch.target_loss(s);
-    for (const dc::Resource resource : dc::all_resources()) {
-      const std::size_t r = static_cast<std::size_t>(resource);
-      auto& plan = result.consolidated[r];
-      plan.resource = resource;
-      const double* __restrict__ lam = merge_cols.data() + (2 * r) * rows;
-      const double* __restrict__ wcap =
-          merge_cols.data() + (2 * r + 1) * rows;
-      double merged_lambda = 0.0;
-      double weighted_capacity = 0.0;
-      for (std::size_t row = batch.services_begin(s);
-           row < batch.services_end(s); ++row) {
-        merged_lambda += lam[row - row0];
-        weighted_capacity += wcap[row - row0];
-      }
-      // rho' = lambda / mu' with mu' = weighted_capacity / lambda (Eq. 4).
-      plan.offered_load =
-          merged_lambda <= 0.0
-              ? 0.0
-              : merged_lambda * merged_lambda / weighted_capacity;
-      plan.merged_arrival_rate = merged_lambda;
-      plan.demanded = plan.offered_load > 0.0;
-      if (plan.demanded) {
-        plan.effective_service_rate = merged_lambda / plan.offered_load;
-        staffing.push_back({plan.offered_load, b});
-      }
-    }
-  }
-  std::vector<std::uint64_t> staffed(staffing.size());
-  erlang.servers_for_many(staffing, staffed);
-
-  // Stage 2: N = max over resources; gather the blocking queries at N.
-  std::vector<queueing::BlockingQuery> blocking;
-  std::size_t cursor = 0;
-  for (std::size_t s = begin; s < end; ++s) {
-    ModelResult& result = results[s - begin];
-    for (const dc::Resource resource : dc::all_resources()) {
-      auto& plan = result.consolidated[static_cast<std::size_t>(resource)];
-      if (plan.demanded) {
-        plan.servers = staffed[cursor++];
-        result.consolidated_servers =
-            std::max(result.consolidated_servers, plan.servers);
-      }
-    }
-    for (const dc::Resource resource : dc::all_resources()) {
-      const auto& plan =
-          result.consolidated[static_cast<std::size_t>(resource)];
-      if (plan.demanded) {
-        blocking.push_back({result.consolidated_servers, plan.offered_load});
-      }
-    }
-  }
-  std::vector<double> blocked(blocking.size());
-  erlang.eval_many(blocking, blocked);
-
-  // Stage 3: consolidated blocking is the worst demanded resource at N.
-  cursor = 0;
-  for (std::size_t s = begin; s < end; ++s) {
-    ModelResult& result = results[s - begin];
-    double worst = 0.0;
-    for (const dc::Resource resource : dc::all_resources()) {
-      if (result.consolidated[static_cast<std::size_t>(resource)].demanded) {
-        worst = std::max(worst, blocked[cursor++]);
-      }
-    }
-    result.consolidated_blocking = worst;
-  }
+void staff_deployments(const ScenarioBatch& batch, std::size_t begin,
+                       std::size_t end, queueing::ErlangKernel* kernel,
+                       std::span<ModelResult> results) {
+  DedicatedStaffing dedicated(batch, begin, end, results);
+  ConsolidatedStaffing consolidated(batch, begin, end, results);
+  staff_on_one_walk(kernel, dedicated, consolidated);
 }
 
 void staff_fleet(const ScenarioBatch& batch, std::size_t begin,
@@ -640,6 +732,8 @@ BatchOutcome BatchEvaluator::evaluate_all(const ScenarioBatch& batch) const {
   const bool quarantine = options_.policy == FailurePolicy::kQuarantine;
   std::mutex failures_mutex;  // shards append failures; sorted afterwards
 
+  // One walk per staffing kernel, not staff_deployments: a shard fills its
+  // lanes already, and a shared walk would hold both kernels' kept values.
   const auto evaluate_range = [&](std::size_t first, std::size_t last,
                                   std::span<ModelResult> out) {
     batch_kernels::staff_dedicated(batch, first, last, kernel, out);

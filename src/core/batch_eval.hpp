@@ -1,21 +1,32 @@
 // Batch evaluation of the utility analytic model over columnar scenarios.
 //
 // The Fig. 4 staffing algorithm, the Eq. 8-11 utilization derivation, and
-// the Eq. 12-14 power derivation are implemented as four stateless,
-// span-based kernels over a ScenarioBatch. Each staffing kernel stages its
-// Erlang-B work: it first gathers every query in its scenario range into
-// one flat list, answers them through one call-local queueing::ErlangWalk
-// (which groups the queries by offered load in one linear pass and walks
-// each distinct load's recurrence once), then scatters the answers back
-// into ModelResults. The scalar UtilityAnalyticModel::solve() runs the same
-// four kernels on a batch of one, so batch and scalar results are
-// bit-identical by construction — there is exactly one implementation of
-// the math.
+// the Eq. 12-14 power derivation are implemented as stateless, span-based
+// kernels over a ScenarioBatch. Each staffing kernel stages its Erlang-B
+// work in three stages: it gathers every staffing query in its scenario
+// range into one flat list, grants M or N from the answers and gathers the
+// blocking queries at that staffing, then writes the blocking. Both lists
+// are answered through one call-local queueing::ErlangWalk, which groups
+// the queries by offered load in one linear pass and walks each distinct
+// load's recurrence once, in lockstep lanes.
+//
+// The scalar UtilityAnalyticModel::solve() runs the same stages on a batch
+// of one, so batch and scalar results are bit-identical by construction —
+// there is exactly one implementation of the math. It runs both staffing
+// kernels' stages interleaved on one walk (staff_deployments): a scenario
+// of a few services keeps few of the walk's 8 lanes live, so each lane run
+// costs its longest chain's latency, and sharing one run per stage halves
+// the runs per solve() from 4 to 2.
 //
 // BatchEvaluator shards a batch over a thread pool (each shard is a
 // contiguous scenario range, so output is independent of the worker count).
-// Each shard stages and walks its own query spans; workers share no Erlang
-// state, so no shard ever waits on another. batch.* metrics report
+// Each shard stages and walks its own query spans, one walk per staffing
+// kernel; workers share no Erlang state, so no shard ever waits on
+// another. Measured with a prototype that shared the walk on shards too: a
+// shard already keeps 88-97% of its lanes live, so sharing gained no
+// throughput there, and one walk holding both kernels' kept values raised
+// the largest per-walk footprint from 2.2 to 4.2 MB (about +13% peak RSS
+// on a 6912-cell grid). batch.* metrics report
 // evaluations, scenarios, shards, and the Erlang queries answered without
 // (kernel_hits) and with (kernel_misses) recurrence steps of their own.
 // Fault tolerance (see util/run_control.hpp): BatchOptions carries a
@@ -149,8 +160,8 @@ class BatchEvaluator {
 // writing into results[s - begin]. Each staffing kernel call answers its
 // Erlang-B queries through one call-local queueing::ErlangWalk; `kernel`,
 // if not nullptr, receives the walk's counters. Call order per scenario
-// range: staff_dedicated, staff_consolidated, staff_fleet, derive_utility,
-// derive_power.
+// range: staff_dedicated and staff_consolidated (or staff_deployments in
+// their place), staff_fleet, derive_utility, derive_power.
 namespace batch_kernels {
 
 /// Fig. 4 per-service staffing: per-resource Erlang-B sizing, max over
@@ -166,6 +177,15 @@ void staff_dedicated(const ScenarioBatch& batch, std::size_t begin,
 void staff_consolidated(const ScenarioBatch& batch, std::size_t begin,
                         std::size_t end, queueing::ErlangKernel* kernel,
                         std::span<ModelResult> results);
+
+/// staff_dedicated and staff_consolidated on one walk: both kernels'
+/// staffing queries in one lane run, then both kernels' blocking queries
+/// in another. Results are bit-identical to the two calls in order (every
+/// answer depends only on its own load's recurrence); the walk's counters
+/// go to `kernel` once. UtilityAnalyticModel::solve() runs this.
+void staff_deployments(const ScenarioBatch& batch, std::size_t begin,
+                       std::size_t end, queueing::ErlangKernel* kernel,
+                       std::span<ModelResult> results);
 
 /// Heterogeneous fleet allocation: maps the reference-unit answers M and N
 /// (written by the two staffing kernels) onto per-class physical counts for

@@ -100,15 +100,18 @@ double UtilityAnalyticModel::consolidated_offered_load(dc::Resource resource) co
 }
 
 ModelResult UtilityAnalyticModel::solve() const {
-  // The scalar path is a batch of one: the same four span kernels the
+  // The scalar path is a batch of one: the same span kernels the
   // BatchEvaluator runs over whole grids, so the two are bit-identical by
-  // construction (there is exactly one implementation of the math).
+  // construction (there is exactly one implementation of the math). Both
+  // staffing kernels share one walk: one scenario keeps few of the walk's
+  // lanes live, so each lane run costs its longest chain's latency, and 2
+  // runs instead of 4 pay it half as often (see batch_eval.hpp for why
+  // BatchEvaluator keeps one walk per kernel).
   ScenarioBatch batch;
   batch.append(inputs_);
   ModelResult result;
   const std::span<ModelResult> out(&result, 1);
-  batch_kernels::staff_dedicated(batch, 0, 1, kernel_, out);
-  batch_kernels::staff_consolidated(batch, 0, 1, kernel_, out);
+  batch_kernels::staff_deployments(batch, 0, 1, kernel_, out);
   batch_kernels::staff_fleet(batch, 0, 1, out);
   batch_kernels::derive_utility(batch, 0, 1, out);
   batch_kernels::derive_power(batch, 0, 1, out);

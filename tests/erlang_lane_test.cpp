@@ -1,6 +1,6 @@
-// Property tests for the multi-lane batched Erlang walk: eval_many and
-// servers_for_many (of ErlangWalk, and of ErlangKernel through a walk of
-// its own) advance util::simd::kRecurrenceLanes independent rho
+// Property tests for the multi-lane batched Erlang walk: ErlangWalk's
+// eval_many and servers_for_many advance util::simd::kRecurrenceLanes
+// independent rho
 // chains in lockstep, and the contract is bit-identity — every answer must
 // equal the scalar free function's answer bit-for-bit, for any span shape
 // (duplicate rhos, spans shorter than a lane pack, tails that do not fill
@@ -43,7 +43,7 @@ TEST(ErlangKernelLanes, LaneWidthIsSane) {
 TEST(ErlangKernelLanes, EvalManyBitIdenticalOnRandomSpans) {
   Rng rng = make_stream(7101, 0);
   for (int trial = 0; trial < 60; ++trial) {
-    ErlangKernel kernel;
+    ErlangWalk walk;
     // Span sizes sweep through every lane-tail remainder: fewer queries
     // than one pack, exactly a pack, and ragged multiples.
     const std::size_t count = 1 + rng.uniform_index(41);
@@ -57,7 +57,7 @@ TEST(ErlangKernelLanes, EvalManyBitIdenticalOnRandomSpans) {
       q.servers = rng.uniform_index(600);
     }
     std::vector<double> out(count);
-    kernel.eval_many(queries, out);
+    walk.eval_many(queries, out);
     for (std::size_t i = 0; i < count; ++i) {
       const double scalar = erlang_b(queries[i].servers, queries[i].rho);
       EXPECT_EQ(bits(out[i]), bits(scalar))
@@ -70,7 +70,7 @@ TEST(ErlangKernelLanes, EvalManyBitIdenticalOnRandomSpans) {
 TEST(ErlangKernelLanes, ServersForManyBitIdenticalOnRandomSpans) {
   Rng rng = make_stream(7101, 1);
   for (int trial = 0; trial < 60; ++trial) {
-    ErlangKernel kernel;
+    ErlangWalk walk;
     const std::size_t count = 1 + rng.uniform_index(41);
     std::vector<StaffingQuery> queries(count);
     for (StaffingQuery& q : queries) {
@@ -79,7 +79,7 @@ TEST(ErlangKernelLanes, ServersForManyBitIdenticalOnRandomSpans) {
           std::exp(rng.uniform(std::log(1e-6), std::log(0.5)));
     }
     std::vector<std::uint64_t> out(count);
-    kernel.servers_for_many(queries, out);
+    walk.servers_for_many(queries, out);
     for (std::size_t i = 0; i < count; ++i) {
       EXPECT_EQ(out[i], erlang_b_servers(queries[i].rho,
                                          queries[i].target_blocking))
@@ -90,7 +90,7 @@ TEST(ErlangKernelLanes, ServersForManyBitIdenticalOnRandomSpans) {
 }
 
 TEST(ErlangKernelLanes, DuplicateRhosShareOnePrefixWalk) {
-  ErlangKernel kernel;
+  ErlangWalk walk;
   // More duplicates of one rho than there are lanes: the walk must fold
   // them into one chain, and the answers stay per-query exact.
   const double rho = 137.25;
@@ -99,8 +99,8 @@ TEST(ErlangKernelLanes, DuplicateRhosShareOnePrefixWalk) {
     queries.push_back({7 * n + 1, rho});
   }
   std::vector<double> out(queries.size());
-  kernel.eval_many(queries, out);
-  std::uint64_t steps_after = kernel.stats().steps;
+  walk.eval_many(queries, out);
+  const std::uint64_t steps_after = walk.tally().steps;
   for (std::size_t i = 0; i < queries.size(); ++i) {
     EXPECT_EQ(bits(out[i]), bits(erlang_b(queries[i].servers, rho)));
   }
@@ -113,7 +113,7 @@ TEST(ErlangKernelLanes, SubnormalTailMatchesScalarBitForBit) {
   // subnormal band (where the integer tail finisher emulates hardware
   // rounding exactly), and the exact-0.0 zone past n = 2 rho. Every value
   // must still be bit-identical to the scalar recurrence.
-  ErlangKernel kernel;
+  ErlangWalk walk;
   Rng rng = make_stream(7101, 2);
   std::vector<BlockingQuery> queries;
   for (int j = 0; j < 24; ++j) {
@@ -125,7 +125,7 @@ TEST(ErlangKernelLanes, SubnormalTailMatchesScalarBitForBit) {
         {static_cast<std::uint64_t>(rho * over), rho});
   }
   std::vector<double> out(queries.size());
-  kernel.eval_many(queries, out);
+  walk.eval_many(queries, out);
   for (std::size_t i = 0; i < queries.size(); ++i) {
     const double scalar = erlang_b(queries[i].servers, queries[i].rho);
     EXPECT_EQ(bits(out[i]), bits(scalar))
@@ -176,19 +176,18 @@ TEST(ErlangKernelLanes, QuarantineRerunsReproduceTheSpanWalk) {
                           std::exp(rng.uniform(std::log(1e-5), std::log(0.3)))};
     }
 
-    ErlangKernel whole;
     std::vector<double> eval_span(count);
     std::vector<std::uint64_t> staff_span(count);
-    whole.eval_many(eval_queries, eval_span);
-    whole.servers_for_many(staff_queries, staff_span);
+    ErlangWalk().eval_many(eval_queries, eval_span);
+    ErlangWalk().servers_for_many(staff_queries, staff_span);
 
-    ErlangKernel cells;
     for (std::size_t i = 0; i < count; ++i) {
       double one_eval = 0.0;
       std::uint64_t one_staff = 0;
-      cells.eval_many(std::span<const BlockingQuery>(&eval_queries[i], 1),
-                      std::span<double>(&one_eval, 1));
-      cells.servers_for_many(
+      ErlangWalk().eval_many(
+          std::span<const BlockingQuery>(&eval_queries[i], 1),
+          std::span<double>(&one_eval, 1));
+      ErlangWalk().servers_for_many(
           std::span<const StaffingQuery>(&staff_queries[i], 1),
           std::span<std::uint64_t>(&one_staff, 1));
       EXPECT_EQ(bits(one_eval), bits(eval_span[i])) << "i=" << i;
@@ -201,7 +200,7 @@ TEST(ErlangKernelLanes, StaffingTargetsSweepSharedPrefix) {
   // Same rho at many targets in one span: the walk groups them into one
   // load, keeps its values once to the tightest target, and block-boundary
   // stop resolution must give exactly the scalar minimum n for each target.
-  ErlangKernel kernel;
+  ErlangWalk walk;
   const double rho = 512.5;
   std::vector<StaffingQuery> queries;
   for (const double target :
@@ -210,7 +209,7 @@ TEST(ErlangKernelLanes, StaffingTargetsSweepSharedPrefix) {
     queries.push_back({rho, target});  // duplicates inside the same span
   }
   std::vector<std::uint64_t> out(queries.size());
-  kernel.servers_for_many(queries, out);
+  walk.servers_for_many(queries, out);
   for (std::size_t i = 0; i < queries.size(); ++i) {
     EXPECT_EQ(out[i], erlang_b_servers(rho, queries[i].target_blocking))
         << "B=" << queries[i].target_blocking;
@@ -246,9 +245,9 @@ std::vector<StaffingQuery> edge_queries(double rho, double rho_step) {
 }
 
 /// After a staffing walk, every prefix value up to a few past the stop must
-/// read back bit-identical through eval_many.
-template <typename Walk>
-void expect_prefix_exact(Walk& walk, double rho, std::uint64_t stop) {
+/// read back bit-identical through eval_many; on a fresh walk, the same
+/// prefix walked from E_0 must too.
+void expect_prefix_exact(ErlangWalk& walk, double rho, std::uint64_t stop) {
   std::vector<BlockingQuery> prefix;
   for (std::uint64_t n = 0; n <= stop + 2; ++n) {
     prefix.push_back({n, rho});
@@ -275,13 +274,8 @@ TEST(ErlangKernelLanes, TargetStopsOnBlockEdgesMatchScalar) {
                           std::span<std::uint64_t>(&walked, 1));
     EXPECT_EQ(walked, expected);
     expect_prefix_exact(walk, rho, expected);
-
-    std::uint64_t memo = 0;
-    ErlangKernel kernel;
-    kernel.servers_for_many(std::span<const StaffingQuery>(&query, 1),
-                            std::span<std::uint64_t>(&memo, 1));
-    EXPECT_EQ(memo, expected);
-    expect_prefix_exact(kernel, rho, expected);
+    ErlangWalk fresh;
+    expect_prefix_exact(fresh, rho, expected);
   }
 }
 
@@ -291,18 +285,15 @@ TEST(ErlangKernelLanes, TargetStopsOnBlockEdgesMatchScalarInOneSpan) {
   const std::vector<StaffingQuery> queries = edge_queries(2500.0, 0.75);
   ASSERT_GT(queries.size(), util::simd::kRecurrenceLanes);
   std::vector<std::uint64_t> walked(queries.size());
-  std::vector<std::uint64_t> memo(queries.size());
   ErlangWalk walk;
-  ErlangKernel kernel;
   walk.servers_for_many(queries, walked);
-  kernel.servers_for_many(queries, memo);
   for (std::size_t i = 0; i < queries.size(); ++i) {
     const std::uint64_t expected =
         erlang_b_servers(queries[i].rho, queries[i].target_blocking);
     EXPECT_EQ(walked[i], expected) << "i=" << i;
-    EXPECT_EQ(memo[i], expected) << "i=" << i;
     expect_prefix_exact(walk, queries[i].rho, expected);
-    expect_prefix_exact(kernel, queries[i].rho, expected);
+    ErlangWalk fresh;
+    expect_prefix_exact(fresh, queries[i].rho, expected);
   }
 }
 
@@ -323,17 +314,27 @@ void expect_oracle(std::span<const BlockingQuery> span,
   }
 }
 
-std::vector<std::uint64_t> answer(ErlangKernel& kernel,
-                                  const std::vector<StaffingQuery>& span) {
+/// The span's answers from a fresh walk; `steps`, if set, receives the
+/// walk's recurrence steps.
+std::vector<std::uint64_t> answer(const std::vector<StaffingQuery>& span,
+                                  std::uint64_t* steps = nullptr) {
+  ErlangWalk walk;
   std::vector<std::uint64_t> out(span.size());
-  kernel.servers_for_many(span, out);
+  walk.servers_for_many(span, out);
+  if (steps != nullptr) {
+    *steps = walk.tally().steps;
+  }
   return out;
 }
 
-std::vector<double> answer(ErlangKernel& kernel,
-                           const std::vector<BlockingQuery>& span) {
+std::vector<double> answer(const std::vector<BlockingQuery>& span,
+                           std::uint64_t* steps = nullptr) {
+  ErlangWalk walk;
   std::vector<double> out(span.size());
-  kernel.eval_many(span, out);
+  walk.eval_many(span, out);
+  if (steps != nullptr) {
+    *steps = walk.tally().steps;
+  }
   return out;
 }
 
@@ -343,22 +344,21 @@ TEST(ErlangKernelLanes, GroupedSpanMatchesFreeFunctionsFreshAndPublished) {
   // asked at two targets. The second pass asks the same spans shuffled.
   const auto staffing = erlang_spans::staffing(7201, 2000, true);
   const auto blocking = erlang_spans::blocking(7201, 2000);
-  ErlangKernel kernel;
-  expect_oracle(staffing, answer(kernel, staffing));
-  expect_oracle(blocking, answer(kernel, blocking));
+  expect_oracle(staffing, answer(staffing));
+  expect_oracle(blocking, answer(blocking));
 
   auto restaffing = staffing;
   auto reblocking = blocking;
   Rng rng = make_stream(7201, 2);
   erlang_spans::shuffle(rng, restaffing);
   erlang_spans::shuffle(rng, reblocking);
-  expect_oracle(restaffing, answer(kernel, restaffing));
-  expect_oracle(reblocking, answer(kernel, reblocking));
+  expect_oracle(restaffing, answer(restaffing));
+  expect_oracle(reblocking, answer(reblocking));
 }
 
 TEST(ErlangKernelLanes, GroupedSpanStepsDoNotDependOnQueryOrder) {
-  // Each answer depends only on its own load's recurrence, so a kernel
-  // walks exactly as many steps for a span as for any permutation.
+  // Each answer depends only on its own load's recurrence, so a walk
+  // takes exactly as many steps for a span as for any permutation.
   const auto staffing = erlang_spans::staffing(7202, 2000, true);
   const auto blocking = erlang_spans::blocking(7202, 2000);
   auto restaffing = staffing;
@@ -367,25 +367,26 @@ TEST(ErlangKernelLanes, GroupedSpanStepsDoNotDependOnQueryOrder) {
   erlang_spans::shuffle(rng, restaffing);
   erlang_spans::shuffle(rng, reblocking);
 
-  ErlangKernel a;
-  ErlangKernel b;
-  answer(a, staffing);
-  answer(b, restaffing);
-  EXPECT_EQ(a.stats().steps, b.stats().steps);
-  EXPECT_GT(a.stats().steps, 0u);
+  std::uint64_t a = 0;
+  std::uint64_t b = 0;
+  answer(staffing, &a);
+  answer(restaffing, &b);
+  EXPECT_EQ(a, b);
+  EXPECT_GT(a, 0u);
 
-  ErlangKernel c;
-  ErlangKernel d;
-  answer(c, blocking);
-  answer(d, reblocking);
-  EXPECT_EQ(c.stats().steps, d.stats().steps);
-  EXPECT_GT(c.stats().steps, 0u);
+  std::uint64_t c = 0;
+  std::uint64_t d = 0;
+  answer(blocking, &c);
+  answer(reblocking, &d);
+  EXPECT_EQ(c, d);
+  EXPECT_GT(c, 0u);
 }
 
 TEST(ErlangKernelLanes, EverySpanLengthAroundTheInlineCutOverMatches) {
-  // Spans of up to 16 queries (plan() and solve() stage 3 to 6) group in
-  // inline storage, longer ones in heap storage sized from the span; every
-  // length from 1 to 80, with shared and distinct loads, covers both.
+  // Spans of up to 16 queries (solve() on two services stages at most 12
+  // per call) group in inline storage, longer ones in heap storage sized
+  // from the span; every length from 1 to 80, with shared and distinct
+  // loads, covers both.
   const auto staffing = erlang_spans::staffing(7203, 40, false);
   const auto blocking = erlang_spans::blocking(7203, 40);
   ASSERT_GE(std::min(staffing.size(), blocking.size()), 80u);
@@ -395,9 +396,8 @@ TEST(ErlangKernelLanes, EverySpanLengthAroundTheInlineCutOverMatches) {
                                            staffing.begin() + length);
     const std::vector<BlockingQuery> block(blocking.begin(),
                                            blocking.begin() + length);
-    ErlangKernel kernel;
-    expect_oracle(staff, answer(kernel, staff));
-    expect_oracle(block, answer(kernel, block));
+    expect_oracle(staff, answer(staff));
+    expect_oracle(block, answer(block));
   }
 }
 

@@ -10,7 +10,9 @@
 // queries behind and past every resume point and kept value, and
 // NumericError parity at the convergence guard and at huge offered loads.
 // A walk keeps values only for loads asked at more than one point in one
-// call; the tests pin that too.
+// call; the tests pin that too. solve() answers both staffing kernels on
+// one walk, the batch path on one walk each; the two must agree bit for
+// bit, including where a dedicated and a consolidated load coincide.
 #include <algorithm>
 #include <bit>
 #include <cmath>
@@ -196,6 +198,150 @@ TEST(ErlangWalk, KernelLessSolveMatchesScalarOracle) {
   EXPECT_GT(deep_tail, kScenarios / 4);
 }
 
+/// Every field of two results, compared bit for bit.
+void expect_bit_identical(const ModelResult& a, const ModelResult& b) {
+  ASSERT_EQ(a.dedicated.size(), b.dedicated.size());
+  for (std::size_t i = 0; i < a.dedicated.size(); ++i) {
+    const ServicePlan& x = a.dedicated[i];
+    const ServicePlan& y = b.dedicated[i];
+    EXPECT_EQ(x.name, y.name);
+    for (const dc::Resource resource : dc::all_resources()) {
+      EXPECT_EQ(bits(x.offered_load[resource]), bits(y.offered_load[resource]));
+    }
+    EXPECT_EQ(x.servers_per_resource, y.servers_per_resource);
+    EXPECT_EQ(x.servers, y.servers);
+    EXPECT_EQ(bits(x.blocking), bits(y.blocking)) << "service " << i;
+  }
+  EXPECT_EQ(a.dedicated_servers, b.dedicated_servers);
+  for (std::size_t r = 0; r < dc::kResourceCount; ++r) {
+    const ConsolidatedResourcePlan& x = a.consolidated[r];
+    const ConsolidatedResourcePlan& y = b.consolidated[r];
+    EXPECT_EQ(x.resource, y.resource);
+    EXPECT_EQ(bits(x.merged_arrival_rate), bits(y.merged_arrival_rate));
+    EXPECT_EQ(bits(x.effective_service_rate), bits(y.effective_service_rate));
+    EXPECT_EQ(bits(x.offered_load), bits(y.offered_load));
+    EXPECT_EQ(x.servers, y.servers);
+    EXPECT_EQ(x.demanded, y.demanded);
+  }
+  EXPECT_EQ(a.consolidated_servers, b.consolidated_servers);
+  EXPECT_EQ(bits(a.consolidated_blocking), bits(b.consolidated_blocking));
+  EXPECT_EQ(bits(a.power_ratio), bits(b.power_ratio));
+  expect_derived_identical(a, b);
+  const FleetPlan& x = a.fleet;
+  const FleetPlan& y = b.fleet;
+  EXPECT_EQ(bits(x.dedicated_shortfall), bits(y.dedicated_shortfall));
+  EXPECT_EQ(bits(x.consolidated_shortfall), bits(y.consolidated_shortfall));
+  for (std::size_t c = 0; c < x.classes.size(); ++c) {
+    EXPECT_EQ(x.classes[c].name, y.classes[c].name);
+    EXPECT_EQ(bits(x.classes[c].speed), bits(y.classes[c].speed));
+    EXPECT_EQ(x.classes[c].available, y.classes[c].available);
+    EXPECT_EQ(bits(x.classes[c].dedicated_power_watts),
+              bits(y.classes[c].dedicated_power_watts));
+    EXPECT_EQ(bits(x.classes[c].consolidated_power_watts),
+              bits(y.classes[c].consolidated_power_watts));
+  }
+}
+
+/// One service with impact factor 1 on every resource it demands, with
+/// integer rates: lambda^2 / (lambda mu) and lambda / mu are then the same
+/// correctly rounded quotient, so each dedicated load equals its
+/// consolidated load bit for bit and both kernels ask the walk the same
+/// queries.
+ModelInputs coinciding_inputs(Rng& rng) {
+  ModelInputs inputs;
+  inputs.target_loss = std::pow(10.0, -rng.uniform(1.0, 6.0));
+  dc::ServiceSpec service;
+  service.name = "solo";
+  service.arrival_rate = static_cast<double>(1 + rng.uniform_index(20000));
+  for (const dc::Resource resource : dc::all_resources()) {
+    if (resource != dc::Resource::kCpu && rng.bernoulli(0.5)) {
+      continue;
+    }
+    service.demand(resource, static_cast<double>(1 + rng.uniform_index(40)),
+                   virt::Impact::constant(1.0));
+  }
+  inputs.services.push_back(service);
+  if (rng.bernoulli(0.5)) {
+    inputs.vms_per_server = 1 + static_cast<unsigned>(rng.uniform_index(6));
+  }
+  return inputs;
+}
+
+TEST(ErlangWalk, SolveOnOneWalkMatchesOneWalkPerStaffingKernel) {
+  // solve() stages both staffing kernels on one walk (staff_deployments);
+  // the batch path runs staff_dedicated and staff_consolidated on a walk
+  // each. Field by field and bit for bit, the two must agree, and a
+  // counter kernel must see one evaluation per staged query either way.
+  std::vector<ModelInputs> cases;
+  Rng rng = make_stream(0x0f05ed, 0);
+  for (int k = 0; k < 200; ++k) {
+    cases.push_back(coinciding_inputs(rng));
+  }
+  for (std::size_t s = 0; s < 600; ++s) {
+    cases.push_back(oracle_inputs(0x0f05ed, s + 1));
+  }
+
+  std::size_t coinciding = 0;
+  std::size_t fleets = 0;
+  std::size_t deep_tail = 0;
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    SCOPED_TRACE("case " + std::to_string(c));
+    const ModelInputs& inputs = cases[c];
+    queueing::ErlangKernel one_walk;
+    const ModelResult fused =
+        UtilityAnalyticModel(inputs).use_kernel(&one_walk).solve();
+
+    ScenarioBatch batch;
+    batch.append(inputs);
+    ModelResult separate;
+    const std::span<ModelResult> out(&separate, 1);
+    queueing::ErlangKernel two_walks;
+    batch_kernels::staff_dedicated(batch, 0, 1, &two_walks, out);
+    batch_kernels::staff_consolidated(batch, 0, 1, &two_walks, out);
+    batch_kernels::staff_fleet(batch, 0, 1, out);
+    batch_kernels::derive_utility(batch, 0, 1, out);
+    batch_kernels::derive_power(batch, 0, 1, out);
+    expect_bit_identical(fused, separate);
+
+    // Staffing and blocking: one query per demanded (service, resource)
+    // and one per demanded merged resource, each asked twice.
+    std::uint64_t staged = 0;
+    for (const ServicePlan& plan : separate.dedicated) {
+      for (const dc::Resource resource : dc::all_resources()) {
+        staged += plan.offered_load[resource] > 0.0 ? 2 : 0;
+      }
+      for (const dc::Resource resource : dc::all_resources()) {
+        const double rho = plan.offered_load[resource];
+        if (rho > 0.0 &&
+            static_cast<double>(plan.servers) > 1.76 * rho + 10.0) {
+          ++deep_tail;  // blocking evaluated in the subnormal/zero tail
+        }
+      }
+    }
+    for (const ConsolidatedResourcePlan& plan : separate.consolidated) {
+      staged += plan.demanded ? 2 : 0;
+    }
+    EXPECT_EQ(one_walk.stats().evaluations, staged);
+    EXPECT_EQ(two_walks.stats().evaluations, staged);
+
+    fleets += fused.fleet.planned ? 1 : 0;
+    if (inputs.services.size() == 1) {
+      bool same = true;
+      for (const dc::Resource resource : dc::all_resources()) {
+        same = same &&
+               bits(fused.dedicated[0].offered_load[resource]) ==
+                   bits(fused.consolidated[static_cast<std::size_t>(resource)]
+                            .offered_load);
+      }
+      coinciding += same ? 1 : 0;
+    }
+  }
+  // The draws really reach the cases the test is about.
+  EXPECT_GE(coinciding, 200u);
+  EXPECT_GT(fleets, 600u / 4);
+  EXPECT_GT(deep_tail, 600u / 4);
+}
+
 TEST(ErlangWalk, MemoizeOffBatchRepeatsRhoAtSeveralTargets) {
   // One service mix at many targets, shuffled: every rho recurs at several
   // targets in one staffing span, and looser scenarios evaluate blocking
@@ -331,9 +477,10 @@ TEST(ErlangWalk, GroupedSpanMatchesFreeFunctions) {
 }
 
 TEST(ErlangWalk, EverySpanLengthAroundTheInlineCutOverMatches) {
-  // Spans of up to 16 queries (plan() and solve() stage 3 to 6) group in
-  // inline storage, longer ones in heap storage sized from the span; every
-  // length from 1 to 80, with shared and distinct loads, covers both.
+  // Spans of up to 16 queries (solve() on two services stages at most 12
+  // per call) group in inline storage, longer ones in heap storage sized
+  // from the span; every length from 1 to 80, with shared and distinct
+  // loads, covers both.
   const auto staffing = erlang_spans::staffing(0x0a11ce, 40, false);
   const auto blocking = erlang_spans::blocking(0x0a11ce, 40);
   ASSERT_GE(std::min(staffing.size(), blocking.size()), 80u);
@@ -436,15 +583,14 @@ TEST(ErlangWalk, HugeRhoMatchesScalarIncludingNumericError) {
     std::vector<std::uint64_t> walked(1);
     std::vector<std::uint64_t> memo(1);
     queueing::ErlangWalk walk;
-    queueing::ErlangKernel kernel;
+    queueing::ErlangWalk fresh;
     EXPECT_EQ(throws_numeric([&] { walk.servers_for_many(queries, walked); }),
               scalar);
     const std::vector<queueing::StaffingQuery> several{{rho, target},
                                                        {rho, 0.2}};
     std::vector<std::uint64_t> both(several.size());
-    EXPECT_EQ(
-        throws_numeric([&] { kernel.servers_for_many(several, both); }),
-        scalar);
+    EXPECT_EQ(throws_numeric([&] { fresh.servers_for_many(several, both); }),
+              scalar);
     memo[0] = both[0];
     if (!scalar) {
       EXPECT_EQ(walked[0], scalar_n);

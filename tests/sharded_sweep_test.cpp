@@ -220,7 +220,11 @@ TEST(ShardedSweep, KilledWorkerLeaseIsReclaimedBitIdentical) {
   config.error_rate = 0.4;
   FaultInjector::global().arm(sites::kDriverShard, config);
 
+  // The victim's claims carry its own lease. The rescuer runs in this
+  // live process, so the dead-pid shortcut cannot fire: it reclaims only
+  // once the victim's lease expires, and a short one bounds that wait.
   ShardedSweepOptions victim_options = driver_options(ledger, "victim");
+  victim_options.lease = std::chrono::milliseconds(200);
   const ShardedSweepDriver victim(victim_options);
   try {
     victim.run_worker(store);
@@ -238,8 +242,7 @@ TEST(ShardedSweep, KilledWorkerLeaseIsReclaimedBitIdentical) {
 
   FaultInjector::global().disarm_all();
 
-  // The rescuer's pid is alive (same process), so reclamation must come
-  // from lease expiry — give it a short one.
+  // The rescuer's own claims get a short lease too.
   ShardedSweepOptions rescue_options = driver_options(ledger, "rescuer");
   rescue_options.lease = std::chrono::milliseconds(100);
   const ShardedSweepDriver rescuer(rescue_options);
