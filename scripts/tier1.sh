@@ -9,11 +9,13 @@ cd "$(dirname "$0")/.."
 # Global per-test watchdog: a hung cancellation/deadline test (the exact
 # failure mode the run-control suites guard against) must fail, not wedge CI.
 CTEST_TIMEOUT=300
+# Both ctest calls name a job count: given a bare -j, ctest 3.25 runs the
+# tests about one at a time (20.5 s against 8.0 s at -j4 on 4 cores).
 
 echo "== tier-1: release build + full ctest =="
 cmake --preset default
 cmake --build --preset default -j
-ctest --preset default -j --timeout "${CTEST_TIMEOUT}"
+ctest --preset default -j"$(nproc)" --timeout "${CTEST_TIMEOUT}"
 
 echo
 echo "== tier-1: fault-injection suite under a pinned seed =="
@@ -77,7 +79,7 @@ echo
 echo "== tier-1: asan+ubsan build + concurrency tests =="
 cmake --preset asan
 cmake --build --preset asan -j
-ctest --preset asan-concurrency -j --timeout "${CTEST_TIMEOUT}"
+ctest --preset asan-concurrency -j"$(nproc)" --timeout "${CTEST_TIMEOUT}"
 
 echo
 echo "tier-1 PASSED"

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <charconv>
+#include <concepts>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -12,6 +14,8 @@
 #include <sstream>
 #include <string_view>
 #include <thread>
+#include <type_traits>
+#include <utility>
 
 #include <unistd.h>
 
@@ -40,17 +44,7 @@ namespace fs = std::filesystem;
 constexpr char kResultMagic[8] = {'V', 'M', 'C', 'R', 'S', 'L', 'T', '2'};
 constexpr char kResultEndMagic[8] = {'V', 'M', 'C', 'R', 'E', 'N', 'D', '2'};
 constexpr std::size_t kResultHeaderBytes = sizeof(kResultMagic) + 6 * 8;
-
-// Fewest payload bytes one element of each counted list occupies: the
-// fixed-width part of what serialize_outcome/write_model_result emit for it
-// (a string contributes its u32 length). A declared count whose elements
-// cannot fit in the bytes left is refused before it sizes an allocation.
-constexpr std::size_t kFailureBytes = 8 + 4 + 4;
-constexpr std::size_t kServicePlanBytes = 4 + 2 * 8 * dc::kResourceCount + 16;
-constexpr std::size_t kClassAllocationBytes = 4 + 6 * 8;
-constexpr std::size_t kModelResultBytes =
-    8 + 8 + (4 + 3 * 8 + 8 + 1) * dc::kResourceCount + 10 * 8 + 1 + 8 + 2 +
-    2 * 8;  // with empty dedicated-plan and fleet-class lists
+constexpr std::size_t kResultTrailerBytes = 8 + sizeof(kResultEndMagic);
 
 std::int64_t now_wall_ms() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -132,69 +126,221 @@ std::optional<ShardClaim> parse_claim(const std::string& text) {
   return claim;
 }
 
-// --- BatchOutcome (de)serialization --------------------------------------
+// --- Result file codec ----------------------------------------------------
+//
+// The layout is written down once, as the fields() overloads: every record
+// lists its fields in file order, and three codecs walk that list. A
+// ByteSizer sums a file's exact length, a ByteWriter then stores each field
+// at a cursor into one buffer of that length, and a ByteReader decodes a
+// payload in place, checking every read against the bytes left.
 
-class ByteWriter {
- public:
-  explicit ByteWriter(std::string& out) : out_(out) {}
-  void raw(const void* data, std::size_t bytes) {
-    out_.append(static_cast<const char*>(data), bytes);
-  }
-  void u8(std::uint8_t v) { raw(&v, sizeof v); }
-  void u32(std::uint32_t v) { raw(&v, sizeof v); }
-  void u64(std::uint64_t v) { raw(&v, sizeof v); }
-  void f64(double v) { raw(&v, sizeof v); }
-  void str(const std::string& s) {
-    u32(static_cast<std::uint32_t>(s.size()));
-    raw(s.data(), s.size());
-  }
+/// How a field travels: enums as u32, bools as one byte (0 or 1), numbers
+/// as their own host bytes.
+template <typename T>
+using Wire = std::conditional_t<
+    std::is_enum_v<T>, std::uint32_t,
+    std::conditional_t<std::is_same_v<T, bool>, std::uint8_t, T>>;
 
- private:
-  std::string& out_;
+/// A record of type `Record`, const when encoding and mutable when decoding.
+template <typename T, typename Record>
+concept RecordOf = std::same_as<std::remove_const_t<T>, Record>;
+
+/// The header's fields after the magic.
+struct ResultHeader {
+  std::uint64_t store_checksum = 0;
+  std::uint64_t shard_index = 0;
+  std::uint64_t scenario_begin = 0;
+  std::uint64_t scenarios = 0;
+  std::uint64_t result_checksum = 0;
+  std::uint64_t payload_bytes = 0;
 };
 
-/// Bounds-checked reader over a result payload; context names the file and
-/// shard so a truncated payload fails with an actionable message.
+template <typename Codec, RecordOf<ResultHeader> Header>
+void fields(Codec& c, Header& header) {
+  c.field(header.store_checksum);
+  c.field(header.shard_index);
+  c.field(header.scenario_begin);
+  c.field(header.scenarios);
+  c.field(header.result_checksum);
+  c.field(header.payload_bytes);
+}
+
+static_assert(sizeof(std::size_t) == sizeof(std::uint64_t),
+              "scenario indices travel as u64");
+
+template <typename Codec, RecordOf<CellFailure> Failure>
+void fields(Codec& c, Failure& failure) {
+  c.field(failure.scenario_index);
+  c.field(failure.code);
+  c.field(failure.message);
+}
+
+template <typename Codec, RecordOf<ServicePlan> Plan>
+void fields(Codec& c, Plan& plan) {
+  c.field(plan.name);
+  for (const dc::Resource resource : dc::all_resources()) {
+    c.field(plan.offered_load[resource]);
+  }
+  for (auto& servers : plan.servers_per_resource) {
+    c.field(servers);
+  }
+  c.field(plan.servers);
+  c.field(plan.blocking);
+}
+
+template <typename Codec, RecordOf<ConsolidatedResourcePlan> Plan>
+void fields(Codec& c, Plan& plan) {
+  c.field(plan.resource);
+  c.field(plan.merged_arrival_rate);
+  c.field(plan.effective_service_rate);
+  c.field(plan.offered_load);
+  c.field(plan.servers);
+  c.field(plan.demanded);
+}
+
+template <typename Codec, RecordOf<ClassAllocation> Allocation>
+void fields(Codec& c, Allocation& alloc) {
+  c.field(alloc.name);
+  c.field(alloc.speed);
+  c.field(alloc.available);
+  c.field(alloc.dedicated_servers);
+  c.field(alloc.consolidated_servers);
+  c.field(alloc.dedicated_power_watts);
+  c.field(alloc.consolidated_power_watts);
+}
+
+template <typename Codec, RecordOf<ModelResult> Result>
+void fields(Codec& c, Result& result) {
+  c.list(result.dedicated, "dedicated plan count");
+  c.field(result.dedicated_servers);
+  for (auto& plan : result.consolidated) {
+    fields(c, plan);
+  }
+  c.field(result.consolidated_servers);
+  c.field(result.consolidated_blocking);
+  c.field(result.dedicated_utilization);
+  c.field(result.consolidated_utilization);
+  c.field(result.utilization_improvement);
+  c.field(result.dedicated_power_watts);
+  c.field(result.consolidated_power_watts);
+  c.field(result.power_ratio);
+  c.field(result.power_saving);
+  c.field(result.infrastructure_saving);
+  c.field(result.fleet.planned);
+  c.list(result.fleet.classes, "fleet class count");
+  c.field(result.fleet.dedicated_feasible);
+  c.field(result.fleet.consolidated_feasible);
+  c.field(result.fleet.dedicated_shortfall);
+  c.field(result.fleet.consolidated_shortfall);
+}
+
+/// Counts the bytes a ByteWriter would store.
+class ByteSizer {
+ public:
+  template <typename T>
+  void field(const T&) {
+    bytes_ += sizeof(Wire<T>);
+  }
+  void field(const std::string& text) {
+    bytes_ += sizeof(std::uint32_t) + text.size();
+  }
+  template <typename T>
+  void list(const std::vector<T>& items, const char*) {
+    bytes_ += sizeof(std::uint64_t);
+    for (const T& item : items) {
+      fields(*this, item);
+    }
+  }
+  void bytes(const void*, std::size_t size) { bytes_ += size; }
+  std::size_t size() const { return bytes_; }
+
+ private:
+  std::size_t bytes_ = 0;
+};
+
+/// Fewest payload bytes one T occupies: its fields with every string and
+/// list empty. A declared count whose elements cannot fit in the bytes left
+/// is refused before it sizes an allocation.
+template <typename T>
+std::size_t min_bytes() {
+  static const std::size_t bytes = [] {
+    ByteSizer sizer;
+    const T empty{};
+    fields(sizer, empty);
+    return sizer.size();
+  }();
+  return bytes;
+}
+
+/// Stores fields at a cursor into a buffer a ByteSizer sized: no bounds
+/// check and no growth per field (encode_result_file asserts the total).
+class ByteWriter {
+ public:
+  explicit ByteWriter(char* cursor) : cursor_(cursor) {}
+  template <typename T>
+  void field(const T& value) {
+    const Wire<T> wire = static_cast<Wire<T>>(value);
+    bytes(&wire, sizeof wire);
+  }
+  void field(const std::string& text) {
+    field(static_cast<std::uint32_t>(text.size()));
+    bytes(text.data(), text.size());
+  }
+  template <typename T>
+  void list(const std::vector<T>& items, const char*) {
+    field(static_cast<std::uint64_t>(items.size()));
+    for (const T& item : items) {
+      fields(*this, item);
+    }
+  }
+  void bytes(const void* data, std::size_t size) {
+    std::memcpy(cursor_, data, size);
+    cursor_ += size;
+  }
+  char* cursor() const { return cursor_; }
+
+ private:
+  char* cursor_;
+};
+
+/// Bounds-checked reader over a result file; context names the file and
+/// shard so a truncated or inconsistent payload fails with an actionable
+/// message. Every read is one compare and a fixed-size copy; the messages
+/// are built off the hot path.
 class ByteReader {
  public:
-  ByteReader(const std::string& in, std::size_t begin, std::size_t end,
+  ByteReader(const char* data, std::size_t begin, std::size_t end,
              const std::string& context)
-      : in_(in), pos_(begin), end_(end), context_(context) {}
+      : data_(data), pos_(begin), end_(end), context_(context) {}
 
-  void raw(void* data, std::size_t bytes) {
-    if (bytes > end_ - pos_) {
-      throw IoError(context_ + ": payload truncated (need " +
-                    std::to_string(bytes) + " bytes at offset " +
-                    std::to_string(pos_) + " of " + std::to_string(end_) +
-                    ")");
+  template <typename T>
+  void field(T& value) {
+    Wire<T> wire{};
+    bytes(&wire, sizeof wire);
+    value = static_cast<T>(wire);
+  }
+  void field(std::string& text) {
+    std::uint32_t length = 0;
+    field(length);
+    const std::size_t size = bounded(length, 1, "string length");
+    text.assign(data_ + pos_, size);
+    pos_ += size;
+  }
+  template <typename T>
+  void list(std::vector<T>& items, const char* what) {
+    std::uint64_t count = 0;
+    field(count);
+    items.resize(bounded(count, min_bytes<T>(), what));
+    for (T& item : items) {
+      fields(*this, item);
     }
-    std::memcpy(data, in_.data() + pos_, bytes);
-    pos_ += bytes;
   }
-  std::uint8_t u8() {
-    std::uint8_t v = 0;
-    raw(&v, sizeof v);
-    return v;
-  }
-  std::uint32_t u32() {
-    std::uint32_t v = 0;
-    raw(&v, sizeof v);
-    return v;
-  }
-  std::uint64_t u64() {
-    std::uint64_t v = 0;
-    raw(&v, sizeof v);
-    return v;
-  }
-  double f64() {
-    double v = 0;
-    raw(&v, sizeof v);
-    return v;
-  }
-  std::string str() {
-    std::string s(bounded(u32(), 1, "string length"), '\0');
-    raw(s.data(), s.size());
-    return s;
+  void bytes(void* data, std::size_t size) {
+    if (size > end_ - pos_) [[unlikely]] {
+      truncated(size);
+    }
+    std::memcpy(data, data_ + pos_, size);
+    pos_ += size;
   }
   /// bounded_count (util/error.hpp) against what is left of this payload.
   std::size_t bounded(std::uint64_t count, std::size_t bytes_each,
@@ -202,160 +348,114 @@ class ByteReader {
     return bounded_count(count, bytes_each, remaining(), context_, field);
   }
   std::size_t remaining() const { return end_ - pos_; }
+  [[noreturn, gnu::cold, gnu::noinline]] void fail(
+      const std::string& what) const {
+    throw IoError(context_ + ": " + what);
+  }
 
  private:
-  const std::string& in_;
+  [[noreturn, gnu::cold, gnu::noinline]] void truncated(
+      std::size_t size) const {
+    fail("payload truncated (need " + std::to_string(size) +
+         " bytes at offset " + std::to_string(pos_) + " of " +
+         std::to_string(end_) + ")");
+  }
+
+  const char* data_;
   std::size_t pos_;
   std::size_t end_;
   const std::string& context_;
 };
 
-void write_model_result(ByteWriter& w, const ModelResult& result) {
-  w.u64(result.dedicated.size());
-  for (const ServicePlan& plan : result.dedicated) {
-    w.str(plan.name);
-    for (const dc::Resource resource : dc::all_resources()) {
-      w.f64(plan.offered_load[resource]);
-    }
-    for (const std::uint64_t servers : plan.servers_per_resource) {
-      w.u64(servers);
-    }
-    w.u64(plan.servers);
-    w.f64(plan.blocking);
-  }
-  w.u64(result.dedicated_servers);
-  for (const ConsolidatedResourcePlan& plan : result.consolidated) {
-    w.u32(static_cast<std::uint32_t>(plan.resource));
-    w.f64(plan.merged_arrival_rate);
-    w.f64(plan.effective_service_rate);
-    w.f64(plan.offered_load);
-    w.u64(plan.servers);
-    w.u8(plan.demanded ? 1 : 0);
-  }
-  w.u64(result.consolidated_servers);
-  w.f64(result.consolidated_blocking);
-  w.f64(result.dedicated_utilization);
-  w.f64(result.consolidated_utilization);
-  w.f64(result.utilization_improvement);
-  w.f64(result.dedicated_power_watts);
-  w.f64(result.consolidated_power_watts);
-  w.f64(result.power_ratio);
-  w.f64(result.power_saving);
-  w.f64(result.infrastructure_saving);
-  w.u8(result.fleet.planned ? 1 : 0);
-  w.u64(result.fleet.classes.size());
-  for (const ClassAllocation& alloc : result.fleet.classes) {
-    w.str(alloc.name);
-    w.f64(alloc.speed);
-    w.u64(alloc.available);
-    w.u64(alloc.dedicated_servers);
-    w.u64(alloc.consolidated_servers);
-    w.f64(alloc.dedicated_power_watts);
-    w.f64(alloc.consolidated_power_watts);
-  }
-  w.u8(result.fleet.dedicated_feasible ? 1 : 0);
-  w.u8(result.fleet.consolidated_feasible ? 1 : 0);
-  w.f64(result.fleet.dedicated_shortfall);
-  w.f64(result.fleet.consolidated_shortfall);
-}
-
-ModelResult read_model_result(ByteReader& r) {
-  ModelResult result;
-  result.dedicated.resize(
-      r.bounded(r.u64(), kServicePlanBytes, "dedicated plan count"));
-  for (ServicePlan& plan : result.dedicated) {
-    plan.name = r.str();
-    for (const dc::Resource resource : dc::all_resources()) {
-      plan.offered_load[resource] = r.f64();
-    }
-    for (std::uint64_t& servers : plan.servers_per_resource) {
-      servers = r.u64();
-    }
-    plan.servers = r.u64();
-    plan.blocking = r.f64();
-  }
-  result.dedicated_servers = r.u64();
-  for (ConsolidatedResourcePlan& plan : result.consolidated) {
-    plan.resource = static_cast<dc::Resource>(r.u32());
-    plan.merged_arrival_rate = r.f64();
-    plan.effective_service_rate = r.f64();
-    plan.offered_load = r.f64();
-    plan.servers = r.u64();
-    plan.demanded = r.u8() != 0;
-  }
-  result.consolidated_servers = r.u64();
-  result.consolidated_blocking = r.f64();
-  result.dedicated_utilization = r.f64();
-  result.consolidated_utilization = r.f64();
-  result.utilization_improvement = r.f64();
-  result.dedicated_power_watts = r.f64();
-  result.consolidated_power_watts = r.f64();
-  result.power_ratio = r.f64();
-  result.power_saving = r.f64();
-  result.infrastructure_saving = r.f64();
-  result.fleet.planned = r.u8() != 0;
-  result.fleet.classes.resize(
-      r.bounded(r.u64(), kClassAllocationBytes, "fleet class count"));
-  for (ClassAllocation& alloc : result.fleet.classes) {
-    alloc.name = r.str();
-    alloc.speed = r.f64();
-    alloc.available = r.u64();
-    alloc.dedicated_servers = r.u64();
-    alloc.consolidated_servers = r.u64();
-    alloc.dedicated_power_watts = r.f64();
-    alloc.consolidated_power_watts = r.f64();
-  }
-  result.fleet.dedicated_feasible = r.u8() != 0;
-  result.fleet.consolidated_feasible = r.u8() != 0;
-  result.fleet.dedicated_shortfall = r.f64();
-  result.fleet.consolidated_shortfall = r.f64();
-  return result;
-}
-
-std::string serialize_outcome(const BatchOutcome& outcome) {
-  std::string bytes;
-  ByteWriter w(bytes);
-  w.u64(outcome.evaluated.size());
-  w.raw(outcome.evaluated.data(), outcome.evaluated.size());
-  w.u64(outcome.failures.size());
-  for (const CellFailure& failure : outcome.failures) {
-    w.u64(failure.scenario_index);
-    w.u32(static_cast<std::uint32_t>(failure.code));
-    w.str(failure.message);
-  }
+/// The payload's top level: the evaluated flags, the failure records, then
+/// one ModelResult per scenario. decode_outcome reads the same order.
+template <typename Codec>
+void encode_outcome(Codec& c, const BatchOutcome& outcome) {
+  c.field(static_cast<std::uint64_t>(outcome.evaluated.size()));
+  c.bytes(outcome.evaluated.data(), outcome.evaluated.size());
+  c.list(outcome.failures, "failure count");
   for (const ModelResult& result : outcome.results) {
-    write_model_result(w, result);
+    fields(c, result);
   }
-  return bytes;
 }
 
-BatchOutcome deserialize_outcome(ByteReader& r, std::size_t scenarios,
-                                 const std::string& context) {
-  BatchOutcome outcome;
-  const std::uint64_t evaluated = r.u64();
-  if (evaluated != scenarios) {
-    throw IoError(context + ": payload declares " + std::to_string(evaluated) +
-                  " scenarios but the header recorded " +
-                  std::to_string(scenarios));
+/// Encodes a committed shard's result file into `file`: one pass sizes it,
+/// one pass writes it, and the payload is hashed where it lies. `file` is
+/// the caller's buffer, reused from shard to shard.
+void encode_result_file(ResultHeader header, const BatchOutcome& outcome,
+                        std::string& file) {
+  ByteSizer sizer;
+  encode_outcome(sizer, outcome);
+  header.payload_bytes = sizer.size();
+  file.resize(kResultHeaderBytes + sizer.size() + kResultTrailerBytes);
+  ByteWriter w(file.data());
+  w.bytes(kResultMagic, sizeof kResultMagic);
+  fields(w, std::as_const(header));
+  const char* const payload = w.cursor();
+  encode_outcome(w, outcome);
+  w.field(util::digest64(payload, sizer.size()));
+  w.bytes(kResultEndMagic, sizeof kResultEndMagic);
+  VMCONS_ASSERT(w.cursor() == file.data() + file.size());
+}
+
+/// Decodes a result payload into `outcome` in place, then checks what every
+/// committed shard holds: each cell is flagged evaluated (1) or named by
+/// exactly one failure record, and the records run in increasing scenario
+/// order. Whoever crafts a file reseals both checksums, and the result
+/// digest never covers the failure records, so only this check catches a
+/// payload that contradicts itself.
+void decode_outcome(ByteReader& r, std::size_t scenarios,
+                    BatchOutcome& outcome) {
+  std::uint64_t declared = 0;
+  r.field(declared);
+  if (declared != scenarios) {
+    r.fail("payload declares " + std::to_string(declared) +
+           " scenarios but the header recorded " + std::to_string(scenarios));
   }
   outcome.evaluated.resize(
-      r.bounded(evaluated, 1 + kModelResultBytes, "scenario count"));
-  r.raw(outcome.evaluated.data(), scenarios);
-  outcome.failures.resize(r.bounded(r.u64(), kFailureBytes, "failure count"));
-  for (CellFailure& failure : outcome.failures) {
-    failure.scenario_index = static_cast<std::size_t>(r.u64());
-    failure.code = static_cast<ErrorCode>(r.u32());
-    failure.message = r.str();
-  }
-  outcome.results.reserve(scenarios);
+      r.bounded(declared, 1 + min_bytes<ModelResult>(), "scenario count"));
+  r.bytes(outcome.evaluated.data(), scenarios);
+  r.list(outcome.failures, "failure count");
+
+  std::size_t flagged = 0;
   for (std::size_t i = 0; i < scenarios; ++i) {
-    outcome.results.push_back(read_model_result(r));
+    if (outcome.evaluated[i] > 1) {
+      r.fail("evaluated flag " + std::to_string(outcome.evaluated[i]) +
+             " of scenario " + std::to_string(i) + " is neither 0 nor 1");
+    }
+    flagged += outcome.evaluated[i];
+  }
+  for (std::size_t k = 0; k < outcome.failures.size(); ++k) {
+    const std::size_t cell = outcome.failures[k].scenario_index;
+    if (cell >= scenarios) {
+      r.fail("failure record names scenario " + std::to_string(cell) +
+             " of a " + std::to_string(scenarios) +
+             "-scenario shard (out of range)");
+    }
+    if (k > 0 && cell <= outcome.failures[k - 1].scenario_index) {
+      r.fail("failure record for scenario " + std::to_string(cell) +
+             " follows one for scenario " +
+             std::to_string(outcome.failures[k - 1].scenario_index) +
+             " (out of order or duplicated)");
+    }
+    if (outcome.evaluated[cell] != 0) {
+      r.fail("failure record names scenario " + std::to_string(cell) +
+             ", which is flagged evaluated");
+    }
+  }
+  if (flagged + outcome.failures.size() != scenarios) {
+    r.fail(std::to_string(scenarios - flagged - outcome.failures.size()) +
+           " scenarios are neither evaluated nor failed");
+  }
+
+  outcome.results.resize(scenarios);
+  for (ModelResult& result : outcome.results) {
+    fields(r, result);
   }
   if (r.remaining() != 0) {
-    throw IoError(context + ": " + std::to_string(r.remaining()) +
-                  " trailing payload bytes past the last result");
+    r.fail(std::to_string(r.remaining()) +
+           " trailing payload bytes past the last result");
   }
-  return outcome;
 }
 
 }  // namespace
@@ -556,6 +656,7 @@ WorkerReport ShardedSweepDriver::run_worker(const ScenarioStore& store) const {
                           std::chrono::microseconds(1))},
       fnv1a64(worker_id_.data(), worker_id_.size()));
 
+  std::string file;  // result-file buffer, reused from shard to shard
   bool done = shard_count == 0;
   while (!done) {
     bool progressed = false;
@@ -617,25 +718,15 @@ WorkerReport ShardedSweepDriver::run_worker(const ScenarioStore& store) const {
         break;
       }
 
-      const std::uint64_t result_checksum =
-          checksum_model_results(outcome.results, outcome.evaluated);
-      std::string file;
-      file.reserve(kResultHeaderBytes);
-      {
-        ByteWriter w(file);
-        w.raw(kResultMagic, sizeof kResultMagic);
-        w.u64(store.checksum());
-        w.u64(shard);
-        w.u64(info.scenario_begin);
-        w.u64(info.scenarios);
-        w.u64(result_checksum);
-        const std::string payload = serialize_outcome(outcome);
-        w.u64(payload.size());
-        file += payload;
-        ByteWriter t(file);
-        t.u64(util::digest64(payload.data(), payload.size()));
-        t.raw(kResultEndMagic, sizeof kResultEndMagic);
-      }
+      encode_result_file(
+          ResultHeader{
+              .store_checksum = store.checksum(),
+              .shard_index = shard,
+              .scenario_begin = info.scenario_begin,
+              .scenarios = info.scenarios,
+              .result_checksum = checksum_model_results(outcome.results,
+                                                        outcome.evaluated)},
+          outcome, file);
       // Durable commit point: write + fsync a temporary, rename onto the
       // result name, fsync the ledger directory. A duplicate commit after a
       // lease expired mid-evaluation overwrites with identical bytes (the
@@ -714,46 +805,49 @@ MergedSweep ShardedSweepDriver::merge(const ScenarioStore& store,
   merged.report.shards_total = store.shard_count();
   merged.report.shard_checksums.assign(merged.report.shards_total, 0);
 
+  std::string file;  // read buffer, reused from shard to shard
   for (std::size_t shard = 0; shard < store.shard_count(); ++shard) {
     const std::string path = ledger.result_path(shard);
     const std::string context =
         "result file '" + path + "' (shard " + std::to_string(shard) + ")";
-    const auto contents = util::read_file(path);
-    if (!contents.has_value()) {
+    const util::fs::Status read =
+        util::fs::read_file(path, file, util::fs::sites::kRead);
+    if (read.err == ENOENT) {
       throw IoError(context + ": missing — worker crashed before commit? "
                               "re-run workers to fill the gap, then merge");
     }
-    const std::string& file = *contents;
-    if (file.size() < kResultHeaderBytes + 8 + sizeof(kResultEndMagic) ||
+    if (!read.ok()) {
+      throw IoError("file '" + path + "': read failed after " +
+                    std::to_string(read.bytes) + " bytes: " + read.message());
+    }
+    if (file.size() < kResultHeaderBytes + kResultTrailerBytes ||
         std::memcmp(file.data(), kResultMagic, sizeof kResultMagic) != 0) {
       throw IoError(context + ": bad magic or truncated header (not a "
                               "sharded-sweep result file)");
     }
-    ByteReader header(file, sizeof kResultMagic, file.size(), context);
-    const std::uint64_t store_checksum = header.u64();
-    const std::uint64_t shard_index = header.u64();
-    const std::uint64_t scenario_begin = header.u64();
-    const std::uint64_t scenarios = header.u64();
-    const std::uint64_t result_checksum = header.u64();
-    const std::uint64_t payload_bytes = header.u64();
-    if (store_checksum != store.checksum()) {
+    ResultHeader header;
+    ByteReader header_reader(file.data(), sizeof kResultMagic,
+                             kResultHeaderBytes, context);
+    fields(header_reader, header);
+    if (header.store_checksum != store.checksum()) {
       throw IoError(context + ": was evaluated against store checksum " +
-                    util::hex64(store_checksum) + " but this store is " +
+                    util::hex64(header.store_checksum) + " but this store is " +
                     util::hex64(store.checksum()) +
                     " (mixed-store ledger; refusing to merge)");
     }
     const ShardInfo& info = store.shard(shard);
-    if (shard_index != shard || scenario_begin != info.scenario_begin ||
-        scenarios != info.scenarios) {
+    if (header.shard_index != shard ||
+        header.scenario_begin != info.scenario_begin ||
+        header.scenarios != info.scenarios) {
       throw IoError(context + ": header geometry (shard " +
-                    std::to_string(shard_index) + ", first scenario " +
-                    std::to_string(scenario_begin) + ", " +
-                    std::to_string(scenarios) +
+                    std::to_string(header.shard_index) + ", first scenario " +
+                    std::to_string(header.scenario_begin) + ", " +
+                    std::to_string(header.scenarios) +
                     " scenarios) disagrees with the store footer");
     }
     const std::size_t payload_begin = kResultHeaderBytes;
-    if (file.size() !=
-        payload_begin + payload_bytes + 8 + sizeof(kResultEndMagic)) {
+    const std::uint64_t payload_bytes = header.payload_bytes;
+    if (file.size() != payload_begin + payload_bytes + kResultTrailerBytes) {
       throw IoError(context + ": file length disagrees with the declared "
                               "payload size (truncated or overgrown)");
     }
@@ -761,9 +855,10 @@ MergedSweep ShardedSweepDriver::merge(const ScenarioStore& store,
                     kResultEndMagic, sizeof kResultEndMagic) != 0) {
       throw IoError(context + ": bad end magic (partial write?)");
     }
-    ByteReader trailer(file, payload_begin + payload_bytes, file.size(),
-                       context);
-    const std::uint64_t payload_checksum = trailer.u64();
+    std::uint64_t payload_checksum = 0;
+    ByteReader(file.data(), payload_begin + payload_bytes, file.size(),
+               context)
+        .field(payload_checksum);
     const std::uint64_t actual_checksum =
         util::digest64(file.data() + payload_begin, payload_bytes);
     if (payload_checksum != actual_checksum) {
@@ -772,14 +867,16 @@ MergedSweep ShardedSweepDriver::merge(const ScenarioStore& store,
                     util::hex64(actual_checksum) + "): corrupted result file");
     }
 
-    ByteReader payload(file, payload_begin, payload_begin + payload_bytes,
-                       context);
-    BatchOutcome outcome = deserialize_outcome(
-        payload, static_cast<std::size_t>(scenarios), context);
+    ByteReader payload(file.data(), payload_begin,
+                       payload_begin + payload_bytes, context);
+    BatchOutcome outcome;
+    decode_outcome(payload, static_cast<std::size_t>(header.scenarios),
+                   outcome);
     // End-to-end digest: the deserialized results must reproduce the digest
     // the evaluating worker recorded, so a serialization bug (or payload
     // corruption that collides the payload checksum) cannot smuggle altered
     // numbers through.
+    const std::uint64_t result_checksum = header.result_checksum;
     const std::uint64_t recomputed =
         checksum_model_results(outcome.results, outcome.evaluated);
     if (recomputed != result_checksum) {
@@ -792,13 +889,13 @@ MergedSweep ShardedSweepDriver::merge(const ScenarioStore& store,
     merged.report.scenarios_evaluated += outcome.evaluated_count();
     for (const CellFailure& failure : outcome.failures) {
       CellFailure global = failure;
-      global.scenario_index += static_cast<std::size_t>(scenario_begin);
+      global.scenario_index += static_cast<std::size_t>(header.scenario_begin);
       merged.report.failures.push_back(std::move(global));
     }
     merged.report.shards_completed += 1;
     merged_counter.add();
     if (sink) {
-      sink(ShardOutcome{shard, static_cast<std::size_t>(scenario_begin),
+      sink(ShardOutcome{shard, static_cast<std::size_t>(header.scenario_begin),
                         std::move(outcome), result_checksum});
     }
   }

@@ -4,7 +4,9 @@
 // the worker count or crash pattern. Plus the satellites that make that
 // safe: the manifest PidLockFile (two sweeps on one checkpoint fail fast),
 // concurrent positional store reads, and the metrics JSON wire format the
-// merger sums worker counters from.
+// merger sums worker counters from. The result-file codec is pinned to its
+// bytes, and the merge must refuse crafted, truncated and self-contradicting
+// result files with a named IoError.
 //
 // The kill tests pin their fault seed via VMCONS_FAULT_SEED (scripts/
 // tier1.sh sets it) so a red run replays bit-identically.
@@ -19,6 +21,7 @@
 #include <fstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <fcntl.h>
@@ -29,6 +32,7 @@
 #include "core/planner.hpp"
 #include "core/scenario_store.hpp"
 #include "core/streaming_sweep.hpp"
+#include "datacenter/server_class.hpp"
 #include "file_bytes.hpp"
 #include "util/digest.hpp"
 #include "util/error.hpp"
@@ -423,6 +427,7 @@ void reseal_result(std::string& file) {
 /// ModelResult is complete, found by walking the serialized layout.
 struct ResultFields {
   std::size_t failure_count = 0;
+  std::vector<std::size_t> failure_index;  ///< each record's scenario index
   std::size_t dedicated_count = 0;   ///< first result's plan count
   std::size_t first_name_length = 0; ///< u32 length of that plan's name
   std::size_t class_count = 0;       ///< first result's fleet class count
@@ -437,6 +442,7 @@ ResultFields locate_result_fields(const std::string& file) {
   const std::uint64_t failures = load_u64(file, at);
   at += 8;
   for (std::uint64_t i = 0; i < failures; ++i) {
+    fields.failure_index.push_back(at);
     at += 8 + 4;                     // scenario index, code
     at += 4 + load_u32(file, at);    // message
   }
@@ -509,6 +515,130 @@ TEST(ShardedSweep, MergeRefusesCraftedCountsBeforeAllocating) {
   EXPECT_NO_THROW(merger.merge(store));
 }
 
+// A resealed result file whose evaluated flags and failure records
+// contradict each other passes both checksums: whoever edits the payload
+// recomputes its XXH64, and the header's result digest covers the flags but
+// not the failure records (and is recomputed here too). The merge must
+// still refuse each contradiction by name.
+TEST(ShardedSweep, MergeRefusesInconsistentFlagsAndFailures) {
+  const std::string store_path = temp_path("inconsistent.store");
+  write_sweep_store(small_planner(), small_grid(), store_path, 4);
+  const ScenarioStore store(store_path);
+  const std::string ledger = temp_path("inconsistent.ledger");
+  {
+    // batch.cell draws on the shard-local cell index, and at this seed it
+    // fails cells 1 and 2 of every 4-cell shard.
+    ScopedFaults guard;
+    FaultInjector::global().set_seed(2010);
+    FaultInjector::global().arm(sites::kBatchCell, {.error_rate = 0.5});
+    ShardedSweepDriver(driver_options(ledger, "w0")).run_worker(store);
+  }
+  const ShardedSweepDriver merger(driver_options(ledger, "merger"));
+  std::vector<ModelResult> results;
+  std::vector<std::uint8_t> flags;
+  ASSERT_NO_THROW(merger.merge(store, [&](ShardOutcome&& shard) {
+    if (shard.shard_index == 0) {
+      results = std::move(shard.outcome.results);
+      flags = shard.outcome.evaluated;
+    }
+  }));
+  ASSERT_EQ(flags, (std::vector<std::uint8_t>{1, 0, 0, 1}));
+
+  const ClaimLedger paths(ledger, store.checksum(), std::chrono::seconds(60));
+  const std::string victim = paths.result_path(0);
+  const std::string good = slurp(victim);
+  const ResultFields fields = locate_result_fields(good);
+  ASSERT_EQ(fields.failure_index.size(), 2u);
+  constexpr std::size_t kFlagsAt = kPayloadBegin + 8;
+  constexpr std::size_t kResultChecksumAt = 8 + 4 * 8;
+  const std::vector<std::size_t>& record = fields.failure_index;
+
+  struct Case {
+    const char* what;  ///< what the IoError must say
+    std::vector<std::pair<std::size_t, std::uint8_t>> flag_edits;
+    std::vector<std::pair<std::size_t, std::uint64_t>> index_edits;
+  };
+  const Case cases[] = {
+      {"neither 0 nor 1", {{0, 2}}, {}},
+      {"out of range", {}, {{record[0], 4}}},
+      {"out of order", {}, {{record[0], 2}, {record[1], 1}}},
+      {"duplicated", {}, {{record[1], 1}}},
+      {"flagged evaluated", {{1, 1}}, {}},
+      {"neither evaluated nor failed", {{3, 0}}, {}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    std::string file = good;
+    std::vector<std::uint8_t> crafted = flags;
+    for (const auto& [cell, flag] : c.flag_edits) {
+      crafted[cell] = flag;
+      file[kFlagsAt + cell] = static_cast<char>(flag);
+    }
+    for (const auto& [at, scenario] : c.index_edits) {
+      put(file, at, scenario);
+    }
+    put(file, kResultChecksumAt, checksum_model_results(results, crafted));
+    reseal_result(file);
+    spit(victim, file);
+    try {
+      merger.merge(store);
+      ADD_FAILURE() << "an inconsistent outcome was merged";
+    } catch (const IoError& error) {
+      EXPECT_NE(std::string(error.what()).find(c.what), std::string::npos)
+          << error.what();
+      EXPECT_NE(std::string(error.what()).find(victim), std::string::npos)
+          << error.what();
+    } catch (const std::exception& error) {
+      ADD_FAILURE() << "escaped as a non-IoError: " << error.what();
+    }
+  }
+  spit(victim, good);
+  EXPECT_NO_THROW(merger.merge(store));
+}
+
+// Every prefix of a valid payload, sealed as a complete file (payload_bytes
+// patched, XXH64 recomputed, end magic in place), gets past the file-level
+// checks to the decoder, which must refuse it with an IoError naming the
+// file: never accept it, crash, or over-read (the asan preset runs this).
+TEST(ShardedSweep, MergeRefusesEveryTruncatedPayload) {
+  const std::string store_path = make_store("truncated");
+  const ScenarioStore store(store_path);
+  const std::string ledger = temp_path("truncated.ledger");
+  ShardedSweepDriver(driver_options(ledger, "w0")).run_worker(store);
+  const ShardedSweepDriver merger(driver_options(ledger, "merger"));
+  ASSERT_NO_THROW(merger.merge(store));
+
+  const ClaimLedger paths(ledger, store.checksum(), std::chrono::seconds(60));
+  const std::string victim = paths.result_path(0);
+  const std::string good = slurp(victim);
+  const std::uint64_t payload_bytes = load_u64(good, kPayloadBegin - 8);
+  ASSERT_GT(payload_bytes, 0u);
+  std::size_t misses = 0;
+  for (std::uint64_t cut = 0; cut < payload_bytes && misses < 3; ++cut) {
+    std::string file = good.substr(0, kPayloadBegin + cut) +
+                       std::string(8, '\0') + "VMCREND2";
+    put(file, kPayloadBegin - 8, cut);
+    reseal_result(file);
+    spit(victim, file);
+    try {
+      merger.merge(store);
+      ADD_FAILURE() << "a payload cut to " << cut << " bytes was merged";
+      misses += 1;
+    } catch (const IoError& error) {
+      if (std::string(error.what()).find(victim) == std::string::npos) {
+        ADD_FAILURE() << "cut " << cut << ": " << error.what();
+        misses += 1;
+      }
+    } catch (const std::exception& error) {
+      ADD_FAILURE() << "cut " << cut
+                    << " escaped as a non-IoError: " << error.what();
+      misses += 1;
+    }
+  }
+  spit(victim, good);
+  EXPECT_NO_THROW(merger.merge(store));
+}
+
 TEST(ShardedSweep, MergeRefusesVersion1ResultFiles) {
   const std::string store_path = make_store("v1_result");
   const ScenarioStore store(store_path);
@@ -563,6 +693,84 @@ TEST(ShardedSweep, MergeSumsWorkerMetricsFiles) {
     }
   }
   EXPECT_TRUE(saw_driver_counter);
+}
+
+// The result-file encoder writes every field straight into one sized
+// buffer. These literals are the XXH64 of each committed file as the
+// field-at-a-time encoder wrote it, so a codec change that moves, drops or
+// widens one byte fails here even where the merge would still round-trip
+// it. The store carries a fleet, a service name and a class name past the
+// 15-byte small-string buffer, and shard 2 runs with batch.cell faults
+// armed, so its file encodes both failure records (messages included) and
+// evaluated cells.
+TEST(ShardedSweep, ResultFilesArePinnedToTheirBytes) {
+  ConsolidationPlanner planner = small_planner();
+  dc::ServiceSpec front;
+  front.name = "storefront-web-tier";
+  front.arrival_rate = 45.0;
+  front.demand(dc::Resource::kCpu, 70.0, virt::Impact::constant(0.85));
+  front.demand(dc::Resource::kMemory, 210.0, virt::Impact::constant(0.95));
+  planner.add_service(front);
+  dc::Fleet fleet;
+  fleet.add(dc::ServerClass::reference("reference", {}, 6));
+  dc::ServerClass blade;
+  blade.name = "next-generation-blade";
+  for (const dc::Resource resource : dc::all_resources()) {
+    blade.capacity[resource] = 1.75;
+  }
+  fleet.add(blade);
+  planner.set_fleet(fleet);
+
+  const std::string store_path = temp_path("pinned.store");
+  write_sweep_store(planner, small_grid(), store_path, 3);
+  const ScenarioStore store(store_path);
+  ASSERT_EQ(store.shard_count(), 4u);
+  const std::string ledger = temp_path("pinned.ledger");
+
+  constexpr std::size_t kFaultyShard = 2;
+  ScopedFaults guard;
+  FaultInjector::global().set_seed(20091);
+  ShardedSweepOptions options = driver_options(ledger, "w0");
+  options.on_claimed = [](std::size_t shard) {
+    FaultInjector::global().disarm_all();
+    if (shard == kFaultyShard) {
+      FaultInjector::global().arm(sites::kBatchCell, {.error_rate = 0.5});
+    }
+  };
+  EXPECT_EQ(ShardedSweepDriver(options).run_worker(store).shards_evaluated,
+            4u);
+  FaultInjector::global().disarm_all();
+
+  std::size_t fleet_plans = 0;
+  const MergedSweep merged =
+      ShardedSweepDriver(driver_options(ledger, "merger"))
+          .merge(store, [&](ShardOutcome&& shard) {
+            for (const ModelResult& result : shard.outcome.results) {
+              fleet_plans += result.fleet.classes.size() == 2 ? 1 : 0;
+            }
+          });
+  EXPECT_EQ(fleet_plans + merged.report.failures.size(),
+            store.scenario_count());
+  ASSERT_FALSE(merged.report.failures.empty());
+  for (const CellFailure& failure : merged.report.failures) {
+    EXPECT_EQ(failure.scenario_index / 3, kFaultyShard);
+    EXPECT_GT(failure.message.size(), 15u);
+  }
+  EXPECT_LT(merged.report.failures.size(), 3u);
+
+  const ClaimLedger paths(ledger, store.checksum(), std::chrono::seconds(60));
+  const std::uint64_t pinned[] = {
+      0xf00aab2e194509b2ULL,
+      0x8d95685434047fa8ULL,
+      0xc365d9427c2cb812ULL,
+      0xb8ef5925f02b5ed0ULL,
+  };
+  for (std::size_t shard = 0; shard < store.shard_count(); ++shard) {
+    const std::string file = slurp(paths.result_path(shard));
+    const std::uint64_t digest = util::digest64(file.data(), file.size());
+    EXPECT_EQ(digest, pinned[shard])
+        << "shard " << shard << ": 0x" << std::hex << digest;
+  }
 }
 
 TEST(ClaimLedger, DuplicateClaimRaceHasOneWinner) {
