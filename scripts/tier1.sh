@@ -51,10 +51,11 @@ python3 vmbench/run.py --selftest
 echo
 echo "== tier-1: multi-process kill-and-reclaim drill =="
 # Two worker processes over a small store; one is killed mid-shard (_exit
-# after its claim lands, the kill -9 window), a relaunched worker reclaims
-# the dead pid's lease, and the merged result must be bit-identical to a
-# 1-process StreamingSweep. Exercises the whole claim-ledger protocol with
-# real processes, not threads.
+# as its second claim lands, the kill -9 window, with its first shard's
+# commit possibly still in flight; the drill fails unless it exits 137),
+# the surviving peer or a relaunched worker reclaims the dead pid's leases,
+# and the merged result must be bit-identical to a 1-process StreamingSweep.
+# Exercises the whole claim-ledger protocol with real processes, not threads.
 ./build/tools/vmcons_sweep_worker --mode selftest --workers 2 --kill-one
 # Same drill under lease-only staleness: the dead-pid probe is disabled, so
 # the relaunched worker may reclaim the killed worker's shard only by

@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <future>
 #include <map>
 #include <random>
 #include <sstream>
@@ -398,14 +399,17 @@ void encode_result_file(ResultHeader header, const BatchOutcome& outcome,
   VMCONS_ASSERT(w.cursor() == file.data() + file.size());
 }
 
-/// Decodes a result payload into `outcome` in place, then checks what every
-/// committed shard holds: each cell is flagged evaluated (1) or named by
-/// exactly one failure record, and the records run in increasing scenario
-/// order. Whoever crafts a file reseals both checksums, and the result
-/// digest never covers the failure records, so only this check catches a
-/// payload that contradicts itself.
+/// Decodes a result payload into `outcome` in place, reusing its capacity
+/// (a committed shard is never partial, so the abort flags are cleared),
+/// then checks what every committed shard holds: each cell is flagged
+/// evaluated (1) or named by exactly one failure record, and the records
+/// run in increasing scenario order. Whoever crafts a file reseals both
+/// checksums, and the result digest never covers the failure records, so
+/// only this check catches a payload that contradicts itself.
 void decode_outcome(ByteReader& r, std::size_t scenarios,
                     BatchOutcome& outcome) {
+  outcome.cancelled = false;
+  outcome.deadline_exceeded = false;
   std::uint64_t declared = 0;
   r.field(declared);
   if (declared != scenarios) {
@@ -656,7 +660,48 @@ WorkerReport ShardedSweepDriver::run_worker(const ScenarioStore& store) const {
                           std::chrono::microseconds(1))},
       fnv1a64(worker_id_.data(), worker_id_.size()));
 
-  std::string file;  // result-file buffer, reused from shard to shard
+  // Shard k's durable commit runs on its own thread while this one claims,
+  // reads, evaluates and encodes shard k+1. At most one commit is in flight,
+  // so the worker holds at most two claims. `file` is encoded into while
+  // `committing` is on the commit thread; the two swap as each commit
+  // starts. `commit` is declared after both buffers, so unwinding joins the
+  // commit thread before either buffer is freed.
+  std::string file;
+  std::string committing;
+  struct InFlight {
+    std::size_t shard = 0;
+    std::uint64_t token = 0;
+    bool reclaimed = false;
+    std::uint64_t scenarios = 0;
+  } in_flight;
+  std::future<util::fs::Status> commit;
+  // Waits for the in-flight commit; returns false when there is none. A
+  // commit that lands releases its claim and only then counts. A failed one
+  // releases its claim and throws IoError naming the result file, leaving
+  // the shard uncommitted for a peer rather than half-written. A crash
+  // injected inside the commit rethrows here and releases nothing.
+  const auto settle = [&] {
+    if (!commit.valid()) {
+      return false;
+    }
+    const util::fs::Status committed = commit.get();
+    ledger.release_if_ours(in_flight.shard, in_flight.token);
+    if (!committed.ok()) {
+      ledger_fail(ledger.result_path(in_flight.shard),
+                  "result commit for shard " +
+                      std::to_string(in_flight.shard) +
+                      " failed: " + committed.message());
+    }
+    report.shards_evaluated += 1;
+    report.leases_reclaimed += in_flight.reclaimed ? 1 : 0;
+    report.scenarios_evaluated += in_flight.scenarios;
+    evaluated_counter.add();
+    if (in_flight.reclaimed) {
+      reclaimed_counter.add();
+    }
+    return true;
+  };
+
   bool done = shard_count == 0;
   while (!done) {
     bool progressed = false;
@@ -670,6 +715,9 @@ WorkerReport ShardedSweepDriver::run_worker(const ScenarioStore& store) const {
         continue;
       }
       done = false;
+      if (commit.valid() && shard == in_flight.shard) {
+        continue;  // ours, still on the commit thread
+      }
       if (util::FaultInjector::enabled()) {
         util::FaultInjector::global().check(util::fault_sites::kDriverClaim,
                                             shard);
@@ -727,35 +775,37 @@ WorkerReport ShardedSweepDriver::run_worker(const ScenarioStore& store) const {
               .result_checksum = checksum_model_results(outcome.results,
                                                         outcome.evaluated)},
           outcome, file);
+      try {
+        settle();
+      } catch (const IoError&) {
+        // The previous shard's commit failed: hand this one back as well.
+        ledger.release_if_ours(shard, token);
+        throw;
+      }
       // Durable commit point: write + fsync a temporary, rename onto the
       // result name, fsync the ledger directory. A duplicate commit after a
       // lease expired mid-evaluation overwrites with identical bytes (the
-      // evaluation is deterministic), so last-writer-wins is safe. A failed
-      // commit releases the claim and propagates — the shard stays
-      // uncommitted for a peer rather than half-written.
-      const util::fs::Status committed =
-          util::fs::commit_file(ledger.result_path(shard), file,
-                                util::hex64(token),
-                                util::fs::sites::kResultCommit);
-      if (!committed.ok()) {
-        ledger.release_if_ours(shard, token);
-        ledger_fail(ledger.result_path(shard),
-                    "result commit for shard " + std::to_string(shard) +
-                        " failed: " + committed.message());
-      }
-      ledger.release_if_ours(shard, token);
-
-      report.shards_evaluated += 1;
-      report.leases_reclaimed += reclaimed ? 1 : 0;
-      report.scenarios_evaluated += outcome.evaluated_count();
-      evaluated_counter.add();
-      if (reclaimed) {
-        reclaimed_counter.add();
-      }
+      // evaluation is deterministic), so last-writer-wins is safe. The
+      // commit thread is a fresh one, never BatchOptions::pool's: pool
+      // threads do not survive fork().
+      file.swap(committing);
+      commit = std::async(
+          std::launch::async,
+          [&committing, path = ledger.result_path(shard),
+           tag = util::hex64(token)] {
+            return util::fs::commit_file(path, committing, tag,
+                                         util::fs::sites::kResultCommit);
+          });
+      in_flight = InFlight{shard, token, reclaimed, outcome.evaluated_count()};
       progressed = true;
     }
     if (options_.batch.control.stop_requested()) {
       break;
+    }
+    if (!progressed) {
+      // The in-flight commit may be all this pass waited on: land it
+      // before deciding to back off.
+      progressed = settle();
     }
     if (!done && !progressed) {
       // Every unfinished shard is held by a live peer: wait for commits or
@@ -766,6 +816,7 @@ WorkerReport ShardedSweepDriver::run_worker(const ScenarioStore& store) const {
       idle_backoff.reset();
     }
   }
+  settle();
 
   switch (options_.batch.control.stop_reason()) {
     case StopReason::kCancelled:
@@ -805,7 +856,11 @@ MergedSweep ShardedSweepDriver::merge(const ScenarioStore& store,
   merged.report.shards_total = store.shard_count();
   merged.report.shard_checksums.assign(merged.report.shards_total, 0);
 
-  std::string file;  // read buffer, reused from shard to shard
+  // The read buffer and the decoded outcome are reused from shard to shard:
+  // the outcome goes to the sink and is taken back after it returns, so a
+  // sink that leaves the results in place lets the next decode reuse them.
+  std::string file;
+  BatchOutcome outcome;
   for (std::size_t shard = 0; shard < store.shard_count(); ++shard) {
     const std::string path = ledger.result_path(shard);
     const std::string context =
@@ -869,7 +924,6 @@ MergedSweep ShardedSweepDriver::merge(const ScenarioStore& store,
 
     ByteReader payload(file.data(), payload_begin,
                        payload_begin + payload_bytes, context);
-    BatchOutcome outcome;
     decode_outcome(payload, static_cast<std::size_t>(header.scenarios),
                    outcome);
     // End-to-end digest: the deserialized results must reproduce the digest
@@ -895,8 +949,11 @@ MergedSweep ShardedSweepDriver::merge(const ScenarioStore& store,
     merged.report.shards_completed += 1;
     merged_counter.add();
     if (sink) {
-      sink(ShardOutcome{shard, static_cast<std::size_t>(header.scenario_begin),
-                        std::move(outcome), result_checksum});
+      ShardOutcome delivered{shard,
+                             static_cast<std::size_t>(header.scenario_begin),
+                             std::move(outcome), result_checksum};
+      sink(std::move(delivered));
+      outcome = std::move(delivered.outcome);
     }
   }
 

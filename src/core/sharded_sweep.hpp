@@ -147,8 +147,10 @@ struct ShardedSweepOptions {
   /// file name; must be filename-safe ([A-Za-z0-9._-]). Empty derives
   /// "w<pid>".
   std::string worker_id;
-  /// How long a claim may sit uncommitted before peers may reclaim it. Also
-  /// the upper bound on work lost to a crashed worker (one shard). Dead
+  /// How long a claim may sit uncommitted before peers may reclaim it. A
+  /// claim can be held across two shard evaluations (its own, then the
+  /// next one's while its commit is in flight), so a lease must cover two
+  /// shards, and a crashed worker loses at most two shards' work. Dead
   /// pids are reclaimed without waiting for the lease.
   std::chrono::milliseconds lease{30000};
   /// Base sleep between passes when every unfinished shard is claimed by a
@@ -162,8 +164,9 @@ struct ShardedSweepOptions {
   /// ledgers on shared filesystems (see ClaimLedger).
   bool lease_only = false;
   /// Test hook: called after a claim becomes durable, before the shard is
-  /// read or evaluated. Tests and the worker binary use it to simulate a
-  /// worker dying mid-shard (throw, or _exit) while holding a lease.
+  /// read or evaluated, possibly while the previous shard's commit is in
+  /// flight. Tests and the worker binary use it to simulate a worker dying
+  /// mid-shard (throw, or _exit) while holding a lease.
   std::function<void(std::size_t shard)> on_claimed;
 };
 
@@ -201,6 +204,15 @@ class ShardedSweepDriver {
   /// FailurePolicy::kQuarantine are committed inside the shard's result
   /// file exactly as StreamingSweep would record them; under kFailFast the
   /// first failure propagates and the claim is released for a peer.
+  ///
+  /// Each shard's durable commit runs on a thread of its own while the
+  /// worker claims, reads, evaluates and encodes the next shard; at most
+  /// one commit is in flight, so the worker holds at most two claims. A
+  /// claim is released, and its shard counted, only after its commit is
+  /// durable. A failed commit throws IoError one shard later, naming the
+  /// result file; its claim, and any claim taken meanwhile, go back to the
+  /// peers. The commit thread is joined before this returns or throws, so
+  /// no thread outlives the call: fork before or after it, never during it.
   WorkerReport run_worker(const ScenarioStore& store) const;
 
   /// Writes this worker's metrics registry snapshot to the ledger

@@ -6,7 +6,9 @@
 // concurrent positional store reads, and the metrics JSON wire format the
 // merger sums worker counters from. The result-file codec is pinned to its
 // bytes, and the merge must refuse crafted, truncated and self-contradicting
-// result files with a named IoError.
+// result files with a named IoError. The worker overlaps each commit with
+// its next shard: at most two claims held, a failed commit surfacing one
+// shard later, and an in-flight commit landing when the worker throws.
 //
 // The kill tests pin their fault seed via VMCONS_FAULT_SEED (scripts/
 // tier1.sh sets it) so a red run replays bit-identically.
@@ -14,11 +16,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -38,6 +43,7 @@
 #include "util/error.hpp"
 #include "util/fault_inject.hpp"
 #include "util/file_lock.hpp"
+#include "util/fs.hpp"
 #include "util/metrics.hpp"
 #include "virt/impact.hpp"
 
@@ -208,6 +214,14 @@ TEST(ShardedSweep, WorkersAtEveryCountMergeBitIdenticalToStreaming) {
   }
 }
 
+std::size_t claims_held(const ClaimLedger& ledger, std::size_t shards) {
+  std::size_t held = 0;
+  for (std::size_t shard = 0; shard < shards; ++shard) {
+    held += ledger.read_claim(shard).has_value() ? 1 : 0;
+  }
+  return held;
+}
+
 // A worker that dies *holding a lease* (fault site driver.shard fires after
 // the claim is durable, before evaluation) leaves a claim file behind; a
 // peer with a short lease reclaims it and the merged sweep is still
@@ -237,12 +251,8 @@ TEST(ShardedSweep, KilledWorkerLeaseIsReclaimedBitIdentical) {
     EXPECT_EQ(error.code(), ErrorCode::kFaultInjected);
   }
   // The victim died holding its claim: the ledger still records it.
-  std::size_t claims = 0;
-  ClaimLedger inspect(ledger, store.checksum(), std::chrono::seconds(60));
-  for (std::size_t shard = 0; shard < store.shard_count(); ++shard) {
-    claims += inspect.read_claim(shard).has_value() ? 1 : 0;
-  }
-  EXPECT_GE(claims, 1u);
+  const ClaimLedger inspect(ledger, store.checksum(), std::chrono::seconds(60));
+  EXPECT_GE(claims_held(inspect, store.shard_count()), 1u);
 
   FaultInjector::global().disarm_all();
 
@@ -321,6 +331,195 @@ TEST(ShardedSweep, DeadPidClaimReclaimedWithoutLeaseWait) {
 
   const ShardedSweepDriver merger(driver_options(ledger, "merger"));
   expect_bit_identical(merger.merge(store), ref);
+}
+
+// Shard k's result commit runs while the worker claims, evaluates and
+// encodes shard k+1, so a failed commit surfaces one shard later: an
+// IoError naming that result file. The failed shard is left with no result
+// and no claim, the claim the worker took meanwhile is handed back too, and
+// a rescuer finishes the sweep without waiting out a lease.
+TEST(ShardedSweep, FailedCommitSurfacesAfterTheNextShard) {
+  const std::string store_path = make_store("failedcommit");
+  const ScenarioStore store(store_path);
+  const Reference ref = run_reference(store);
+  const std::string ledger = temp_path("failedcommit.ledger");
+
+  util::fs::ScopedFsFaults guard;
+  util::fs::FsFaultInjector& injector = util::fs::FsFaultInjector::global();
+  // fs ops per result commit, from a clean 1-worker probe. Op stride + 1 is
+  // the second commit's temporary-file create, before anything lands.
+  injector.reset_ops();
+  injector.arm(util::fs::sites::kResultCommit, {});
+  ShardedSweepDriver(driver_options(temp_path("failedcommit_probe.ledger"),
+                                    "probe"))
+      .run_worker(store);
+  const std::uint64_t stride =
+      injector.ops_at(util::fs::sites::kResultCommit) / kShards;
+  ASSERT_GT(stride, 0u);
+  injector.reset_ops();
+  injector.arm(util::fs::sites::kResultCommit,
+               {.error_at_op = stride + 1, .error_errno = EIO});
+
+  std::vector<std::size_t> claimed;
+  ShardedSweepOptions options = driver_options(ledger, "victim");
+  options.on_claimed = [&claimed](std::size_t shard) {
+    claimed.push_back(shard);
+  };
+  const ClaimLedger inspect(ledger, store.checksum(),
+                            std::chrono::seconds(60));
+  try {
+    ShardedSweepDriver(options).run_worker(store);
+    FAIL() << "the second shard's commit was armed to fail";
+  } catch (const IoError& error) {
+    ASSERT_EQ(claimed.size(), 3u)
+        << "the failure surfaces once the third shard is ready to commit";
+    EXPECT_NE(std::string(error.what()).find(inspect.result_path(claimed[1])),
+              std::string::npos)
+        << error.what();
+  }
+  injector.disarm_all();
+
+  EXPECT_EQ(claims_held(inspect, store.shard_count()), 0u);
+  for (std::size_t shard = 0; shard < store.shard_count(); ++shard) {
+    EXPECT_EQ(inspect.result_committed(shard), shard == claimed[0])
+        << "shard " << shard;
+  }
+
+  const WorkerReport report =
+      ShardedSweepDriver(driver_options(ledger, "rescuer")).run_worker(store);
+  EXPECT_EQ(report.shards_evaluated, kShards - 1);
+  EXPECT_EQ(report.leases_reclaimed, 0u);
+  expect_bit_identical(
+      ShardedSweepDriver(driver_options(ledger, "merger")).merge(store), ref);
+}
+
+// A worker that throws while a commit is in flight joins the commit thread
+// as it unwinds: when run_worker throws (here from on_claimed, on the
+// second claim), the first shard's result file is already complete, and it
+// merges bit-identical once a rescuer has filled in the rest.
+TEST(ShardedSweep, InFlightCommitLandsWhenTheWorkerThrows) {
+  const std::string store_path = make_store("inflight");
+  const ScenarioStore store(store_path);
+  const Reference ref = run_reference(store);
+  const std::string ledger = temp_path("inflight.ledger");
+
+  std::vector<std::size_t> claimed;
+  ShardedSweepOptions options = driver_options(ledger, "victim");
+  // The second claim is left behind; its short lease bounds the rescue.
+  options.lease = std::chrono::milliseconds(200);
+  options.on_claimed = [&claimed](std::size_t shard) {
+    claimed.push_back(shard);
+    if (claimed.size() == 2) {
+      throw std::runtime_error("worker dies holding its second claim");
+    }
+  };
+  EXPECT_THROW(ShardedSweepDriver(options).run_worker(store),
+               std::runtime_error);
+  ASSERT_EQ(claimed.size(), 2u);
+  const ClaimLedger inspect(ledger, store.checksum(),
+                            std::chrono::seconds(60));
+  EXPECT_TRUE(inspect.result_committed(claimed[0]));
+  EXPECT_FALSE(inspect.result_committed(claimed[1]));
+
+  ShardedSweepOptions rescue_options = driver_options(ledger, "rescuer");
+  rescue_options.lease = std::chrono::milliseconds(100);
+  const WorkerReport report =
+      ShardedSweepDriver(rescue_options).run_worker(store);
+  EXPECT_EQ(report.shards_evaluated, kShards - 1);
+  EXPECT_GE(report.leases_reclaimed, 1u);
+  expect_bit_identical(
+      ShardedSweepDriver(driver_options(ledger, "merger")).merge(store), ref);
+}
+
+// One commit in flight at most: a worker holds the claim it is committing
+// plus the one it is evaluating, never more, and never tries to claim the
+// shard on its commit thread (a lone worker meets no claim conflict).
+TEST(ShardedSweep, WorkerHoldsAtMostTwoClaims) {
+  const std::string store_path = make_store("twoclaims");
+  const ScenarioStore store(store_path);
+  const Reference ref = run_reference(store);
+  const std::string ledger = temp_path("twoclaims.ledger");
+  const ClaimLedger inspect(ledger, store.checksum(),
+                            std::chrono::seconds(60));
+
+  std::size_t most = 0;
+  ShardedSweepOptions options = driver_options(ledger, "w0");
+  options.on_claimed = [&](std::size_t) {
+    most = std::max(most, claims_held(inspect, store.shard_count()));
+  };
+  metrics::Counter& conflicts =
+      metrics::registry().counter(metrics::names::kDriverClaimConflicts);
+  const std::uint64_t conflicts_before = conflicts.value();
+  const WorkerReport report = ShardedSweepDriver(options).run_worker(store);
+  EXPECT_EQ(report.shards_evaluated, kShards);
+  EXPECT_EQ(most, 2u)
+      << "each claim after the first is taken with one commit in flight";
+  EXPECT_EQ(conflicts.value() - conflicts_before, 0u);
+  EXPECT_EQ(claims_held(inspect, store.shard_count()), 0u);
+  expect_bit_identical(
+      ShardedSweepDriver(driver_options(ledger, "merger")).merge(store), ref);
+}
+
+// merge() decodes every shard into one reused outcome. A store whose last
+// shard is shorter and carries a failure record, merged through a sink that
+// leaves the results in place, must still deliver each shard exactly as the
+// streaming sweep did: nothing of the larger shard before it leaks through.
+TEST(ShardedSweep, MergeDeliversAShortLastShardWithoutStaleResults) {
+  const std::string store_path = temp_path("short_last.store");
+  write_sweep_store(small_planner(), small_grid(), store_path, 5);
+  const ScenarioStore store(store_path);
+  ASSERT_EQ(store.shard_count(), 3u);
+  ASSERT_EQ(store.shard(2).scenarios, 2u);
+  const std::string ledger = temp_path("short_last.ledger");
+
+  std::vector<ShardOutcome> expected;
+  {
+    // batch.cell draws on the shard-local cell index, and at this seed it
+    // fails cell 1 of every shard, the short last one included.
+    ScopedFaults guard;
+    FaultInjector::global().set_seed(2010);
+    FaultInjector::global().arm(sites::kBatchCell, {.error_rate = 0.5});
+    StreamingSweepOptions streaming;
+    streaming.batch.parallel = false;
+    streaming.batch.policy = FailurePolicy::kQuarantine;
+    StreamingSweep(streaming).run(store, [&](ShardOutcome&& shard) {
+      expected.push_back(std::move(shard));
+    });
+    ShardedSweepDriver(driver_options(ledger, "w0")).run_worker(store);
+  }
+  ASSERT_EQ(expected.size(), 3u);
+  ASSERT_FALSE(expected[2].outcome.failures.empty());
+
+  std::size_t delivered = 0;
+  ShardedSweepDriver(driver_options(ledger, "merger"))
+      .merge(store, [&](ShardOutcome&& shard) {
+        SCOPED_TRACE("shard " + std::to_string(shard.shard_index));
+        ASSERT_EQ(shard.shard_index, delivered++);
+        const ShardOutcome& want = expected[shard.shard_index];
+        const BatchOutcome& got = shard.outcome;
+        EXPECT_EQ(shard.scenario_begin, want.scenario_begin);
+        EXPECT_EQ(shard.result_checksum, want.result_checksum);
+        EXPECT_EQ(got.evaluated, want.outcome.evaluated);
+        ASSERT_EQ(got.failures.size(), want.outcome.failures.size());
+        for (std::size_t f = 0; f < got.failures.size(); ++f) {
+          EXPECT_EQ(got.failures[f].scenario_index,
+                    want.outcome.failures[f].scenario_index);
+          EXPECT_EQ(got.failures[f].code, want.outcome.failures[f].code);
+          EXPECT_EQ(got.failures[f].message,
+                    want.outcome.failures[f].message);
+        }
+        ASSERT_EQ(got.results.size(), want.outcome.results.size());
+        for (std::size_t i = 0; i < got.results.size(); ++i) {
+          const ModelResult& a = got.results[i];
+          const ModelResult& b = want.outcome.results[i];
+          EXPECT_EQ(a.dedicated.size(), b.dedicated.size());
+          EXPECT_EQ(a.dedicated_servers, b.dedicated_servers);
+          EXPECT_EQ(a.consolidated_servers, b.consolidated_servers);
+          EXPECT_EQ(a.consolidated_blocking, b.consolidated_blocking);
+          EXPECT_EQ(a.power_saving, b.power_saving);
+        }
+      });
+  EXPECT_EQ(delivered, 3u);
 }
 
 TEST(ShardedSweep, MergeRefusesResultsFromDifferentStore) {

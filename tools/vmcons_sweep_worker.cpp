@@ -16,14 +16,17 @@
 //                   batch.parallel = false), so forking is safe.
 //   --mode selftest end-to-end smoke for scripts/tier1.sh: build a small
 //                   store in a temp dir, run it through `--mode run`
-//                   in-process (optionally killing one worker mid-shard
-//                   with _exit), and require the merged report to be
-//                   bit-identical to a 1-process StreamingSweep.
+//                   in-process (with --kill-one, worker w0 _exits on its
+//                   second claim and must exit 137), and require the
+//                   merged report to be bit-identical to a 1-process
+//                   StreamingSweep.
 //
 // Crash drill: `--kill-on-shard K` makes a worker _exit(137) immediately
 // after its claim on shard K becomes durable — exactly the kill -9 window
-// the lease protocol exists for. A peer (or a relaunched worker) detects
-// the dead pid and reclaims the shard.
+// the lease protocol exists for. The worker's previous shard may still be
+// committing then, so the kill can leave two claims and a commit temporary
+// behind. A peer (or a relaunched worker) detects the dead pid and
+// reclaims what was not committed.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -67,7 +70,7 @@ struct Args {
   long poll_ms = 25;
   long kill_on_shard = -1;  ///< worker: _exit(137) after claiming this shard
   int kill_worker = -1;     ///< run/selftest: which child gets kill_on_shard
-  bool kill_one = false;    ///< selftest: kill worker 0 on its first claim
+  bool kill_one = false;    ///< selftest: kill worker 0 on its second claim
   bool lease_only = false;  ///< host-portable staleness: no dead-pid probe
   bool json = false;
 };
@@ -84,7 +87,7 @@ int usage(const char* argv0) {
       << "  --kill-on-shard K  _exit(137) after claiming shard K (worker),\n"
       << "                     or in child --kill-worker (run/selftest)\n"
       << "  --kill-worker I  which child of --mode run gets the kill\n"
-      << "  --kill-one       selftest: kill one worker on its first claim\n"
+      << "  --kill-one       selftest: kill one worker on its second claim\n"
       << "  --lease-only     reclaim strictly by lease expiry (disable the\n"
       << "                   same-host dead-pid fast path; the mode for\n"
       << "                   ledgers on shared filesystems)\n"
@@ -211,19 +214,26 @@ int run_merge(const Args& args) {
   return 0;
 }
 
+/// How a forked fleet ended.
+struct FleetExit {
+  int unexpected = 0;  ///< children that failed other than by the drill
+  bool victim_killed = false;  ///< child `kill_worker` exited with 137
+};
+
 /// Forks `workers` children, each running the worker loop in-process; waits
 /// for all of them; reports per-child exits. Child `kill_worker` gets the
-/// --kill-on-shard hook (on its *first* claim when kill_on_shard is -1 but
-/// kill_worker is set). Returns the count of children that died abnormally
-/// for reasons OTHER than the requested kill.
-int fork_workers(const Args& args, const std::string& store_path,
-                 const std::string& ledger_dir, bool quiet) {
+/// --kill-on-shard hook (on its *second* claim when kill_on_shard is -1 but
+/// kill_worker is set). `unexpected` is -1 when a fork failed.
+FleetExit fork_workers(const Args& args, const std::string& store_path,
+                       const std::string& ledger_dir, bool quiet) {
+  FleetExit fleet;
   std::vector<::pid_t> children;
   for (int w = 0; w < args.workers; ++w) {
     const ::pid_t pid = ::fork();
     if (pid < 0) {
       std::perror("fork");
-      return -1;
+      fleet.unexpected = -1;
+      return fleet;
     }
     if (pid == 0) {
       Args child = args;
@@ -234,11 +244,18 @@ int fork_workers(const Args& args, const std::string& store_path,
       if (w != args.kill_worker) {
         child.kill_on_shard = -1;
       } else if (child.kill_on_shard < 0) {
-        // "kill this worker on whatever it claims first": shard index 0 is
-        // not guaranteed to be its first claim, so hook every shard.
+        // "kill this worker on whatever it claims second": shard indices
+        // say nothing about claim order, so count claims. By the second
+        // one the first shard's result commit may still be in flight on
+        // the worker's commit thread, so the kill lands with both claims
+        // held.
         ShardedSweepOptions options = driver_options(child);
         options.worker_id = child.worker_id;
-        options.on_claimed = [](std::size_t) { ::_exit(137); };
+        options.on_claimed = [claims = 0](std::size_t) mutable {
+          if (++claims == 2) {
+            ::_exit(137);
+          }
+        };
         try {
           const ScenarioStore store(child.store);
           const ShardedSweepDriver driver(std::move(options));
@@ -262,17 +279,17 @@ int fork_workers(const Args& args, const std::string& store_path,
     children.push_back(pid);
   }
 
-  int unexpected = 0;
   for (int w = 0; w < static_cast<int>(children.size()); ++w) {
     int status = 0;
     if (::waitpid(children[w], &status, 0) < 0) {
       std::perror("waitpid");
-      ++unexpected;
+      ++fleet.unexpected;
       continue;
     }
     const bool killed_on_purpose =
         w == args.kill_worker && WIFEXITED(status) &&
         WEXITSTATUS(status) == 137;
+    fleet.victim_killed = fleet.victim_killed || killed_on_purpose;
     const bool clean = WIFEXITED(status) && WEXITSTATUS(status) == 0;
     if (!quiet) {
       std::cout << "worker w" << w << ": "
@@ -282,10 +299,10 @@ int fork_workers(const Args& args, const std::string& store_path,
                 << "\n";
     }
     if (!clean && !killed_on_purpose) {
-      ++unexpected;
+      ++fleet.unexpected;
     }
   }
-  return unexpected;
+  return fleet;
 }
 
 int run_fleet(const Args& args) {
@@ -293,7 +310,8 @@ int run_fleet(const Args& args) {
     std::cerr << "--workers must be >= 1\n";
     return 2;
   }
-  const int unexpected = fork_workers(args, args.store, args.ledger, false);
+  const int unexpected =
+      fork_workers(args, args.store, args.ledger, false).unexpected;
   if (unexpected != 0) {
     std::cerr << unexpected << " workers failed unexpectedly\n";
     return 1;
@@ -371,9 +389,14 @@ int run_selftest(const Args& args) {
   if (args.kill_one) {
     fleet.kill_worker = 0;
   }
-  const int unexpected = fork_workers(fleet, store_path, ledger_dir, true);
-  if (unexpected != 0) {
-    std::cerr << "selftest: " << unexpected << " workers failed\n";
+  const FleetExit ended = fork_workers(fleet, store_path, ledger_dir, true);
+  if (ended.unexpected != 0) {
+    std::cerr << "selftest: " << ended.unexpected << " workers failed\n";
+    return 1;
+  }
+  if (args.kill_one && !ended.victim_killed) {
+    // A victim that never reached its second claim drilled nothing.
+    std::cerr << "selftest: worker w0 was not killed on its second claim\n";
     return 1;
   }
   if (args.kill_one) {
