@@ -50,15 +50,17 @@ python3 vmbench/run.py --selftest
 
 echo
 echo "== tier-1: multi-process kill-and-reclaim drill =="
-# Two worker processes over a small store; one is killed mid-shard (_exit
-# as its second claim lands, the kill -9 window, with its first shard's
-# commit possibly still in flight; the drill fails unless it exits 137),
-# the surviving peer or a relaunched worker reclaims the dead pid's leases,
-# and the merged result must be bit-identical to a 1-process StreamingSweep.
-# Exercises the whole claim-ledger protocol with real processes, not threads.
+# A first worker process runs alone over a small store and is killed
+# mid-shard (_exit as its second claim lands, the kill -9 window, with its
+# first shard's commit possibly still in flight; the drill fails unless it
+# exits 137). Two worker processes started after that death must reclaim
+# the dead pid's leases (the drill fails unless their WorkerReports count at
+# least one reclaim), and the merged result must be bit-identical to a
+# 1-process StreamingSweep. Exercises the whole claim-ledger protocol with
+# real processes, not threads.
 ./build/tools/vmcons_sweep_worker --mode selftest --workers 2 --kill-one
 # Same drill under lease-only staleness: the dead-pid probe is disabled, so
-# the relaunched worker may reclaim the killed worker's shard only by
+# the workers started after the kill may reclaim its shard only by
 # waiting out its lease — the host-portable mode for ledgers on shared
 # filesystems, where a remote pid number means nothing. Short lease keeps
 # the wait bounded.

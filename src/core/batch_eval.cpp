@@ -720,8 +720,10 @@ BatchOutcome BatchEvaluator::evaluate_all(const ScenarioBatch& batch) const {
   std::size_t shard = options_.shard_size;
   if (shard == 0) {
     // ~4 shards per active worker: enough slack to balance heterogeneous
-    // scenario costs, big enough that loads recur within each shard's
-    // staffing walks.
+    // scenario costs. Each shard walks its own recurrences, so a load split
+    // across shards is walked once per shard: a caller that wants each load
+    // walked once lays the batch out load-coherently (sweep_all does), so
+    // every cell of a load lands in one shard.
     shard = std::max<std::size_t>(
         1, (count + active_workers * 4 - 1) / (active_workers * 4));
   }

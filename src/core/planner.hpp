@@ -90,10 +90,11 @@ class ConsolidationPlanner {
   /// Solves the model and maps the result onto the inventory (if any).
   PlanReport plan() const;
 
-  /// Evaluates every point of `grid` (loss x scale x VMs-per-server what-if
-  /// cartesian product), returning cells in grid index order. By default the
-  /// points fan out over the shared thread pool, a pure acceleration —
-  /// output is bit-identical to a serial run. Implemented in sweep.cpp.
+  /// Evaluates every point of `grid` (the loss x VMs-per-server x scale x
+  /// fleet-mix what-if cartesian product), returning cells in grid index
+  /// order. By default the points fan out over the shared thread pool, a
+  /// pure acceleration — output is bit-identical to a serial run.
+  /// Implemented in sweep.cpp.
   std::vector<SweepCell> sweep(const SweepGrid& grid,
                                const SweepOptions& options = {}) const;
 
@@ -101,6 +102,16 @@ class ConsolidationPlanner {
   /// options.control, reporting quarantined cells and aborts in the
   /// SweepOutcome instead of throwing. Healthy cells are bit-identical to
   /// the same cells of a clean sweep() run. Implemented in sweep.cpp.
+  ///
+  /// Evaluation order: the grid is evaluated as one batch in load-coherent
+  /// order — loss fastest, then VMs, fleet mix, scale — so the cells that
+  /// share an offered load (a fleet mix and a loss target change none) are
+  /// contiguous and land in one evaluator shard, whose Erlang walk answers
+  /// them from kept values. Results, `evaluated` flags and failure indexes
+  /// are mapped back to grid indices. Beyond speed, the order matters only
+  /// to fault placement: `batch.cell` is drawn at a cell's evaluation position
+  /// (its grid index when the grid has at most one fleet mix), and under
+  /// kFailFast the first failure in evaluation order propagates.
   SweepOutcome sweep_all(const SweepGrid& grid,
                          const SweepOptions& options = {}) const;
 
@@ -137,6 +148,13 @@ class ConsolidationPlanner {
   /// none). Answers never depend on it.
   PlanReport plan_with(queueing::ErlangKernel* kernel) const;
   InventoryAssignment assign(double normalized_servers) const;
+  /// Appends the scenario of grid index index_at(j), for each j in
+  /// [0, count), to `batch`: the one per-cell build loop behind sweep_batch
+  /// (index_at(j) = begin + j) and sweep_all (the load-coherent order).
+  /// Defined and instantiated in sweep.cpp only.
+  template <class IndexAt>
+  void append_sweep_cells(const SweepGrid& grid, std::size_t count,
+                          IndexAt index_at, ScenarioBatch& batch) const;
 
   double target_loss_ = 0.01;
   std::vector<dc::ServiceSpec> services_;

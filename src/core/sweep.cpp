@@ -85,6 +85,17 @@ SweepGrid::Coordinates SweepGrid::coordinates(std::size_t index) const {
   return at;
 }
 
+std::size_t SweepGrid::load_coherent_index(std::size_t position) const {
+  const std::size_t losses_vms =
+      std::max<std::size_t>(1, target_losses_.size()) *
+      std::max<std::size_t>(1, vms_per_server_.size());
+  const std::size_t scales = std::max<std::size_t>(1, workload_scales_.size());
+  const std::size_t mixes = std::max<std::size_t>(1, fleet_mixes_.size());
+  const std::size_t mix = position / losses_vms % mixes;
+  const std::size_t scale = position / (losses_vms * mixes);
+  return position % losses_vms + losses_vms * (scale + scales * mix);
+}
+
 SweepPoint SweepGrid::point(std::size_t index) const {
   VMCONS_REQUIRE(index < size(), "sweep point index out of range");
   const Coordinates at = coordinates(index);
@@ -133,16 +144,13 @@ ModelInputs ConsolidationPlanner::point_inputs(const SweepPoint& point) const {
   return instance.make_inputs();
 }
 
-ScenarioBatch ConsolidationPlanner::sweep_batch(const SweepGrid& grid,
-                                               std::size_t begin,
-                                               std::size_t end,
-                                               ScenarioBatch recycled) const {
-  VMCONS_REQUIRE(begin <= end && end <= grid.size(),
-                 "sweep batch range must lie within the grid");
-  ScenarioBatch batch = std::move(recycled);
-  batch.clear();
-  if (begin == end) {
-    return batch;
+template <class IndexAt>
+void ConsolidationPlanner::append_sweep_cells(const SweepGrid& grid,
+                                              std::size_t count,
+                                              IndexAt index_at,
+                                              ScenarioBatch& batch) const {
+  if (count == 0) {
+    return;
   }
   // point_inputs' planner checks do not depend on the cell, so they run
   // once, in its order: the fleet-mix length (every mix has the same one;
@@ -153,17 +161,18 @@ ScenarioBatch ConsolidationPlanner::sweep_batch(const SweepGrid& grid,
   VMCONS_REQUIRE(!services_.empty(), "planner has no services");
 
   // The derived rows depend only on the VM count: one prototype per VM-count
-  // axis value, built when a cell of the range first needs it.
+  // axis value, built when a cell of the sequence first needs it.
   ModelInputs shape;
   shape.services = services_;
   shape.fleet = fleet_;
   std::vector<std::optional<ScenarioBatch::Prototype>> prototypes(
       std::max<std::size_t>(1, grid.vms_per_server_.size()));
   std::vector<double> arrival(services_.size());
-  const std::size_t cells = end - begin;
-  batch.reserve(cells, cells * services_.size(), cells * fleet_.size());
-  for (std::size_t i = begin; i < end; ++i) {
-    const SweepGrid::Coordinates at = grid.coordinates(i);
+  batch.reserve(batch.size() + count,
+                batch.service_rows() + count * services_.size(),
+                batch.class_rows() + count * fleet_.size());
+  for (std::size_t j = 0; j < count; ++j) {
+    const SweepGrid::Coordinates at = grid.coordinates(index_at(j));
     std::optional<ScenarioBatch::Prototype>& prototype = prototypes[at.vms];
     if (!prototype) {
       shape.vms_per_server = grid.vms_per_server_.empty()
@@ -189,6 +198,18 @@ ScenarioBatch ConsolidationPlanner::sweep_batch(const SweepGrid& grid,
     }
     batch.append(*prototype, loss, arrival, counts);
   }
+}
+
+ScenarioBatch ConsolidationPlanner::sweep_batch(const SweepGrid& grid,
+                                               std::size_t begin,
+                                               std::size_t end,
+                                               ScenarioBatch recycled) const {
+  VMCONS_REQUIRE(begin <= end && end <= grid.size(),
+                 "sweep batch range must lie within the grid");
+  ScenarioBatch batch = std::move(recycled);
+  batch.clear();
+  append_sweep_cells(grid, end - begin,
+                     [begin](std::size_t j) { return begin + j; }, batch);
   return batch;
 }
 
@@ -199,10 +220,17 @@ SweepOutcome ConsolidationPlanner::sweep_all(const SweepGrid& grid,
   metrics::ScopedTimer wall(metrics::registry().timer("sweep.wall"));
   metrics::registry().counter("sweep.points").add(count);
 
-  // One columnar batch for the whole grid. Each scenario derives from its
-  // index alone, so the batch (and everything downstream) is deterministic
-  // regardless of execution order.
-  const ScenarioBatch batch = sweep_batch(grid, 0, count);
+  // One columnar batch for the whole grid in load-coherent order: batch
+  // position p holds grid index at(p). Every cell of one offered load is
+  // then contiguous, so one evaluator shard's Erlang walk answers all its
+  // losses and fleet mixes instead of each shard walking the load again.
+  // Each scenario derives from its grid index alone, so the batch (and
+  // everything downstream) is deterministic regardless of execution order.
+  const auto at = [&grid](std::size_t p) {
+    return grid.load_coherent_index(p);
+  };
+  ScenarioBatch batch;
+  append_sweep_cells(grid, count, at, batch);
   SweepOutcome outcome;
   outcome.cells.resize(count);
   for (std::size_t i = 0; i < count; ++i) {
@@ -219,19 +247,26 @@ SweepOutcome ConsolidationPlanner::sweep_all(const SweepGrid& grid,
   outcome.failures = std::move(evaluated.failures);
   outcome.cancelled = evaluated.cancelled;
   outcome.deadline_exceeded = evaluated.deadline_exceeded;
+  for (CellFailure& failure : outcome.failures) {
+    failure.scenario_index = at(failure.scenario_index);
+  }
+  std::sort(outcome.failures.begin(), outcome.failures.end(),
+            [](const CellFailure& a, const CellFailure& b) {
+              return a.scenario_index < b.scenario_index;
+            });
 
   const auto arrival = batch.arrival_rate();
-  for (std::size_t i = 0; i < count; ++i) {
-    SweepCell& cell = outcome.cells[i];
-    cell.evaluated = evaluated.evaluated[i] != 0;
+  for (std::size_t p = 0; p < count; ++p) {
+    SweepCell& cell = outcome.cells[at(p)];
+    cell.evaluated = evaluated.evaluated[p] != 0;
     if (!cell.evaluated) {
       continue;  // quarantined or unreached: keep the default report
     }
     PlanReport& report = cell.report;
-    report.model = std::move(evaluated.results[i]);
+    report.model = std::move(evaluated.results[p]);
     report.arrival_rates.assign(
-        arrival.begin() + static_cast<std::ptrdiff_t>(batch.services_begin(i)),
-        arrival.begin() + static_cast<std::ptrdiff_t>(batch.services_end(i)));
+        arrival.begin() + static_cast<std::ptrdiff_t>(batch.services_begin(p)),
+        arrival.begin() + static_cast<std::ptrdiff_t>(batch.services_end(p)));
     report.dedicated_assignment =
         assign(static_cast<double>(report.model.dedicated_servers));
     report.consolidated_assignment =

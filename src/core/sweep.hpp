@@ -12,7 +12,9 @@
 // the planner's current setting (so a grid with only target_losses set is
 // exactly the classic sweep_target_loss). The loss axis varies fastest,
 // which keeps points that share an offered load adjacent, so a shard's
-// Erlang walk meets each load at several targets.
+// Erlang walk meets each load at several targets. The fleet mix is the
+// slowest grid axis but changes no offered load, so sweep_all evaluates in
+// a load-coherent order that moves it inside the scale axis.
 #pragma once
 
 #include <cstddef>
@@ -66,8 +68,8 @@ class SweepGrid {
   std::size_t size() const;
 
   /// The index-derived point: loss varies fastest, then VMs, then scale,
-  /// then fleet mix (slowest — mixes change the staffing envelope most, so
-  /// adjacent points keep sharing offered loads).
+  /// then fleet mix (slowest). sweep_all evaluates in load_coherent_index
+  /// order but still reports cells in this index order.
   SweepPoint point(std::size_t index) const;
 
   /// All points in index order.
@@ -86,6 +88,13 @@ class SweepGrid {
     std::size_t mix = 0;
   };
   Coordinates coordinates(std::size_t index) const;
+
+  /// The grid index sweep_all evaluates at batch position `position`. The
+  /// evaluation order is load-coherent: loss fastest, then VMs, fleet mix,
+  /// scale. A fleet mix changes no offered load, so every cell of one
+  /// workload scale is contiguous in it and lands in one evaluator shard.
+  /// With at most one fleet mix it is the identity.
+  std::size_t load_coherent_index(std::size_t position) const;
 
   std::vector<double> target_losses_;
   std::vector<double> workload_scales_;

@@ -16,10 +16,12 @@
 //                   batch.parallel = false), so forking is safe.
 //   --mode selftest end-to-end smoke for scripts/tier1.sh: build a small
 //                   store in a temp dir, run it through `--mode run`
-//                   in-process (with --kill-one, worker w0 _exits on its
-//                   second claim and must exit 137), and require the
-//                   merged report to be bit-identical to a 1-process
-//                   StreamingSweep.
+//                   in-process, and require the merged report to be
+//                   bit-identical to a 1-process StreamingSweep. With
+//                   --kill-one, a first worker runs alone and _exits on its
+//                   second claim (it must exit 137); the fleet starts only
+//                   after that death, and one of its workers must reclaim
+//                   at least one of the dead worker's leases.
 //
 // Crash drill: `--kill-on-shard K` makes a worker _exit(137) immediately
 // after its claim on shard K becomes durable — exactly the kill -9 window
@@ -173,11 +175,16 @@ ShardedSweepOptions driver_options(const Args& args) {
   return options;
 }
 
-int run_worker(const Args& args) {
+/// Runs one worker to completion and writes its metrics file; `out`, when
+/// given, receives its WorkerReport.
+int run_worker(const Args& args, WorkerReport* out = nullptr) {
   const ScenarioStore store(args.store);
   const ShardedSweepDriver driver(driver_options(args));
   const WorkerReport report = driver.run_worker(store);
   driver.write_worker_metrics();
+  if (out != nullptr) {
+    *out = report;
+  }
   if (args.json) {
     core::print_metrics_json(std::cout);
     std::cout << '\n';
@@ -218,17 +225,27 @@ int run_merge(const Args& args) {
 struct FleetExit {
   int unexpected = 0;  ///< children that failed other than by the drill
   bool victim_killed = false;  ///< child `kill_worker` exited with 137
+  /// WorkerReport::leases_reclaimed summed over the children that finished
+  /// their worker loop (each sends its report up a pipe as it exits).
+  std::size_t leases_reclaimed = 0;
 };
 
 /// Forks `workers` children, each running the worker loop in-process; waits
 /// for all of them; reports per-child exits. Child `kill_worker` gets the
 /// --kill-on-shard hook (on its *second* claim when kill_on_shard is -1 but
-/// kill_worker is set). `unexpected` is -1 when a fork failed.
+/// kill_worker is set). `unexpected` is -1 when a fork or pipe failed.
 FleetExit fork_workers(const Args& args, const std::string& store_path,
                        const std::string& ledger_dir, bool quiet) {
   FleetExit fleet;
   std::vector<::pid_t> children;
+  std::vector<int> reports;  // read end of each child's report pipe
   for (int w = 0; w < args.workers; ++w) {
+    int report_pipe[2];
+    if (::pipe(report_pipe) != 0) {
+      std::perror("pipe");
+      fleet.unexpected = -1;
+      return fleet;
+    }
     const ::pid_t pid = ::fork();
     if (pid < 0) {
       std::perror("fork");
@@ -236,6 +253,7 @@ FleetExit fork_workers(const Args& args, const std::string& store_path,
       return fleet;
     }
     if (pid == 0) {
+      ::close(report_pipe[0]);
       Args child = args;
       child.store = store_path;
       child.ledger = ledger_dir;
@@ -269,14 +287,20 @@ FleetExit fork_workers(const Args& args, const std::string& store_path,
         ::_exit(0);
       }
       try {
-        ::_exit(run_worker(child));
+        WorkerReport report;
+        const int rc = run_worker(child, &report);
+        const bool sent = ::write(report_pipe[1], &report, sizeof report) ==
+                          static_cast<::ssize_t>(sizeof report);
+        ::_exit(sent ? rc : 1);
       } catch (const std::exception& error) {
         std::cerr << "worker " << child.worker_id << ": " << error.what()
                   << "\n";
         ::_exit(1);
       }
     }
+    ::close(report_pipe[1]);
     children.push_back(pid);
+    reports.push_back(report_pipe[0]);
   }
 
   for (int w = 0; w < static_cast<int>(children.size()); ++w) {
@@ -291,6 +315,13 @@ FleetExit fork_workers(const Args& args, const std::string& store_path,
         WEXITSTATUS(status) == 137;
     fleet.victim_killed = fleet.victim_killed || killed_on_purpose;
     const bool clean = WIFEXITED(status) && WEXITSTATUS(status) == 0;
+    WorkerReport report;
+    if (clean &&
+        ::read(reports[w], &report, sizeof report) ==
+            static_cast<::ssize_t>(sizeof report)) {
+      fleet.leases_reclaimed += report.leases_reclaimed;
+    }
+    ::close(reports[w]);
     if (!quiet) {
       std::cout << "worker w" << w << ": "
                 << (clean ? "ok"
@@ -387,28 +418,30 @@ int run_selftest(const Args& args) {
   // Short lease: the drill must reclaim the killed worker's shard quickly.
   fleet.lease_ms = std::min(fleet.lease_ms, 2000L);
   if (args.kill_one) {
-    fleet.kill_worker = 0;
+    // The victim runs alone, so no peer is alive to take its claims: it
+    // dies as its second claim lands, holding that claim uncommitted (and
+    // its first, if that shard's commit was still in flight).
+    Args victim = fleet;
+    victim.workers = 1;
+    victim.kill_worker = 0;
+    const FleetExit killed = fork_workers(victim, store_path, ledger_dir, true);
+    if (killed.unexpected != 0 || !killed.victim_killed) {
+      // A victim that never reached its second claim drilled nothing.
+      std::cerr << "selftest: worker w0 was not killed on its second claim\n";
+      return 1;
+    }
   }
+  // Every worker of this fleet starts after the victim's death, so under
+  // --kill-one the dead worker's leases can only be taken over by them.
   const FleetExit ended = fork_workers(fleet, store_path, ledger_dir, true);
   if (ended.unexpected != 0) {
     std::cerr << "selftest: " << ended.unexpected << " workers failed\n";
     return 1;
   }
-  if (args.kill_one && !ended.victim_killed) {
-    // A victim that never reached its second claim drilled nothing.
-    std::cerr << "selftest: worker w0 was not killed on its second claim\n";
+  if (args.kill_one && ended.leases_reclaimed == 0) {
+    std::cerr << "selftest: no worker started after the kill reclaimed a "
+                 "lease of the killed worker\n";
     return 1;
-  }
-  if (args.kill_one) {
-    Args sweeper = fleet;
-    sweeper.kill_worker = -1;
-    sweeper.kill_on_shard = -1;
-    sweeper.worker_id = "sweeper";
-    sweeper.json = false;
-    if (run_worker(sweeper) != 0) {
-      std::cerr << "selftest: sweeper worker failed\n";
-      return 1;
-    }
   }
 
   const ShardedSweepDriver merger(driver_options(fleet));
@@ -437,7 +470,11 @@ int run_selftest(const Args& args) {
 
   std::cout << "selftest ok: " << fleet.workers << " workers"
             << (args.lease_only ? " [lease-only staleness]" : "")
-            << (args.kill_one ? " (one killed mid-shard and reclaimed)" : "")
+            << (args.kill_one
+                    ? " after one killed mid-shard (" +
+                          std::to_string(ended.leases_reclaimed) +
+                          " of its leases reclaimed)"
+                    : "")
             << ", " << merged.report.shards_completed
             << " shards merged bit-identical to 1-process streaming sweep\n";
 
