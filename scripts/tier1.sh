@@ -83,6 +83,12 @@ echo "== tier-1: asan+ubsan build + concurrency tests =="
 cmake --preset asan
 cmake --build --preset asan -j
 ctest --preset asan-concurrency -j"$(nproc)" --timeout "${CTEST_TIMEOUT}"
+# parallel_for's caller and helpers share one chunk cursor and the caller
+# joins every helper before returning; repeating the pool suites in shuffled
+# order under the sanitizers shakes out races in that claim and join.
+./build-asan/tests/vmcons_tests \
+  --gtest_filter='ParallelFor*:ParallelMap*:ThreadPool*:RunControl.ParallelFor*' \
+  --gtest_repeat=50 --gtest_shuffle
 
 echo
 echo "tier-1 PASSED"

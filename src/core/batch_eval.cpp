@@ -150,6 +150,8 @@ class DedicatedStaffing {
     std::size_t cursor = staffing_first_;
     for (std::size_t s = begin_; s < end_; ++s) {
       ModelResult& result = results_[s - begin_];
+      result.dedicated.reserve(batch_.services_end(s) -
+                               batch_.services_begin(s));
       for (std::size_t row = batch_.services_begin(s);
            row < batch_.services_end(s); ++row) {
         ServicePlan plan;

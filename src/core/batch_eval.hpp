@@ -18,8 +18,10 @@
 // costs its longest chain's latency, and sharing one run per stage halves
 // the runs per solve() from 4 to 2.
 //
-// BatchEvaluator shards a batch over a thread pool (each shard is a
-// contiguous scenario range, so output is independent of the worker count).
+// BatchEvaluator shards a batch over a thread pool through parallel_for, so
+// the calling thread evaluates shards alongside the pool's workers (each
+// shard is a contiguous scenario range, so output is independent of the
+// worker count).
 // Each shard stages and walks its own query spans, one walk per staffing
 // kernel; workers share no Erlang state, so no shard ever waits on
 // another. Measured with a prototype that shared the walk on shards too: a

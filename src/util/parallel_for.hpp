@@ -1,30 +1,40 @@
 // Chunked parallel loop over an index range.
 //
-// parallel_for(n, fn) invokes fn(i) for every i in [0, n), distributing
-// contiguous chunks over the shared thread pool. Exceptions thrown by any
-// iteration are rethrown (first one wins) after all chunks finish, so the
-// caller never observes partially-joined work. If enqueueing a chunk itself
-// throws (pool allocation failure), already-submitted chunks are aborted
-// cooperatively and joined before the dispatch error is rethrown — futures
-// from packaged tasks do not block on destruction, so abandoning them would
-// leave queued chunks referencing the dying fn and locals.
+// parallel_for(n, fn) invokes fn(i) for every i in [0, n), cut into
+// contiguous chunks. The caller enqueues one helper task per pool worker
+// (fewer when there are fewer chunks) and then works too: the caller and
+// the helpers claim chunk indices from one shared atomic cursor until it
+// runs out, and the caller joins every helper before returning. The caller
+// never parks while chunks are left, so a loop finishes even when every
+// worker is busy elsewhere; a helper that starts after the cursor ran out
+// returns at once. If enqueueing a helper throws (pool allocation failure),
+// the loop simply runs with fewer participants.
 //
-// `grain` is the number of consecutive indices handed to one pool task:
-// 0 (the default) auto-chunks to about count / (4 * workers) so each worker
-// sees ~4 chunks, which balances heterogeneous iteration costs without
-// swamping the queue; an explicit grain caps dispatch overhead for tiny
-// per-item bodies (per-replication postprocessing, per-cell reductions)
-// where even 4 chunks per worker would underfill each task.
+// Exceptions thrown by an iteration end that chunk only; every other chunk
+// still runs. After the join, the exception of the lowest-numbered failing
+// chunk is rethrown, so the error raised is the first one in index order,
+// independent of timing and of the worker count.
 //
-// `control` (optional) makes the loop cooperatively stoppable: dispatch
-// stops submitting new chunks once control->stop_requested(), every not-yet
-// -started chunk returns without running, and the serial inline path checks
-// between iterations — so cancellation latency is bounded by one chunk of
-// work. parallel_for itself does not throw on a stop (it simply completes
-// early, with all started chunks finished and joined); the caller inspects
-// the RunControl to decide whether to raise. parallel_map cannot represent
-// a partial result, so it throws CancelledError / DeadlineExceededError
-// when a stop left slots unfilled.
+// `grain` is the number of consecutive indices in one chunk: 0 (the
+// default) auto-chunks to about count / (4 * workers), which balances
+// heterogeneous iteration costs; an explicit grain caps claiming overhead
+// for tiny per-item bodies (per-replication postprocessing, per-cell
+// reductions) where even 4 chunks per worker would underfill each chunk.
+//
+// Loops with one index, a 1-worker pool or grain >= count run inline on
+// the caller, and so do nested loops: a call from a pool worker or from a
+// thread already running chunks of an outer parallel_for must not wait for
+// helpers that the parked workers would never run.
+//
+// `control` (optional) makes the loop cooperatively stoppable: every
+// participant checks control->stop_requested() before claiming a chunk,
+// and the inline path checks between iterations, so cancellation latency
+// is bounded by one chunk per participant. parallel_for itself does not
+// throw on a stop (it simply completes early, with all started chunks
+// finished and joined); the caller inspects the RunControl to decide
+// whether to raise. parallel_map cannot represent a partial result, so it
+// throws CancelledError / DeadlineExceededError when a stop left slots
+// unfilled.
 //
 // Determinism contract: fn must derive any randomness from the index i (for
 // example via make_stream(seed, i)), never from thread identity; then output
@@ -36,6 +46,7 @@
 #include <cstddef>
 #include <exception>
 #include <future>
+#include <mutex>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -45,6 +56,29 @@
 
 namespace vmcons {
 
+namespace detail {
+
+/// Set while the thread runs chunks of a dispatched parallel_for, whether it
+/// is a pool worker or the caller; a nested call on that thread runs inline.
+inline thread_local bool t_in_parallel_for = false;
+
+/// Marks the current thread as a parallel_for participant for its lifetime,
+/// restoring the previous mark on exit.
+class ParticipantScope {
+ public:
+  ParticipantScope() noexcept : saved_(t_in_parallel_for) {
+    t_in_parallel_for = true;
+  }
+  ~ParticipantScope() { t_in_parallel_for = saved_; }
+  ParticipantScope(const ParticipantScope&) = delete;
+  ParticipantScope& operator=(const ParticipantScope&) = delete;
+
+ private:
+  bool saved_;
+};
+
+}  // namespace detail
+
 template <typename Fn>
 void parallel_for(std::size_t count, Fn&& fn, ThreadPool& pool = ThreadPool::shared(),
                   std::size_t grain = 0, const RunControl* control = nullptr) {
@@ -52,11 +86,11 @@ void parallel_for(std::size_t count, Fn&& fn, ThreadPool& pool = ThreadPool::sha
     return;
   }
   const std::size_t workers = std::max<std::size_t>(1, pool.size());
-  // A nested call from a pool worker must not block on futures: with every
-  // worker parked in future.get() the queued chunks would never run, so the
-  // nested loop executes inline on the calling worker instead.
-  if (count == 1 || workers == 1 || ThreadPool::on_worker_thread() ||
-      grain >= count) {
+  // A nested call must not enqueue helpers and wait for them: with every
+  // worker parked in a join, the helpers would never run. Pool workers and
+  // callers already running chunks execute the nested loop inline instead.
+  if (count == 1 || workers == 1 || grain >= count ||
+      ThreadPool::on_worker_thread() || detail::t_in_parallel_for) {
     for (std::size_t i = 0; i < count; ++i) {
       if (control != nullptr && control->stop_requested()) {
         return;
@@ -66,62 +100,64 @@ void parallel_for(std::size_t count, Fn&& fn, ThreadPool& pool = ThreadPool::sha
     return;
   }
   // Auto grain: four chunks per worker balances load for heterogeneous
-  // iteration costs without swamping the queue.
+  // iteration costs.
   const std::size_t auto_chunks = std::min(count, workers * 4);
   const std::size_t chunk_size =
       grain > 0 ? grain : (count + auto_chunks - 1) / auto_chunks;
   const std::size_t chunks = (count + chunk_size - 1) / chunk_size;
 
-  // Flipped when dispatch fails, so chunks already queued behind the failure
-  // skip their work and drain fast; stack lifetime is safe because every
-  // path below joins all submitted futures before unwinding.
-  std::atomic<bool> abort{false};
-  std::vector<std::future<void>> futures;
-  futures.reserve(chunks);
-  std::exception_ptr dispatch_error;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t begin = c * chunk_size;
-    if (begin >= count) {
-      break;
-    }
-    if (control != nullptr && control->stop_requested()) {
-      break;  // stop dispatching; already-queued chunks self-skip below
-    }
-    const std::size_t end = std::min(count, begin + chunk_size);
-    try {
-      futures.push_back(pool.submit([begin, end, &fn, &abort, control] {
-        if (abort.load(std::memory_order_relaxed) ||
-            (control != nullptr && control->stop_requested())) {
-          return;
-        }
-        for (std::size_t i = begin; i < end; ++i) {
+  // Every participant claims chunks from one cursor until it runs out or a
+  // stop is requested. The lowest failing chunk's exception is kept, which
+  // is the error an in-order join of per-chunk futures would raise.
+  std::atomic<std::size_t> cursor{0};
+  std::mutex error_mutex;
+  std::size_t error_chunk = chunks;
+  std::exception_ptr error;
+  const auto run_chunks = [&]() noexcept {
+    const detail::ParticipantScope participant;
+    for (;;) {
+      if (control != nullptr && control->stop_requested()) {
+        return;
+      }
+      const std::size_t c = cursor.fetch_add(1, std::memory_order_relaxed);
+      if (c >= chunks) {
+        return;
+      }
+      const std::size_t end = std::min(count, (c + 1) * chunk_size);
+      try {
+        for (std::size_t i = c * chunk_size; i < end; ++i) {
           fn(i);
         }
-      }));
-    } catch (...) {
-      abort.store(true, std::memory_order_relaxed);
-      dispatch_error = std::current_exception();
-      break;
-    }
-  }
-
-  std::exception_ptr first_error;
-  for (auto& future : futures) {
-    try {
-      future.get();
-    } catch (...) {
-      if (!first_error) {
-        first_error = std::current_exception();
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(error_mutex);
+        if (c < error_chunk) {
+          error_chunk = c;
+          error = std::current_exception();
+        }
       }
     }
+  };
+
+  // One helper per worker; the caller is the extra participant. A helper
+  // that cannot be enqueued (allocation failure) only means fewer
+  // participants: the caller's own loop still claims every chunk left.
+  std::vector<std::future<void>> helpers;
+  try {
+    const std::size_t helper_count = std::min(workers, chunks - 1);
+    helpers.reserve(helper_count);
+    for (std::size_t h = 0; h < helper_count; ++h) {
+      helpers.push_back(pool.submit(run_chunks));
+    }
+  } catch (...) {
   }
-  // A chunk's own error is more informative than the (likely allocation)
-  // dispatch failure, so it wins when both occurred.
-  if (first_error) {
-    std::rethrow_exception(first_error);
+  run_chunks();
+  // Helpers reference this frame, so all of them are joined before it
+  // unwinds; one that starts after the cursor ran out returns at once.
+  for (auto& helper : helpers) {
+    helper.wait();
   }
-  if (dispatch_error) {
-    std::rethrow_exception(dispatch_error);
+  if (error) {
+    std::rethrow_exception(error);
   }
 }
 

@@ -1,4 +1,6 @@
-// Fixed-size worker pool used by parallel_for and the replication runner.
+// Fixed-size worker pool. parallel_for (and so the replication runner and
+// the batch evaluator) enqueues one helper task per worker here; the helpers
+// and the calling thread share the loop's chunks.
 //
 // Design notes (per the HPC guides): explicit parallelism, no detached
 // threads, deterministic shutdown via RAII. Tasks are type-erased
@@ -34,8 +36,9 @@ class ThreadPool {
   std::size_t size() const noexcept { return workers_.size(); }
 
   /// Tasks enqueued but not yet claimed by a worker. Zero after every
-  /// parallel_for returns (it joins all submitted chunks, even aborted
-  /// ones) — tests use this to assert a cancelled batch leaked nothing.
+  /// parallel_for returns (it joins every helper it enqueued, even on a
+  /// stop or an error) — tests use this to assert a cancelled batch leaked
+  /// nothing.
   std::size_t queued() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return queue_.size();
@@ -65,8 +68,8 @@ class ThreadPool {
 
   /// True when the calling thread is a worker of *any* ThreadPool (set via
   /// a thread-local flag in worker_loop). parallel_for uses this to run
-  /// nested loops inline: a worker that blocked on futures for chunks
-  /// queued behind it would deadlock the pool.
+  /// nested loops inline: a worker that waited for helpers queued behind
+  /// it would deadlock the pool.
   static bool on_worker_thread() noexcept;
 
  private:

@@ -1,7 +1,10 @@
 // Tests for CSV, ASCII tables, flags, thread pool, and parallel_for.
 #include <atomic>
+#include <chrono>
+#include <latch>
 #include <set>
 #include <sstream>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -266,6 +269,116 @@ TEST(ParallelFor, NestedStillRethrowsExceptions) {
                    },
                    pool),
                InvalidArgument);
+}
+
+TEST(ParallelFor, CallerFinishesChunksWhileWorkersAreBusy) {
+  // Both workers are parked on a latch, so only the calling thread can run
+  // chunks: it must visit every index while they stay parked. parallel_for
+  // returns once the latch opens and its helpers, finding no chunk left,
+  // are joined.
+  ThreadPool pool(2);
+  std::latch parked(2);
+  std::latch release(1);
+  const auto park = [&] {
+    parked.count_down();
+    release.wait();
+  };
+  auto first = pool.submit(park);
+  auto second = pool.submit(park);
+  parked.wait();
+
+  constexpr std::size_t kCount = 64;
+  std::atomic<std::size_t> visited{0};
+  std::thread caller([&] {
+    parallel_for(
+        kCount, [&](std::size_t) { visited.fetch_add(1); }, pool);
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (visited.load() < kCount &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(visited.load(), kCount) << "indices visited with workers parked";
+  release.count_down();
+  caller.join();
+  first.get();
+  second.get();
+  EXPECT_EQ(visited.load(), kCount);
+  EXPECT_EQ(pool.queued(), 0u);
+}
+
+TEST(ParallelFor, NestedLoopOnTheCallerRunsInline) {
+  // An inner loop called from a chunk runs every index on that chunk's
+  // thread, the caller's included. The outer loop has two chunks, so one
+  // worker of the 2-thread pool stays idle: an inner loop that enqueued
+  // helpers from the caller would hand that worker some of its slow
+  // indices.
+  ThreadPool pool(2);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<std::size_t> outer_on_caller{0};
+  std::atomic<std::size_t> inner_on_caller{0};
+  std::atomic<std::size_t> inner_elsewhere{0};
+  // The caller claims a chunk as soon as its helper is enqueued; retry a
+  // few times in case the woken worker took both chunks first.
+  for (int attempt = 0; attempt < 20 && outer_on_caller.load() == 0;
+       ++attempt) {
+    parallel_for(
+        2,
+        [&](std::size_t) {
+          const std::thread::id outer = std::this_thread::get_id();
+          if (outer == caller) {
+            outer_on_caller.fetch_add(1);
+          }
+          parallel_for(
+              16,
+              [&](std::size_t) {
+                std::this_thread::sleep_for(std::chrono::microseconds(100));
+                if (std::this_thread::get_id() != outer) {
+                  inner_elsewhere.fetch_add(1);
+                } else if (outer == caller) {
+                  inner_on_caller.fetch_add(1);
+                }
+              },
+              pool);
+        },
+        pool, 1);
+  }
+  ASSERT_GT(outer_on_caller.load(), 0u) << "the caller ran no chunk";
+  EXPECT_EQ(inner_on_caller.load(), 16 * outer_on_caller.load());
+  EXPECT_EQ(inner_elsewhere.load(), 0u);
+}
+
+struct LowChunkError {};
+struct HighChunkError {};
+
+TEST(ParallelFor, LowestChunkErrorWins) {
+  // Chunk 2 delays its throw so chunk 9 usually fails first in time; the
+  // error raised must still be chunk 2's, as an in-order join would raise.
+  for (const std::size_t workers : {2u, 4u, 8u}) {
+    ThreadPool pool(workers);
+    for (int repeat = 0; repeat < 50; ++repeat) {
+      try {
+        parallel_for(
+            16,
+            [](std::size_t i) {
+              if (i == 2) {
+                std::this_thread::sleep_for(std::chrono::microseconds(200));
+                throw LowChunkError{};
+              }
+              if (i == 9) {
+                throw HighChunkError{};
+              }
+            },
+            pool, 1);
+        ADD_FAILURE() << "no error at " << workers << " workers";
+      } catch (const LowChunkError&) {
+      } catch (const HighChunkError&) {
+        ADD_FAILURE() << "chunk 9's error won at " << workers
+                      << " workers, repeat " << repeat;
+      }
+    }
+  }
 }
 
 TEST(ParallelMap, PreservesOrder) {
