@@ -27,12 +27,21 @@ int main() {
   web.arrival_rate = core::intensive_workload(web, 3, 0.01);
   db.arrival_rate = core::intensive_workload(db, 3, 0.01);
 
+  // The owned machines: the paper's reference server (two 2.0 GHz
+  // quad-cores) and a shelf of single quad-cores at half its capacity.
+  dc::Fleet owned;
+  owned.add(dc::ServerClass::reference("dual-quad-2.0GHz", {}, 4));
+  dc::ServerClass single_quad;
+  single_quad.name = "single-quad-2.0GHz";
+  for (const dc::Resource resource : dc::all_resources()) {
+    single_quad.capacity[resource] = 0.5;
+  }
+  single_quad.count = 12;
+  owned.add(single_quad);
+
   core::ConsolidationPlanner planner;
-  planner.set_target_loss(0.01)
-      .add_service(web)
-      .add_service(db)
-      .add_server_class({"dual-quad-2.0GHz", 1.0, 4, dc::PowerModel{}})
-      .add_server_class({"single-quad-2.0GHz", 0.5, 12, dc::PowerModel{}});
+  planner.set_target_loss(0.01).add_service(web).add_service(db).set_fleet(
+      owned);
 
   std::cout << "Capacity planning: Web + DB on a mixed fleet\n\n";
 
@@ -46,11 +55,13 @@ int main() {
             << " reference servers; consolidated needs "
             << today.model.consolidated_servers << ".\n";
   std::cout << "consolidated racking plan: ";
-  for (const auto& [name, count] : today.consolidated_assignment.picked) {
-    std::cout << count << "x " << name << "  ";
+  for (const core::ClassAllocation& alloc : today.model.fleet.classes) {
+    if (alloc.consolidated_servers > 0) {
+      std::cout << alloc.consolidated_servers << "x " << alloc.name << "  ";
+    }
   }
-  std::cout << (today.consolidated_assignment.feasible ? "(feasible)"
-                                                       : "(INFEASIBLE)")
+  std::cout << (today.model.fleet.consolidated_feasible ? "(feasible)"
+                                                        : "(INFEASIBLE)")
             << "\n\n";
 
   // --- 3: growth what-ifs --------------------------------------------------
@@ -65,7 +76,7 @@ int main() {
                     std::to_string(report.model.dedicated_servers),
                     std::to_string(report.model.consolidated_servers),
                     AsciiTable::format(report.model.power_saving * 100.0, 1),
-                    report.consolidated_assignment.feasible ? "yes" : "NO"});
+                    report.model.fleet.consolidated_feasible ? "yes" : "NO"});
   }
   growth.print(std::cout, "growth what-ifs");
 
@@ -108,12 +119,11 @@ int main() {
   joint.print(std::cout, "\nconsolidated servers N, loss target x growth");
 
   // --- 6: fleet-aware staffing --------------------------------------------
-  // The inventory above assigns machines *after* the model solves in
-  // reference units; a dc::Fleet moves the machine mix *into* the model.
-  // Here: a shelf of reference-speed old machines plus six new boxes that
-  // are twice as fast but hungrier. The fastest class fills first, so the
-  // new generation absorbs the consolidated load and the old shelf only
-  // backfills what is left.
+  // The owned fleet above has one wattage pair for both machine types.
+  // Here the planner gets a different fleet: a shelf of reference-speed old
+  // machines plus six new boxes that are twice as fast but hungrier. The
+  // fastest class fills first, so the new generation absorbs the
+  // consolidated load and the old shelf only backfills what is left.
   dc::Fleet fleet;
   fleet.add(dc::ServerClass::reference("old-gen",
                                        dc::PowerModel{250.0, 292.5}));

@@ -8,7 +8,6 @@
 
 #include "core/report.hpp"
 #include "core/scenario_io.hpp"
-#include "util/ascii_table.hpp"
 #include "util/error.hpp"
 
 int main(int argc, char** argv) {
@@ -23,16 +22,6 @@ int main(int argc, char** argv) {
     const core::PlanReport report = planner.plan();
 
     core::print_model_result(std::cout, report.model);
-
-    if (!report.consolidated_assignment.picked.empty()) {
-      std::cout << "\nconsolidated inventory assignment:\n";
-      for (const auto& [name, count] : report.consolidated_assignment.picked) {
-        print_kv(std::cout, name, static_cast<double>(count), 0);
-      }
-      print_kv(std::cout, "assignment feasible",
-               std::string(report.consolidated_assignment.feasible ? "yes"
-                                                                   : "NO"));
-    }
   } catch (const Error& error) {
     std::cerr << "error: " << error.what() << '\n';
     return 1;

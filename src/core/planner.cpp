@@ -1,8 +1,5 @@
 #include "core/planner.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "util/error.hpp"
 
 namespace vmcons::core {
@@ -21,14 +18,6 @@ ConsolidationPlanner& ConsolidationPlanner::add_service(dc::ServiceSpec service)
 ConsolidationPlanner& ConsolidationPlanner::set_vms_per_server(unsigned vms) {
   VMCONS_REQUIRE(vms >= 1, "need at least one VM per server");
   vms_per_server_ = vms;
-  return *this;
-}
-
-ConsolidationPlanner& ConsolidationPlanner::add_server_class(
-    ServerClass server_class) {
-  VMCONS_REQUIRE(server_class.capacity_factor > 0.0,
-                 "capacity factor must be positive");
-  inventory_.push_back(std::move(server_class));
   return *this;
 }
 
@@ -56,43 +45,6 @@ ModelInputs ConsolidationPlanner::make_inputs() const {
   return inputs;
 }
 
-InventoryAssignment ConsolidationPlanner::assign(double normalized_servers) const {
-  InventoryAssignment assignment;
-  if (inventory_.empty()) {
-    return assignment;
-  }
-  // Largest capacity first minimizes the machine count covering the
-  // normalized requirement (greedy is optimal for the covering objective
-  // when larger classes dominate smaller ones, which capacity factors do).
-  std::vector<const ServerClass*> ordered;
-  ordered.reserve(inventory_.size());
-  for (const auto& server_class : inventory_) {
-    ordered.push_back(&server_class);
-  }
-  std::sort(ordered.begin(), ordered.end(),
-            [](const ServerClass* a, const ServerClass* b) {
-              return a->capacity_factor > b->capacity_factor;
-            });
-  double remaining = normalized_servers;
-  for (const ServerClass* server_class : ordered) {
-    if (remaining <= 0.0) {
-      break;
-    }
-    const auto needed = static_cast<unsigned>(
-        std::min<double>(server_class->available,
-                         std::ceil(remaining / server_class->capacity_factor)));
-    if (needed == 0) {
-      continue;
-    }
-    assignment.picked.emplace_back(server_class->name, needed);
-    assignment.normalized_capacity +=
-        server_class->capacity_factor * static_cast<double>(needed);
-    remaining -= server_class->capacity_factor * static_cast<double>(needed);
-  }
-  assignment.feasible = remaining <= 1e-9;
-  return assignment;
-}
-
 PlanReport ConsolidationPlanner::plan() const { return plan_with(nullptr); }
 
 PlanReport ConsolidationPlanner::plan_with(
@@ -105,10 +57,6 @@ PlanReport ConsolidationPlanner::plan_with(
   for (const auto& service : inputs.services) {
     report.arrival_rates.push_back(service.arrival_rate);
   }
-  report.dedicated_assignment =
-      assign(static_cast<double>(report.model.dedicated_servers));
-  report.consolidated_assignment =
-      assign(static_cast<double>(report.model.consolidated_servers));
   return report;
 }
 

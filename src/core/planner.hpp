@@ -1,16 +1,13 @@
 // ConsolidationPlanner: the high-level planning API on top of the model.
 //
 // Adds the two things a data-center operator needs beyond the raw model:
-//   * heterogeneous-server normalization (Section III-B1 assumption 1 and
-//     the paper's stated future work): servers of differing capacity are
-//     normalized against a reference server before solving, and the
-//     resulting normalized server count is mapped back onto the actual
-//     inventory;
+//   * heterogeneous servers (Section III-B1 assumption 1 and the paper's
+//     stated future work): set_fleet hands the model a dc::Fleet, which
+//     staffs M and N in reference units and maps them onto per-class
+//     physical counts and per-class power (ModelResult::fleet);
 //   * what-if sweeps over the target loss probability and workload scale.
 #pragma once
 
-#include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/model.hpp"
@@ -18,30 +15,10 @@
 
 namespace vmcons::core {
 
-/// One physical server type in a heterogeneous inventory.
-struct ServerClass {
-  std::string name;
-  /// Capacity relative to the reference server (the paper's example: two
-  /// 2.0 GHz quad-cores = 1.0, one quad-core = 0.5).
-  double capacity_factor = 1.0;
-  /// How many of these the operator owns.
-  unsigned available = 0;
-  dc::PowerModel power;
-};
-
-/// Mapping of a normalized server requirement onto real inventory.
-struct InventoryAssignment {
-  std::vector<std::pair<std::string, unsigned>> picked;  ///< class -> count
-  double normalized_capacity = 0.0;  ///< total capacity of picked servers
-  bool feasible = false;             ///< inventory covered the requirement
-};
-
 struct PlanReport {
   ModelResult model;
   /// lambda per service actually used (after any scaling).
   std::vector<double> arrival_rates;
-  InventoryAssignment dedicated_assignment;
-  InventoryAssignment consolidated_assignment;
 };
 
 /// One evaluated grid point of a sweep. `evaluated` is false for cells a
@@ -72,22 +49,18 @@ class ConsolidationPlanner {
   ConsolidationPlanner& set_target_loss(double b);
   ConsolidationPlanner& add_service(dc::ServiceSpec service);
   ConsolidationPlanner& set_vms_per_server(unsigned vms);
-  /// Registers heterogeneous inventory; when empty, planning stays in
-  /// normalized (homogeneous reference) units.
-  ConsolidationPlanner& add_server_class(ServerClass server_class);
 
-  /// Sets the model-level heterogeneous fleet (dc::Fleet): the solver's
-  /// staff_fleet pass maps M and N onto per-class counts and derives power
-  /// from per-class wattages (ModelResult::fleet). Orthogonal to
-  /// add_server_class, which only post-maps normalized counts onto
-  /// inventory without touching the model's power answers.
+  /// Sets the heterogeneous fleet (dc::Fleet): the solver's staff_fleet
+  /// pass maps M and N onto per-class counts and derives power from
+  /// per-class wattages (ModelResult::fleet). Without a fleet, planning
+  /// stays in homogeneous reference-server units.
   ConsolidationPlanner& set_fleet(dc::Fleet fleet);
   const dc::Fleet& fleet() const { return fleet_; }
 
   /// Scales every service's arrival rate by `factor` (what-if growth).
   ConsolidationPlanner& scale_workloads(double factor);
 
-  /// Solves the model and maps the result onto the inventory (if any).
+  /// Solves the model (staffing the fleet, if one is set).
   PlanReport plan() const;
 
   /// Evaluates every point of `grid` (the loss x VMs-per-server x scale x
@@ -147,7 +120,6 @@ class ConsolidationPlanner {
   /// plan() with its Erlang walks' counters added to `kernel` (nullptr:
   /// none). Answers never depend on it.
   PlanReport plan_with(queueing::ErlangKernel* kernel) const;
-  InventoryAssignment assign(double normalized_servers) const;
   /// Appends the scenario of grid index index_at(j), for each j in
   /// [0, count), to `batch`: the one per-cell build loop behind sweep_batch
   /// (index_at(j) = begin + j) and sweep_all (the load-coherent order).
@@ -158,7 +130,6 @@ class ConsolidationPlanner {
 
   double target_loss_ = 0.01;
   std::vector<dc::ServiceSpec> services_;
-  std::vector<ServerClass> inventory_;
   dc::Fleet fleet_;
   std::optional<unsigned> vms_per_server_;
   double workload_scale_ = 1.0;

@@ -1,6 +1,8 @@
 #include "core/scenario_io.hpp"
 
+#include <array>
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -131,6 +133,11 @@ dc::ServiceSpec parse_service(const IniSection& section) {
 }  // namespace
 
 ModelInputs scenario_inputs(const IniDocument& document) {
+  VMCONS_REQUIRE(document.first("server_class") == nullptr,
+                 "[server_class] sections are not supported: declare each "
+                 "server type as a [class.<name>] section with `capacity` "
+                 "(relative to the reference server) and `count` (owned "
+                 "servers)");
   ModelInputs inputs;
   if (const IniSection* plan = document.first("plan")) {
     inputs.target_loss = plan->get_double("target_loss", 0.01);
@@ -138,8 +145,14 @@ ModelInputs scenario_inputs(const IniDocument& document) {
                    section_field_value("plan", "target_loss",
                                        inputs.target_loss) +
                        " must be finite");
-    const long long vms = plan->get_int("vms_per_server", 0);
-    if (vms > 0) {
+    if (plan->has("vms_per_server")) {
+      const long long vms = plan->get_int("vms_per_server", 0);
+      VMCONS_REQUIRE(vms >= 1 && static_cast<unsigned long long>(vms) <=
+                                     std::numeric_limits<unsigned>::max(),
+                     "[plan]: vms_per_server = " + std::to_string(vms) +
+                         " must be in [1, " +
+                         std::to_string(std::numeric_limits<unsigned>::max()) +
+                         "]");
       inputs.vms_per_server = static_cast<unsigned>(vms);
     }
   }
@@ -182,6 +195,14 @@ ModelInputs scenario_inputs(const IniDocument& document) {
   }
   const auto services = document.all("service");
   VMCONS_REQUIRE(!services.empty(), "scenario declares no [service] sections");
+  // Erlang staffing walks one step per server, so the scenario's summed
+  // dedicated_servers and, per resource, the consolidated offered load
+  // sum_i lambda_i / (mu_ij * a_ij) (Eq. 5; it bounds every dedicated
+  // lambda_i / mu_ij too) bound how long loading and planning can take.
+  std::uint64_t dedicated_total = 0;
+  std::array<double, dc::kResourceCount> offered_load{};
+  const unsigned vm_count = inputs.vms_per_server.value_or(
+      static_cast<unsigned>(services.size()));
   for (const IniSection* section : services) {
     dc::ServiceSpec spec = parse_service(*section);
     const double arrival = section->get_double("arrival_rate", 0.0);
@@ -192,6 +213,13 @@ ModelInputs scenario_inputs(const IniDocument& document) {
     if (arrival > 0.0) {
       spec.arrival_rate = arrival;
     } else if (dedicated > 0) {
+      dedicated_total += static_cast<std::uint64_t>(dedicated);
+      VMCONS_REQUIRE(dedicated_total <= kMaxScenarioLoad,
+                     "service '" + spec.name + "': dedicated_servers = " +
+                         std::to_string(dedicated) + " brings the scenario's "
+                         "total to " + std::to_string(dedicated_total) +
+                         ", over " + std::to_string(kMaxScenarioLoad) +
+                         " (kMaxScenarioLoad)");
       spec.arrival_rate = intensive_workload(
           spec, static_cast<std::uint64_t>(dedicated), inputs.target_loss);
     } else {
@@ -206,6 +234,22 @@ ModelInputs scenario_inputs(const IniDocument& document) {
         why << " (got dedicated_servers = " << dedicated << ")";
       }
       throw InvalidArgument(why.str());
+    }
+    for (const auto& key : kResourceKeys) {
+      const double rate = spec.native_rates[key.resource];
+      if (rate > 0.0) {
+        double& load = offered_load[static_cast<std::size_t>(key.resource)];
+        load += spec.arrival_rate /
+                (rate * spec.impact_factor(key.resource, vm_count));
+        if (!(load <= static_cast<double>(kMaxScenarioLoad))) {
+          std::ostringstream why;
+          why << field_value(spec.name, key.rate_key, rate)
+              << " brings the offered load on "
+              << dc::resource_name(key.resource) << " to " << load
+              << ", over " << kMaxScenarioLoad << " (kMaxScenarioLoad)";
+          throw InvalidArgument(why.str());
+        }
+      }
     }
     inputs.services.push_back(std::move(spec));
   }
@@ -224,14 +268,6 @@ ConsolidationPlanner scenario_planner(const IniDocument& document) {
   }
   for (const auto& service : inputs.services) {
     planner.add_service(service);
-  }
-  for (const IniSection* section : document.all("server_class")) {
-    ServerClass server_class;
-    server_class.name = section->get("name", "class");
-    server_class.capacity_factor = section->get_double("capacity", 1.0);
-    server_class.available =
-        static_cast<unsigned>(section->get_int("available", 0));
-    planner.add_server_class(std::move(server_class));
   }
   return planner;
 }

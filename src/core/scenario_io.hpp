@@ -16,12 +16,7 @@
 //   disk_rate = 420
 //   disk_impact = 0.8
 //
-//   [server_class]              ; optional heterogeneous inventory
-//   name = dual-quad
-//   capacity = 1.0
-//   available = 4
-//
-//   [class.old-gen]             ; optional model-level fleet class
+//   [class.old-gen]             ; optional heterogeneous fleet class
 //   capacity = 0.5              ; uniform capacity vs the reference server
 //   cpu_capacity = 0.6          ; per-resource override (default: capacity)
 //   base_watts = 180            ; this class's S_base/S_max pair
@@ -29,6 +24,7 @@
 //   count = 12                  ; owned servers (omit for unbounded)
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 #include "core/model.hpp"
@@ -37,10 +33,17 @@
 
 namespace vmcons::core {
 
+/// Largest sum of `dedicated_servers` over a scenario's [service]s, and
+/// largest consolidated offered load sum_i lambda_i / (mu_ij * a_ij) on any
+/// resource: Erlang staffing costs one step per server, so this bounds how
+/// long loading and planning one scenario file can take.
+inline constexpr std::uint64_t kMaxScenarioLoad = 1'000'000;
+
 /// Builds model inputs from a parsed scenario document.
 ModelInputs scenario_inputs(const IniDocument& document);
 
-/// Builds a full planner (inputs + inventory) from a scenario document.
+/// Builds a planner (target, VMs per server, fleet, services) from a
+/// scenario document.
 ConsolidationPlanner scenario_planner(const IniDocument& document);
 
 /// Convenience: parse a file and build the planner.

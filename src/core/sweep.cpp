@@ -267,10 +267,6 @@ SweepOutcome ConsolidationPlanner::sweep_all(const SweepGrid& grid,
     report.arrival_rates.assign(
         arrival.begin() + static_cast<std::ptrdiff_t>(batch.services_begin(p)),
         arrival.begin() + static_cast<std::ptrdiff_t>(batch.services_end(p)));
-    report.dedicated_assignment =
-        assign(static_cast<double>(report.model.dedicated_servers));
-    report.consolidated_assignment =
-        assign(static_cast<double>(report.model.consolidated_servers));
   }
   return outcome;
 }

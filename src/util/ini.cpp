@@ -1,5 +1,6 @@
 #include "util/ini.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -60,10 +61,15 @@ long long IniSection::get_int(const std::string& key, long long fallback) const 
     return fallback;
   }
   char* end = nullptr;
+  errno = 0;
   const long long value = std::strtoll(text.c_str(), &end, 10);
   if (end == nullptr || *end != '\0') {
     throw IoError("[" + name + "] " + key + ": expected an integer, got '" +
                   text + "'");
+  }
+  if (errno == ERANGE) {
+    throw IoError("[" + name + "] " + key + ": integer '" + text +
+                  "' is out of range");
   }
   return value;
 }

@@ -18,6 +18,8 @@ struct IniSection {
   bool has(const std::string& key) const;
   std::string get(const std::string& key, const std::string& fallback = "") const;
   double get_double(const std::string& key, double fallback) const;
+  /// Throws IoError on text that is not a base-10 integer or that does not
+  /// fit a long long (never a saturated value).
   long long get_int(const std::string& key, long long fallback) const;
 };
 

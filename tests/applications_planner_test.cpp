@@ -20,6 +20,18 @@ ModelInputs case_study(double target_loss = 0.01) {
   return inputs;
 }
 
+/// A uniform-capacity fleet class with the default wattage pair.
+dc::ServerClass uniform_class(std::string name, double capacity,
+                              std::uint64_t count) {
+  dc::ServerClass server_class;
+  server_class.name = std::move(name);
+  for (const dc::Resource resource : dc::all_resources()) {
+    server_class.capacity[resource] = capacity;
+  }
+  server_class.count = count;
+  return server_class;
+}
+
 TEST(Applications, ConsolidationAtEqualServersImprovesQos) {
   // With M = N = 6, consolidation (even with overheads) multiplexes two
   // streams over six servers instead of 3 + 3: loss drops, ratio > 1.
@@ -61,9 +73,9 @@ TEST(Planner, MatchesDirectModelWhenHomogeneous) {
   const ModelResult direct = UtilityAnalyticModel(inputs).solve();
   EXPECT_EQ(report.model.dedicated_servers, direct.dedicated_servers);
   EXPECT_EQ(report.model.consolidated_servers, direct.consolidated_servers);
-  // No inventory registered: assignments stay empty/non-feasible.
-  EXPECT_FALSE(report.dedicated_assignment.feasible);
-  EXPECT_TRUE(report.dedicated_assignment.picked.empty());
+  // No fleet set: the plan stays in reference units, no class allocation.
+  EXPECT_FALSE(report.model.fleet.planned);
+  EXPECT_TRUE(report.model.fleet.classes.empty());
 }
 
 TEST(Planner, HeterogeneousInventoryCoversRequirement) {
@@ -74,17 +86,28 @@ TEST(Planner, HeterogeneousInventoryCoversRequirement) {
   web.arrival_rate = intensive_workload(web, 3, 0.01);
   db.arrival_rate = intensive_workload(db, 3, 0.01);
   planner.add_service(web).add_service(db);
-  // The paper's example: dual quad-core = 1.0, single quad-core = 0.5.
-  planner.add_server_class({"dual-quad", 1.0, 2, dc::PowerModel{}});
-  planner.add_server_class({"single-quad", 0.5, 8, dc::PowerModel{}});
+  // The paper's example: dual quad-core = 1.0, single quad-core = 0.5,
+  // declared slowest first so the fill order is the planner's, not ours.
+  dc::Fleet fleet;
+  fleet.add(uniform_class("single-quad", 0.5, 8));
+  fleet.add(uniform_class("dual-quad", 1.0, 2));
+  planner.set_fleet(fleet);
 
   const PlanReport report = planner.plan();
+  const FleetPlan& plan = report.model.fleet;
   // N = 3 normalized: 2 dual-quads + 2 single-quads = 3.0 capacity.
-  ASSERT_TRUE(report.consolidated_assignment.feasible);
-  EXPECT_GE(report.consolidated_assignment.normalized_capacity, 3.0);
-  // Large servers are picked first.
-  EXPECT_EQ(report.consolidated_assignment.picked[0].first, "dual-quad");
-  EXPECT_EQ(report.consolidated_assignment.picked[0].second, 2u);
+  ASSERT_TRUE(plan.planned);
+  ASSERT_TRUE(plan.consolidated_feasible);
+  ASSERT_EQ(plan.classes.size(), 2u);
+  double capacity = 0.0;
+  for (const ClassAllocation& alloc : plan.classes) {
+    capacity += alloc.speed * static_cast<double>(alloc.consolidated_servers);
+  }
+  EXPECT_GE(capacity, 3.0);
+  // Large servers are picked first: every dual-quad, then the remainder.
+  EXPECT_EQ(plan.classes[1].name, "dual-quad");
+  EXPECT_EQ(plan.classes[1].consolidated_servers, 2u);
+  EXPECT_EQ(plan.classes[0].consolidated_servers, 2u);
 }
 
 TEST(Planner, InfeasibleInventoryIsReported) {
@@ -93,9 +116,13 @@ TEST(Planner, InfeasibleInventoryIsReported) {
   dc::ServiceSpec web = dc::paper_web_service();
   web.arrival_rate = intensive_workload(web, 4, 0.01);
   planner.add_service(web);
-  planner.add_server_class({"tiny", 0.25, 2, dc::PowerModel{}});
+  dc::Fleet fleet;
+  fleet.add(uniform_class("tiny", 0.25, 2));
+  planner.set_fleet(fleet);
   const PlanReport report = planner.plan();
-  EXPECT_FALSE(report.consolidated_assignment.feasible);
+  const FleetPlan& plan = report.model.fleet;
+  EXPECT_FALSE(plan.consolidated_feasible);
+  EXPECT_GT(plan.consolidated_shortfall, 0.0);
 }
 
 TEST(Planner, WorkloadScalingGrowsThePlan) {
@@ -133,7 +160,7 @@ TEST(Planner, ValidatesArguments) {
   EXPECT_THROW(planner.set_target_loss(0.0), InvalidArgument);
   EXPECT_THROW(planner.set_vms_per_server(0), InvalidArgument);
   EXPECT_THROW(planner.scale_workloads(-1.0), InvalidArgument);
-  EXPECT_THROW(planner.add_server_class({"bad", 0.0, 1, dc::PowerModel{}}),
+  EXPECT_THROW(dc::Fleet().add(uniform_class("bad", 0.0, 1)),
                InvalidArgument);
   EXPECT_THROW(planner.plan(), InvalidArgument);  // no services
 }

@@ -1,6 +1,8 @@
 // Tests for the INI parser and the scenario loader.
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "core/scenario_io.hpp"
 #include "util/error.hpp"
 #include "util/ini.hpp"
@@ -93,15 +95,125 @@ TEST(Scenario, ExplicitArrivalRateWins) {
 }
 
 TEST(Scenario, PlannerPicksUpInventory) {
-  const std::string text = std::string(kCaseStudy) +
-                           "\n[server_class]\nname = big\ncapacity = 1.0\n"
-                           "available = 4\n";
+  const std::string text =
+      std::string(kCaseStudy) + "\n[class.big]\ncapacity = 1.0\ncount = 4\n";
   const core::ConsolidationPlanner planner =
       core::scenario_planner(ini_parse(text));
   const core::PlanReport report = planner.plan();
-  EXPECT_TRUE(report.consolidated_assignment.feasible);
-  ASSERT_FALSE(report.consolidated_assignment.picked.empty());
-  EXPECT_EQ(report.consolidated_assignment.picked[0].first, "big");
+  const core::FleetPlan& plan = report.model.fleet;
+  ASSERT_TRUE(plan.planned);
+  EXPECT_TRUE(plan.consolidated_feasible);
+  ASSERT_EQ(plan.classes.size(), 1u);
+  EXPECT_EQ(plan.classes[0].name, "big");
+  EXPECT_EQ(plan.classes[0].consolidated_servers,
+            report.model.consolidated_servers);
+}
+
+TEST(Scenario, ServerClassSectionIsRefusedNamingItsReplacement) {
+  // The retired inventory section, including the `available = -1` that once
+  // wrapped to 4294967295 servers: refused by both entry points, pointing
+  // at the [class.<name>] keys that replace it.
+  const std::string text = std::string(kCaseStudy) +
+                           "\n[server_class]\nname = tiny\ncapacity = 0.01\n"
+                           "available = -1\n";
+  for (const bool planner : {false, true}) {
+    try {
+      if (planner) {
+        core::scenario_planner(ini_parse(text));
+      } else {
+        core::scenario_inputs(ini_parse(text));
+      }
+      FAIL() << "expected InvalidArgument";
+    } catch (const InvalidArgument& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find("[server_class]"), std::string::npos) << what;
+      EXPECT_NE(what.find("[class.<name>]"), std::string::npos) << what;
+      EXPECT_NE(what.find("count"), std::string::npos) << what;
+    }
+  }
+}
+
+TEST(Ini, OutOfRangeIntegersAreRefused) {
+  const IniDocument document = ini_parse(
+      "[s]\nbig = 9223372036854775808\nsmall = -9223372036854775809\n"
+      "max = 9223372036854775807\n");
+  const IniSection* section = document.first("s");
+  EXPECT_THROW(section->get_int("big", 0), IoError);
+  EXPECT_THROW(section->get_int("small", 0), IoError);
+  EXPECT_EQ(section->get_int("max", 0), 9223372036854775807LL);
+  // The same refusal reaches a class count that does not fit.
+  EXPECT_THROW(core::scenario_inputs(ini_parse(
+                   "[class.huge]\ncount = 99999999999999999999\n"
+                   "[service]\nname = s\narrival_rate = 5\ncpu_rate = 10\n")),
+               IoError);
+}
+
+TEST(Scenario, VmsPerServerMustFitUnsigned) {
+  const std::string service =
+      "\n[service]\nname = s\narrival_rate = 5\ncpu_rate = 10\n";
+  // 2^32 + 2 once wrapped to 2; -5 and 0 were silently ignored.
+  for (const char* value : {"4294967298", "-5", "0"}) {
+    try {
+      core::scenario_inputs(ini_parse(std::string("[plan]\nvms_per_server = ") +
+                                      value + service));
+      FAIL() << "expected InvalidArgument for " << value;
+    } catch (const InvalidArgument& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find(std::string("vms_per_server = ") + value),
+                std::string::npos)
+          << what;
+    }
+  }
+  const core::ModelInputs widest = core::scenario_inputs(
+      ini_parse("[plan]\nvms_per_server = 4294967295" + service));
+  EXPECT_EQ(widest.vms_per_server, 4294967295u);
+}
+
+TEST(Scenario, InputsThatWouldHangTheSolverAreRefusedFast) {
+  const auto refused_within_a_second = [](const std::string& text,
+                                          const char* expected) {
+    const auto start = std::chrono::steady_clock::now();
+    try {
+      core::scenario_inputs(ini_parse(text));
+      ADD_FAILURE() << "expected InvalidArgument for:\n" << text;
+    } catch (const InvalidArgument& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find(expected), std::string::npos) << what;
+      EXPECT_NE(what.find("kMaxScenarioLoad"), std::string::npos) << what;
+    }
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(1));
+  };
+  // Erlang-B inversion by bisection over 1e11 servers.
+  refused_within_a_second(
+      "[service]\nname = s\ndedicated_servers = 100000000000\n"
+      "cpu_rate = 100\n",
+      "dedicated_servers = 100000000000");
+  // The bound is on the scenario's total, checked before each inversion.
+  refused_within_a_second(
+      "[service]\nname = a\ndedicated_servers = 1\ncpu_rate = 100\n"
+      "[service]\nname = b\ndedicated_servers = 1000000\ndisk_rate = 100\n",
+      "total to 1000001");
+  // A staffing walk over an offered load of 1e13.
+  refused_within_a_second(
+      "[service]\nname = s\narrival_rate = 1e15\ncpu_rate = 100\n",
+      "offered load on cpu to");
+  // The bound is on the consolidated load: two services that each fit can
+  // still overflow one shared resource, and a low impact factor scales it.
+  refused_within_a_second(
+      "[service]\nname = a\narrival_rate = 6e7\ncpu_rate = 100\n"
+      "[service]\nname = b\narrival_rate = 6e7\ncpu_rate = 100\n",
+      "offered load on cpu to");
+  refused_within_a_second(
+      "[service]\nname = s\narrival_rate = 2e6\ncpu_rate = 100\n"
+      "cpu_impact = 0.01\n",
+      "offered load on cpu to");
+
+  // At the bound itself the scenario loads and plans.
+  const core::ModelInputs at_bound = core::scenario_inputs(ini_parse(
+      "[service]\nname = s\narrival_rate = 1e8\ncpu_rate = 100\n"));
+  EXPECT_GT(core::UtilityAnalyticModel(at_bound).solve().consolidated_servers,
+            0u);
 }
 
 TEST(Scenario, ValidatesServiceDeclarations) {
