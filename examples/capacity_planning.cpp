@@ -107,7 +107,7 @@ int main() {
   joint.set_header({"traffic", "B=0.05", "B=0.01", "B=0.001", "B=0.0001"});
   for (std::size_t row = 0; row < 3; ++row) {
     std::vector<std::string> line{
-        AsciiTable::format(*cells[row * targets.size()].point.workload_scale,
+        AsciiTable::format(*grid.point(row * targets.size()).workload_scale,
                            0) +
         "x"};
     for (std::size_t col = 0; col < targets.size(); ++col) {

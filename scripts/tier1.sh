@@ -26,9 +26,10 @@ echo "== tier-1: fault-injection suite under a pinned seed =="
 # to a clean run. FsFault*/CrashRecovery* is the filesystem half: torn
 # manifest lines, ENOSPC mid-shard, and injected crashes at every op of the
 # store-write/checkpoint/claim/commit/merge paths, each required to recover
-# bit-identical to a clean 1-process streaming sweep.
+# bit-identical to a clean 1-process streaming sweep. SweepLoadCoherent*
+# draws batch.cell faults at sweep_all's evaluation positions.
 VMCONS_FAULT_SEED=20090806 ./build/tests/vmcons_tests \
-  --gtest_filter='RunControl*:FaultInject*:StreamingSweep*:ShardedSweep*:ClaimLedger*:ManifestLock*:FsFault*:CrashRecovery*'
+  --gtest_filter='RunControl*:FaultInject*:StreamingSweep*:ShardedSweep*:ClaimLedger*:ManifestLock*:FsFault*:CrashRecovery*:SweepLoadCoherent*'
 
 echo
 echo "== tier-1: micro_engine smoke (correctness only, ~1s) =="
@@ -88,6 +89,12 @@ ctest --preset asan-concurrency -j"$(nproc)" --timeout "${CTEST_TIMEOUT}"
 # order under the sanitizers shakes out races in that claim and join.
 ./build-asan/tests/vmcons_tests \
   --gtest_filter='ParallelFor*:ParallelMap*:ThreadPool*:RunControl.ParallelFor*' \
+  --gtest_repeat=50 --gtest_shuffle
+# sweep_all builds, evaluates and assembles each shard inside its chunk, so
+# shards write disjoint cells of one outcome concurrently; the sweep suites
+# (Sweep* includes SweepLoadCoherent*) repeat under the sanitizers too,
+# ~11 s on 4 cores.
+./build-asan/tests/vmcons_tests --gtest_filter='Sweep*' \
   --gtest_repeat=50 --gtest_shuffle
 
 echo

@@ -1,6 +1,7 @@
 #include "core/batch_eval.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <mutex>
 #include <vector>
@@ -699,8 +700,21 @@ BatchOutcome BatchEvaluator::evaluate_all(const ScenarioBatch& batch) const {
   BatchOutcome outcome;
   outcome.results.resize(count);
   outcome.evaluated.assign(count, 0);
+  run_shards(
+      count,
+      [&](std::size_t first, std::size_t last, const EvaluateShard& evaluate) {
+        evaluate(batch, first,
+                 std::span(outcome.results).subspan(first, last - first),
+                 std::span(outcome.evaluated).subspan(first, last - first));
+      },
+      outcome);
+  return outcome;
+}
+
+void BatchEvaluator::run_shards(std::size_t count, const ShardFn& shard_fn,
+                                BatchOutcome& outcome) const {
   if (count == 0) {
-    return outcome;
+    return;
   }
   queueing::ErlangKernel* const kernel = options_.kernel;
 
@@ -735,11 +749,13 @@ BatchOutcome BatchEvaluator::evaluate_all(const ScenarioBatch& batch) const {
   const RunControl& control = options_.control;
   const bool quarantine = options_.policy == FailurePolicy::kQuarantine;
   std::mutex failures_mutex;  // shards append failures; sorted afterwards
+  std::atomic<std::size_t> handled{0};  // cells evaluated or quarantined
 
   // One walk per staffing kernel, not staff_deployments: a shard fills its
   // lanes already, and a shared walk would hold both kernels' kept values.
-  const auto evaluate_range = [&](std::size_t first, std::size_t last,
-                                  std::span<ModelResult> out) {
+  const auto evaluate_range = [kernel](const ScenarioBatch& batch,
+                                       std::size_t first, std::size_t last,
+                                       std::span<ModelResult> out) {
     batch_kernels::staff_dedicated(batch, first, last, kernel, out);
     batch_kernels::staff_consolidated(batch, first, last, kernel, out);
     batch_kernels::staff_fleet(batch, first, last, out);
@@ -753,53 +769,63 @@ BatchOutcome BatchEvaluator::evaluate_all(const ScenarioBatch& batch) const {
     if (control.stop_requested()) {
       return;
     }
-    const std::span<ModelResult> out(outcome.results.data() + first,
-                                     last - first);
-    try {
-      if (util::FaultInjector::enabled()) {
-        const util::FaultInjector& injector = util::FaultInjector::global();
-        injector.check(util::fault_sites::kBatchShard, index);
-        for (std::size_t s = first; s < last; ++s) {
-          injector.check(util::fault_sites::kBatchCell, s);
-        }
-      }
-      evaluate_range(first, last, out);
-      std::fill(outcome.evaluated.begin() + static_cast<std::ptrdiff_t>(first),
-                outcome.evaluated.begin() + static_cast<std::ptrdiff_t>(last),
-                std::uint8_t{1});
-    } catch (...) {
-      if (!quarantine) {
-        throw;  // kFailFast: parallel_for joins all shards, then rethrows
-      }
-      // Quarantine fallback: isolate the failing cell(s) by re-running this
-      // shard cell-at-a-time. Each cell is a batch of one — the same four
-      // span kernels over the range [s, s+1) — so healthy cells produce
-      // bit-identical results to the staged whole-shard walk: every answer
-      // depends only on its own load's recurrence.
-      for (std::size_t s = first; s < last; ++s) {
-        if (control.stop_requested()) {
-          return;
-        }
-        ModelResult& slot = outcome.results[s];
-        slot = ModelResult{};  // discard partial fast-path writes
-        try {
-          if (util::FaultInjector::enabled()) {
-            util::FaultInjector::global().check(util::fault_sites::kBatchCell,
-                                                s);
+    // Faults are drawn at positions (first + j), whatever batch the shard
+    // callback evaluates them in.
+    const EvaluateShard evaluate = [&, index, first, last](
+                                       const ScenarioBatch& batch,
+                                       std::size_t begin,
+                                       std::span<ModelResult> out,
+                                       std::span<std::uint8_t> evaluated) {
+      const std::size_t n = last - first;
+      try {
+        if (util::FaultInjector::enabled()) {
+          const util::FaultInjector& injector = util::FaultInjector::global();
+          injector.check(util::fault_sites::kBatchShard, index);
+          for (std::size_t s = first; s < last; ++s) {
+            injector.check(util::fault_sites::kBatchCell, s);
           }
-          evaluate_range(s, s + 1, std::span<ModelResult>(&slot, 1));
-          outcome.evaluated[s] = 1;
-        } catch (const Error& error) {
-          slot = ModelResult{};
-          const std::lock_guard<std::mutex> lock(failures_mutex);
-          outcome.failures.push_back({s, error.code(), error.what()});
-        } catch (const std::exception& error) {
-          slot = ModelResult{};
-          const std::lock_guard<std::mutex> lock(failures_mutex);
-          outcome.failures.push_back({s, ErrorCode::kUnknown, error.what()});
+        }
+        evaluate_range(batch, begin, begin + n, out);
+        std::fill(evaluated.begin(), evaluated.end(), std::uint8_t{1});
+        handled.fetch_add(n, std::memory_order_relaxed);
+      } catch (...) {
+        if (!quarantine) {
+          throw;  // kFailFast: parallel_for joins all shards, then rethrows
+        }
+        // Quarantine fallback: isolate the failing cell(s) by re-running
+        // this shard cell-at-a-time. Each cell is a batch of one — the same
+        // span kernels over the range [s, s+1) — so healthy cells produce
+        // bit-identical results to the staged whole-shard walk: every
+        // answer depends only on its own load's recurrence.
+        for (std::size_t j = 0; j < n; ++j) {
+          if (control.stop_requested()) {
+            return;
+          }
+          ModelResult& slot = out[j];
+          slot = ModelResult{};  // discard partial fast-path writes
+          try {
+            if (util::FaultInjector::enabled()) {
+              util::FaultInjector::global().check(
+                  util::fault_sites::kBatchCell, first + j);
+            }
+            evaluate_range(batch, begin + j, begin + j + 1,
+                           std::span<ModelResult>(&slot, 1));
+            evaluated[j] = 1;
+          } catch (const Error& error) {
+            slot = ModelResult{};
+            const std::lock_guard<std::mutex> lock(failures_mutex);
+            outcome.failures.push_back({first + j, error.code(), error.what()});
+          } catch (const std::exception& error) {
+            slot = ModelResult{};
+            const std::lock_guard<std::mutex> lock(failures_mutex);
+            outcome.failures.push_back(
+                {first + j, ErrorCode::kUnknown, error.what()});
+          }
+          handled.fetch_add(1, std::memory_order_relaxed);
         }
       }
-    }
+    };
+    shard_fn(first, last, evaluate);
   };
   if (options_.parallel && shard_count > 1 && active_workers > 1) {
     parallel_for(shard_count, run_shard, pool, 0, &control);
@@ -812,7 +838,7 @@ BatchOutcome BatchEvaluator::evaluate_all(const ScenarioBatch& batch) const {
     }
   }
 
-  // Shards append failures in completion order; report them in scenario
+  // Shards append failures in completion order; report them in position
   // order so the record is deterministic regardless of the worker count.
   std::sort(outcome.failures.begin(), outcome.failures.end(),
             [](const CellFailure& a, const CellFailure& b) {
@@ -823,7 +849,7 @@ BatchOutcome BatchEvaluator::evaluate_all(const ScenarioBatch& batch) const {
 
   // A stop only counts as an abort if it actually left cells unhandled;
   // a deadline expiring as the last shard retires is not an abort.
-  if (outcome.evaluated_count() + outcome.failures.size() < count) {
+  if (handled.load(std::memory_order_relaxed) < count) {
     switch (control.stop_reason()) {
       case StopReason::kCancelled:
         outcome.cancelled = true;
@@ -837,8 +863,6 @@ BatchOutcome BatchEvaluator::evaluate_all(const ScenarioBatch& batch) const {
         break;  // unreachable: only a stop skips cells without recording
     }
   }
-
-  return outcome;
 }
 
 }  // namespace vmcons::core

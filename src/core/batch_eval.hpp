@@ -21,7 +21,12 @@
 // BatchEvaluator shards a batch over a thread pool through parallel_for, so
 // the calling thread evaluates shards alongside the pool's workers (each
 // shard is a contiguous scenario range, so output is independent of the
-// worker count).
+// worker count). One shard runner does this for evaluate_all and for
+// ConsolidationPlanner::sweep_all: it sizes the shards, checks for a stop
+// before each one, draws the batch.shard / batch.cell faults, runs the
+// quarantine fallback and keeps the batch.* counters. A shard callback
+// supplies each shard's scenarios and takes its results, so sweep_all
+// builds and assembles every shard inside the shard's own chunk.
 // Each shard stages and walks its own query spans, one walk per staffing
 // kernel; workers share no Erlang state, so no shard ever waits on
 // another. Measured with a prototype that shared the walk on shards too: a
@@ -43,6 +48,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -59,6 +65,8 @@ class ErlangKernel;
 }  // namespace vmcons
 
 namespace vmcons::core {
+
+class ConsolidationPlanner;
 
 /// What a BatchEvaluator does with a scenario whose evaluation throws.
 enum class FailurePolicy {
@@ -154,6 +162,31 @@ class BatchEvaluator {
   const BatchOptions& options() const { return options_; }
 
  private:
+  friend class ConsolidationPlanner;  // sweep_all runs its shards here
+
+  /// Evaluates one shard: scenarios [begin, begin + results.size()) of
+  /// `batch` are the shard's positions in order; position first + j writes
+  /// results[j] and sets evaluated[j] to 1 once solved.
+  using EvaluateShard =
+      std::function<void(const ScenarioBatch& batch, std::size_t begin,
+                         std::span<ModelResult> results,
+                         std::span<std::uint8_t> evaluated)>;
+  /// Called once per shard that a stop did not skip, with the shard's
+  /// positions [first, last); it calls `evaluate` once on the shard's
+  /// scenarios. What it throws outside `evaluate` propagates under either
+  /// policy (never a CellFailure); parallel_for raises the lowest shard's.
+  using ShardFn = std::function<void(std::size_t first, std::size_t last,
+                                     const EvaluateShard& evaluate)>;
+
+  /// The one shard loop behind evaluate_all and sweep_all: cuts positions
+  /// [0, count) into shards (auto-sized to ~4 per active worker), runs
+  /// `shard` on each that no stop skips, and records failures (by
+  /// position, sorted), cancellation and deadline expiry in `outcome`.
+  /// batch.shard / batch.cell faults are drawn at shard index / position;
+  /// one call counts one batch.evaluations and `count` batch.scenarios.
+  void run_shards(std::size_t count, const ShardFn& shard,
+                  BatchOutcome& outcome) const;
+
   BatchOptions options_;
 };
 

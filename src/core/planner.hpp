@@ -21,13 +21,13 @@ struct PlanReport {
   std::vector<double> arrival_rates;
 };
 
-/// One evaluated grid point of a sweep. `evaluated` is false for cells a
-/// quarantined sweep isolated (see SweepOutcome::failures) or a stop left
-/// unreached; their report is default-constructed.
+/// One grid point of a sweep; cell i of a sweep is grid.point(i).
+/// `evaluated` is false for cells a quarantined sweep isolated (see
+/// SweepOutcome::failures) or a stop left unreached; their report is
+/// default-constructed.
 struct SweepCell {
-  SweepPoint point;
   PlanReport report;
-  bool evaluated = true;
+  bool evaluated = false;
 };
 
 /// Fault-tolerant sweep result: every grid cell plus the structured record
@@ -76,15 +76,20 @@ class ConsolidationPlanner {
   /// SweepOutcome instead of throwing. Healthy cells are bit-identical to
   /// the same cells of a clean sweep() run. Implemented in sweep.cpp.
   ///
-  /// Evaluation order: the grid is evaluated as one batch in load-coherent
-  /// order — loss fastest, then VMs, fleet mix, scale — so the cells that
-  /// share an offered load (a fleet mix and a loss target change none) are
+  /// Evaluation order: the grid is evaluated in load-coherent order — loss
+  /// fastest, then VMs, fleet mix, scale — so the cells that share an
+  /// offered load (a fleet mix and a loss target change none) are
   /// contiguous and land in one evaluator shard, whose Erlang walk answers
-  /// them from kept values. Results, `evaluated` flags and failure indexes
-  /// are mapped back to grid indices. Beyond speed, the order matters only
-  /// to fault placement: `batch.cell` is drawn at a cell's evaluation position
-  /// (its grid index when the grid has at most one fleet mix), and under
-  /// kFailFast the first failure in evaluation order propagates.
+  /// them from kept values. Each shard builds its slice of that order,
+  /// evaluates it and writes its own cells, inside its parallel_for chunk;
+  /// no whole-grid batch is built. The planner checks run once, before the
+  /// fan-out. A cell's build error propagates under either policy, never as
+  /// a CellFailure; of several, the lowest failing shard's is raised.
+  /// Results, `evaluated` flags and failure indexes land at grid indices. Beyond
+  /// speed, the order matters only to fault placement: `batch.cell` is
+  /// drawn at a cell's evaluation position (its grid index when the grid
+  /// has at most one fleet mix), and under kFailFast the first failure in
+  /// evaluation order propagates.
   SweepOutcome sweep_all(const SweepGrid& grid,
                          const SweepOptions& options = {}) const;
 
@@ -105,7 +110,7 @@ class ConsolidationPlanner {
   /// effective rates per VM-count axis value, bottleneck rates, class
   /// speeds — is derived once per call; each cell writes only its target
   /// loss, VM count, scaled arrival rates and class counts. sweep_all
-  /// builds its batch and write_sweep_store each shard this way, so any
+  /// builds each shard's slice and write_sweep_store each shard this way, so any
   /// index range of a grid is rebuilt without materializing the rest. The
   /// batch is built in `recycled`'s cleared columns, so a caller walking a
   /// grid range by range reuses one allocation. Implemented in sweep.cpp.
@@ -120,6 +125,9 @@ class ConsolidationPlanner {
   /// plan() with its Erlang walks' counters added to `kernel` (nullptr:
   /// none). Answers never depend on it.
   PlanReport plan_with(queueing::ErlangKernel* kernel) const;
+  /// point_inputs' planner checks, which no cell changes: the fleet-mix
+  /// length against the fleet, then "planner has no services".
+  void check_sweep(const SweepGrid& grid) const;
   /// Appends the scenario of grid index index_at(j), for each j in
   /// [0, count), to `batch`: the one per-cell build loop behind sweep_batch
   /// (index_at(j) = begin + j) and sweep_all (the load-coherent order).

@@ -144,6 +144,16 @@ ModelInputs ConsolidationPlanner::point_inputs(const SweepPoint& point) const {
   return instance.make_inputs();
 }
 
+void ConsolidationPlanner::check_sweep(const SweepGrid& grid) const {
+  // point_inputs' planner checks do not depend on the cell, so they run
+  // once, in its order: the fleet-mix length (every mix has the same one;
+  // with_counts throws InvalidArgument naming both sizes), then services.
+  if (!grid.fleet_mixes_.empty()) {
+    static_cast<void>(fleet_.with_counts(grid.fleet_mixes_.front()));
+  }
+  VMCONS_REQUIRE(!services_.empty(), "planner has no services");
+}
+
 template <class IndexAt>
 void ConsolidationPlanner::append_sweep_cells(const SweepGrid& grid,
                                               std::size_t count,
@@ -152,14 +162,6 @@ void ConsolidationPlanner::append_sweep_cells(const SweepGrid& grid,
   if (count == 0) {
     return;
   }
-  // point_inputs' planner checks do not depend on the cell, so they run
-  // once, in its order: the fleet-mix length (every mix has the same one;
-  // with_counts throws InvalidArgument naming both sizes), then services.
-  if (!grid.fleet_mixes_.empty()) {
-    static_cast<void>(fleet_.with_counts(grid.fleet_mixes_.front()));
-  }
-  VMCONS_REQUIRE(!services_.empty(), "planner has no services");
-
   // The derived rows depend only on the VM count: one prototype per VM-count
   // axis value, built when a cell of the sequence first needs it.
   ModelInputs shape;
@@ -208,6 +210,9 @@ ScenarioBatch ConsolidationPlanner::sweep_batch(const SweepGrid& grid,
                  "sweep batch range must lie within the grid");
   ScenarioBatch batch = std::move(recycled);
   batch.clear();
+  if (begin < end) {
+    check_sweep(grid);
+  }
   append_sweep_cells(grid, end - begin,
                      [begin](std::size_t j) { return begin + j; }, batch);
   return batch;
@@ -219,23 +224,21 @@ SweepOutcome ConsolidationPlanner::sweep_all(const SweepGrid& grid,
 
   metrics::ScopedTimer wall(metrics::registry().timer("sweep.wall"));
   metrics::registry().counter("sweep.points").add(count);
+  check_sweep(grid);
 
-  // One columnar batch for the whole grid in load-coherent order: batch
-  // position p holds grid index at(p). Every cell of one offered load is
-  // then contiguous, so one evaluator shard's Erlang walk answers all its
-  // losses and fleet mixes instead of each shard walking the load again.
-  // Each scenario derives from its grid index alone, so the batch (and
-  // everything downstream) is deterministic regardless of execution order.
+  // Evaluation position p holds grid index at(p): the load-coherent order,
+  // in which every cell of one offered load is contiguous, so one shard's
+  // Erlang walk answers all its losses and fleet mixes instead of each
+  // shard walking the load again. Each shard builds its own slice of that
+  // order, evaluates it and moves its results into its cells, which no
+  // other shard touches; no whole-grid batch exists. Each scenario derives
+  // from its grid index alone, so the outcome is independent of the worker
+  // count and of which participant ran which shard.
   const auto at = [&grid](std::size_t p) {
     return grid.load_coherent_index(p);
   };
-  ScenarioBatch batch;
-  append_sweep_cells(grid, count, at, batch);
   SweepOutcome outcome;
   outcome.cells.resize(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    outcome.cells[i].point = grid.point(i);
-  }
 
   BatchOptions batch_options;
   batch_options.parallel = options.parallel;
@@ -243,7 +246,35 @@ SweepOutcome ConsolidationPlanner::sweep_all(const SweepGrid& grid,
   batch_options.pool = options.pool;
   batch_options.policy = options.policy;
   batch_options.control = options.control;
-  BatchOutcome evaluated = BatchEvaluator(batch_options).evaluate_all(batch);
+  BatchOutcome evaluated;
+  BatchEvaluator(batch_options)
+      .run_shards(
+          count,
+          [&](std::size_t first, std::size_t last,
+              const BatchEvaluator::EvaluateShard& evaluate) {
+            const std::size_t n = last - first;
+            ScenarioBatch slice;
+            append_sweep_cells(
+                grid, n, [&](std::size_t j) { return at(first + j); }, slice);
+            std::vector<ModelResult> results(n);
+            std::vector<std::uint8_t> solved(n, 0);
+            evaluate(slice, 0, results, solved);
+            const auto arrival = slice.arrival_rate();
+            for (std::size_t j = 0; j < n; ++j) {
+              if (solved[j] == 0) {
+                continue;  // quarantined or unreached: keep the default cell
+              }
+              SweepCell& cell = outcome.cells[at(first + j)];
+              cell.evaluated = true;
+              cell.report.model = std::move(results[j]);
+              cell.report.arrival_rates.assign(
+                  arrival.begin() +
+                      static_cast<std::ptrdiff_t>(slice.services_begin(j)),
+                  arrival.begin() +
+                      static_cast<std::ptrdiff_t>(slice.services_end(j)));
+            }
+          },
+          evaluated);
   outcome.failures = std::move(evaluated.failures);
   outcome.cancelled = evaluated.cancelled;
   outcome.deadline_exceeded = evaluated.deadline_exceeded;
@@ -254,20 +285,6 @@ SweepOutcome ConsolidationPlanner::sweep_all(const SweepGrid& grid,
             [](const CellFailure& a, const CellFailure& b) {
               return a.scenario_index < b.scenario_index;
             });
-
-  const auto arrival = batch.arrival_rate();
-  for (std::size_t p = 0; p < count; ++p) {
-    SweepCell& cell = outcome.cells[at(p)];
-    cell.evaluated = evaluated.evaluated[p] != 0;
-    if (!cell.evaluated) {
-      continue;  // quarantined or unreached: keep the default report
-    }
-    PlanReport& report = cell.report;
-    report.model = std::move(evaluated.results[p]);
-    report.arrival_rates.assign(
-        arrival.begin() + static_cast<std::ptrdiff_t>(batch.services_begin(p)),
-        arrival.begin() + static_cast<std::ptrdiff_t>(batch.services_end(p)));
-  }
   return outcome;
 }
 

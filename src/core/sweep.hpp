@@ -15,6 +15,12 @@
 // Erlang walk meets each load at several targets. The fleet mix is the
 // slowest grid axis but changes no offered load, so sweep_all evaluates in
 // a load-coherent order that moves it inside the scale axis.
+//
+// sweep_all cuts that order into BatchEvaluator's shards; each shard builds
+// its own slice (ConsolidationPlanner::sweep_batch's per-cell loop),
+// evaluates it and writes its cells inside its parallel_for chunk, so no
+// whole-grid batch exists. A cell stores its report and evaluated flag,
+// not its point: cell i is point(i), recomputed from the index.
 #pragma once
 
 #include <cstddef>
@@ -69,7 +75,8 @@ class SweepGrid {
 
   /// The index-derived point: loss varies fastest, then VMs, then scale,
   /// then fleet mix (slowest). sweep_all evaluates in load_coherent_index
-  /// order but still reports cells in this index order.
+  /// order but still reports cells in this index order: cell i of a sweep
+  /// is point(i).
   SweepPoint point(std::size_t index) const;
 
   /// All points in index order.

@@ -47,10 +47,18 @@ double IniSection::get_double(const std::string& key, double fallback) const {
     return fallback;
   }
   char* end = nullptr;
+  errno = 0;
   const double value = std::strtod(text.c_str(), &end);
   if (end == nullptr || *end != '\0') {
     throw IoError("[" + name + "] " + key + ": expected a number, got '" +
                   text + "'");
+  }
+  // strtod turns an underflow into 0 or a subnormal and an overflow into
+  // inf; either would plan a silently different scenario (a rate of 0
+  // drops that resource's demand).
+  if (errno == ERANGE) {
+    throw IoError("[" + name + "] " + key + ": number '" + text +
+                  "' is out of range");
   }
   return value;
 }

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
+#include <fstream>
 
 #include "core/scenario_io.hpp"
 #include "util/error.hpp"
@@ -146,6 +148,29 @@ TEST(Ini, OutOfRangeIntegersAreRefused) {
                    "[class.huge]\ncount = 99999999999999999999\n"
                    "[service]\nname = s\narrival_rate = 5\ncpu_rate = 10\n")),
                IoError);
+}
+
+TEST(Scenario, OutOfRangeRatesAreRefusedNotPlanned) {
+  // strtod reads 1e-400 as 0 (which dropped the disk demand) and 1e400 as
+  // inf; both must stop the file from planning, naming section and key.
+  for (const char* value : {"1e-400", "1e400"}) {
+    const std::string path = ::testing::TempDir() + "out_of_range_rate.ini";
+    {
+      std::ofstream file(path);
+      file << "[service]\nname = web\narrival_rate = 50\ncpu_rate = 100\n"
+              "disk_rate = "
+           << value << "\n";
+    }
+    try {
+      core::load_scenario(path).plan();
+      FAIL() << "planned a scenario with disk_rate = " << value;
+    } catch (const IoError& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find("[service] disk_rate"), std::string::npos) << what;
+      EXPECT_NE(what.find(value), std::string::npos) << what;
+    }
+    std::remove(path.c_str());
+  }
 }
 
 TEST(Scenario, VmsPerServerMustFitUnsigned) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
@@ -15,6 +16,7 @@
 
 #include "core/model.hpp"
 #include "core/planner.hpp"
+#include "core/scenario_batch.hpp"
 #include "datacenter/server_class.hpp"
 #include "queueing/erlang_kernel.hpp"
 #include "util/error.hpp"
@@ -46,6 +48,18 @@ void expect_same_report(const PlanReport& a, const PlanReport& b) {
   ASSERT_EQ(a.arrival_rates.size(), b.arrival_rates.size());
   for (std::size_t i = 0; i < a.arrival_rates.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.arrival_rates[i], b.arrival_rates[i]);
+  }
+}
+
+/// Cell i of a sweep is grid point i: it planned that point's scaled
+/// arrival rates.
+void expect_point_arrivals(const ConsolidationPlanner& planner,
+                           const SweepGrid& grid, std::size_t i,
+                           const SweepCell& cell) {
+  const ModelInputs inputs = planner.point_inputs(grid.point(i));
+  ASSERT_EQ(cell.report.arrival_rates.size(), inputs.services.size());
+  for (std::size_t k = 0; k < inputs.services.size(); ++k) {
+    EXPECT_EQ(cell.report.arrival_rates[k], inputs.services[k].arrival_rate);
   }
 }
 
@@ -148,7 +162,7 @@ TEST(Sweep, ParallelMemoizedMatchesSerialCold) {
   ASSERT_EQ(actual.size(), expected.size());
   ASSERT_EQ(actual.size(), grid.size());
   for (std::size_t i = 0; i < actual.size(); ++i) {
-    EXPECT_EQ(actual[i].point.index, i);
+    expect_point_arrivals(planner, grid, i, actual[i]);
     expect_same_report(actual[i].report, expected[i].report);
   }
   EXPECT_GT(kernel.stats().evaluations, 0u);
@@ -320,12 +334,10 @@ void expect_bit_identical(const ModelResult& got, const ModelResult& want) {
   }
 }
 
-void expect_same_point(const SweepPoint& got, const SweepPoint& want) {
-  EXPECT_EQ(got.index, want.index);
-  EXPECT_EQ(got.target_loss, want.target_loss);
-  EXPECT_EQ(got.workload_scale, want.workload_scale);
-  EXPECT_EQ(got.vms_per_server, want.vms_per_server);
-  EXPECT_EQ(got.fleet_mix, want.fleet_mix);
+/// The seed the fault tests draw from: VMCONS_FAULT_SEED, else 2009.
+std::uint64_t fault_seed() {
+  const char* seed = std::getenv("VMCONS_FAULT_SEED");
+  return seed != nullptr ? std::strtoull(seed, nullptr, 10) : 2009;
 }
 
 SweepOutcome sweep_on(const ConsolidationPlanner& planner,
@@ -357,8 +369,12 @@ TEST(SweepLoadCoherent, MultiMixCellsAreBitIdenticalToPerPointSolves) {
       SCOPED_TRACE("cell " + std::to_string(i));
       const SweepCell& cell = outcome.cells[i];
       EXPECT_TRUE(cell.evaluated);
-      EXPECT_EQ(cell.point.index, i);
-      expect_same_point(cell.point, grid.point(i));
+      // Cell i is grid point i: its fleet plan owns that point's mix.
+      const std::vector<std::uint64_t> mix = *grid.point(i).fleet_mix;
+      ASSERT_EQ(cell.report.model.fleet.classes.size(), mix.size());
+      for (std::size_t c = 0; c < mix.size(); ++c) {
+        EXPECT_EQ(cell.report.model.fleet.classes[c].available, mix[c]);
+      }
       ASSERT_EQ(cell.report.arrival_rates.size(), inputs[i].services.size());
       for (std::size_t k = 0; k < inputs[i].services.size(); ++k) {
         expect_same_bits(cell.report.arrival_rates[k],
@@ -377,8 +393,7 @@ TEST(SweepLoadCoherent, MultiMixQuarantineReportsGridIndicesAndCancels) {
 
   util::ScopedFaults guard;
   util::FaultInjector& injector = util::FaultInjector::global();
-  const char* seed = std::getenv("VMCONS_FAULT_SEED");
-  injector.set_seed(seed != nullptr ? std::strtoull(seed, nullptr, 10) : 2009);
+  injector.set_seed(fault_seed());
   util::FaultInjector::SiteConfig faults;
   faults.error_rate = 0.05;
   injector.arm(util::fault_sites::kBatchCell, faults);
@@ -414,7 +429,6 @@ TEST(SweepLoadCoherent, MultiMixQuarantineReportsGridIndicesAndCancels) {
     for (std::size_t i = 0; i < grid.size(); ++i) {
       SCOPED_TRACE("cell " + std::to_string(i));
       const SweepCell& cell = outcome.cells[i];
-      EXPECT_EQ(cell.point.index, i);
       if (expected.count(i) != 0) {
         EXPECT_FALSE(cell.evaluated);
         expect_bit_identical(cell.report.model, ModelResult{});
@@ -424,6 +438,7 @@ TEST(SweepLoadCoherent, MultiMixQuarantineReportsGridIndicesAndCancels) {
       EXPECT_TRUE(cell.evaluated);
       expect_bit_identical(cell.report.model, clean.cells[i].report.model);
       EXPECT_EQ(cell.report.arrival_rates, clean.cells[i].report.arrival_rates);
+      expect_point_arrivals(planner, grid, i, cell);
     }
   }
 
@@ -439,7 +454,72 @@ TEST(SweepLoadCoherent, MultiMixQuarantineReportsGridIndicesAndCancels) {
   ASSERT_EQ(cancelled.cells.size(), grid.size());
   for (std::size_t i = 0; i < grid.size(); ++i) {
     EXPECT_FALSE(cancelled.cells[i].evaluated) << "cell " << i;
-    EXPECT_EQ(cancelled.cells[i].point.index, i);
+    expect_bit_identical(cancelled.cells[i].report.model, ModelResult{});
+    EXPECT_TRUE(cancelled.cells[i].report.arrival_rates.empty());
+  }
+}
+
+TEST(SweepLoadCoherent, FailFastRaisesTheLowestEvaluationPositionsFault) {
+  const ConsolidationPlanner planner = fleet_planner();
+  const SweepGrid grid = multi_mix_grid();
+  util::ScopedFaults guard;
+  util::FaultInjector& injector = util::FaultInjector::global();
+  injector.set_seed(fault_seed());
+  util::FaultInjector::SiteConfig faults;
+  faults.error_rate = 0.05;
+  injector.arm(util::fault_sites::kBatchCell, faults);
+  // Shards build, evaluate and assemble concurrently; whichever fails
+  // first in time, the fault raised is the one at the lowest evaluation
+  // position (not the lowest grid index it maps to).
+  std::size_t lowest = grid.size();
+  std::size_t injected = 0;
+  for (std::size_t p = 0; p < grid.size(); ++p) {
+    if (injector.would_fail(util::fault_sites::kBatchCell, p)) {
+      lowest = std::min(lowest, p);
+      ++injected;
+    }
+  }
+  ASSERT_GE(injected, 2u) << "the lowest fault needs a later one to beat";
+  const std::string expected = "injected fault at site 'batch.cell', index " +
+                               std::to_string(lowest) + " ";
+  for (const std::size_t threads : {1, 2, 8}) {
+    SCOPED_TRACE(std::to_string(threads) + " workers");
+    try {
+      static_cast<void>(sweep_on(planner, grid, threads));
+      FAIL() << "an armed batch.cell fault did not propagate";
+    } catch (const NumericError& error) {
+      EXPECT_EQ(error.code(), ErrorCode::kFaultInjected);
+      EXPECT_EQ(std::string(error.what()).rfind(expected, 0), 0u)
+          << error.what();
+    }
+  }
+}
+
+TEST(SweepLoadCoherent, CountersMatchOneEvaluateAll) {
+  const ConsolidationPlanner planner = fleet_planner();
+  const SweepGrid grid = multi_mix_grid();
+  auto& evaluations = metrics::registry().counter(metrics::names::kBatchEvaluations);
+  auto& scenarios = metrics::registry().counter(metrics::names::kBatchScenarios);
+  auto& shards = metrics::registry().counter(metrics::names::kBatchShards);
+  const ScenarioBatch batch = planner.sweep_batch(grid, 0, grid.size());
+  for (const std::size_t threads : {1, 2, 8}) {
+    SCOPED_TRACE(std::to_string(threads) + " workers");
+    ThreadPool pool(threads);
+    BatchOptions batch_options;
+    batch_options.pool = &pool;
+    const std::uint64_t batch_shards = shards.value();
+    ASSERT_TRUE(BatchEvaluator(batch_options).evaluate_all(batch).complete());
+    const std::uint64_t expected_shards = shards.value() - batch_shards;
+
+    const std::uint64_t evaluations_before = evaluations.value();
+    const std::uint64_t scenarios_before = scenarios.value();
+    const std::uint64_t shards_before = shards.value();
+    SweepOptions options;
+    options.pool = &pool;
+    ASSERT_TRUE(planner.sweep_all(grid, options).complete());
+    EXPECT_EQ(evaluations.value() - evaluations_before, 1u);
+    EXPECT_EQ(scenarios.value() - scenarios_before, grid.size());
+    EXPECT_EQ(shards.value() - shards_before, expected_shards);
   }
 }
 
