@@ -96,6 +96,12 @@ ctest --preset asan-concurrency -j"$(nproc)" --timeout "${CTEST_TIMEOUT}"
 # ~11 s on 4 cores.
 ./build-asan/tests/vmcons_tests --gtest_filter='Sweep*' \
   --gtest_repeat=50 --gtest_shuffle
+# solve() keeps a per-thread staging batch that it clears and refills; the
+# BatchModel suite (concurrent solves, a solve after a throwing one)
+# repeats shuffled under the sanitizers so state that leaks between calls
+# or threads shows up.
+./build-asan/tests/vmcons_tests --gtest_filter='BatchModel*' \
+  --gtest_repeat=20 --gtest_shuffle
 
 echo
 echo "tier-1 PASSED"

@@ -11,10 +11,25 @@
 #include "util/fault_inject.hpp"
 #include "util/metrics.hpp"
 #include "util/parallel_for.hpp"
+#include "util/scratch.hpp"
 #include "util/thread_pool.hpp"
 
 namespace vmcons::core {
 namespace {
+
+// Inline capacities of the kernels' util::Scratch arrays, each sized once
+// from counts the range already holds. A batch of one — solve() — of up to
+// kInlineRows services and kInlineClasses fleet classes stages every array
+// inline and allocates only what its ModelResult owns; a larger range
+// allocates each array once.
+constexpr std::size_t kInlineRows = 4;
+constexpr std::size_t kInlineClasses = 8;
+// Staffing or blocking queries of one such scenario: one per demanded
+// (service, resource) pair, plus one per merged resource.
+constexpr std::size_t kInlineQueries = (kInlineRows + 1) * dc::kResourceCount;
+
+using StaffingList = util::Scratch<queueing::StaffingQuery, kInlineQueries>;
+using BlockingList = util::Scratch<queueing::BlockingQuery, kInlineQueries>;
 
 /// Answers the staged query lists of one staff_* call through one
 /// ErlangWalk that lives as long as the dispatch, so each rho's blocking
@@ -99,6 +114,7 @@ class DedicatedStaffing {
         row0_(batch.services_begin(begin)),
         rows_(batch.services_end(end - 1) - row0_),
         rho_cols_(dc::kResourceCount * rows_) {
+    rho_cols_.resize(dc::kResourceCount * rows_);
     // Per-resource offered-load columns over the range's contiguous row
     // range. The divisions are hoisted out of the per-scenario query loop
     // into one branch-free stream per resource: divide by a safe stand-in,
@@ -125,9 +141,13 @@ class DedicatedStaffing {
     }
   }
 
+  /// Most staffing queries the range stages, and as many blocking queries:
+  /// one per demanded (service, resource) pair.
+  std::size_t query_bound() const { return dc::kResourceCount * rows_; }
+
   /// Every staffing query of the range, in deterministic (scenario,
   /// service, resource) order.
-  void stage_staffing(std::vector<queueing::StaffingQuery>& staffing) {
+  void stage_staffing(StaffingList& staffing) {
     staffing_first_ = staffing.size();
     for (std::size_t s = begin_; s < end_; ++s) {
       const double b = batch_.target_loss(s);
@@ -145,8 +165,7 @@ class DedicatedStaffing {
   /// Consumes the answers in staging order, building the per-service plans
   /// (servers = max over resources, M = sum over services), and stages the
   /// blocking queries at each granted staffing.
-  void grant(std::span<const std::uint64_t> staffed,
-             std::vector<queueing::BlockingQuery>& blocking) {
+  void grant(std::span<const std::uint64_t> staffed, BlockingList& blocking) {
     blocking_first_ = blocking.size();
     std::size_t cursor = staffing_first_;
     for (std::size_t s = begin_; s < end_; ++s) {
@@ -203,7 +222,7 @@ class DedicatedStaffing {
   std::span<ModelResult> results_;
   std::size_t row0_;
   std::size_t rows_;
-  std::vector<double> rho_cols_;
+  util::Scratch<double, dc::kResourceCount * kInlineRows> rho_cols_;
   std::size_t staffing_first_ = 0;
   std::size_t blocking_first_ = 0;
 };
@@ -221,6 +240,7 @@ class ConsolidatedStaffing {
         row0_(batch.services_begin(begin)),
         rows_(batch.services_end(end - 1) - row0_),
         merge_cols_(2 * dc::kResourceCount * rows_) {
+    merge_cols_.resize(2 * dc::kResourceCount * rows_);
     // Masked per-row merge terms of Eq. 4/5 as contiguous columns, the
     // columnar twin of UtilityAnalyticModel::consolidated_offered_load.
     // Undemanded rows (mu <= 0) contribute exact +0.0; arrival rates and
@@ -245,9 +265,15 @@ class ConsolidatedStaffing {
     }
   }
 
+  /// Most staffing queries the range stages, and as many blocking queries:
+  /// one per demanded (scenario, resource) pair.
+  std::size_t query_bound() const {
+    return dc::kResourceCount * (end_ - begin_);
+  }
+
   /// Merged offered loads per (scenario, resource) — forward sums of the
   /// staged columns — and the staffing queries for every demanded resource.
-  void stage_staffing(std::vector<queueing::StaffingQuery>& staffing) {
+  void stage_staffing(StaffingList& staffing) {
     staffing_first_ = staffing.size();
     for (std::size_t s = begin_; s < end_; ++s) {
       ModelResult& result = results_[s - begin_];
@@ -282,8 +308,7 @@ class ConsolidatedStaffing {
   }
 
   /// N = max over resources; stages the blocking queries at N.
-  void grant(std::span<const std::uint64_t> staffed,
-             std::vector<queueing::BlockingQuery>& blocking) {
+  void grant(std::span<const std::uint64_t> staffed, BlockingList& blocking) {
     blocking_first_ = blocking.size();
     std::size_t cursor = staffing_first_;
     for (std::size_t s = begin_; s < end_; ++s) {
@@ -328,7 +353,7 @@ class ConsolidatedStaffing {
   std::span<ModelResult> results_;
   std::size_t row0_;
   std::size_t rows_;
-  std::vector<double> merge_cols_;
+  util::Scratch<double, 2 * dc::kResourceCount * kInlineRows> merge_cols_;
   std::size_t staffing_first_ = 0;
   std::size_t blocking_first_ = 0;
 };
@@ -338,19 +363,23 @@ class ConsolidatedStaffing {
 /// blocking queries in one eval_many. The folds run left to right, so the
 /// query lists hold the kernels' queries in argument order. Every answer
 /// depends only on its own load's recurrence, so the results are
-/// bit-identical to one walk per kernel.
+/// bit-identical to one walk per kernel. The query and answer lists are
+/// sized once, from the kernels' query bounds.
 template <typename... Staffing>
 void staff_on_one_walk(queueing::ErlangKernel* kernel,
                        Staffing&... staffing_kernels) {
+  const std::size_t bound = (staffing_kernels.query_bound() + ...);
   ErlangDispatch erlang(kernel);
-  std::vector<queueing::StaffingQuery> staffing;
+  StaffingList staffing(bound);
   (staffing_kernels.stage_staffing(staffing), ...);
-  std::vector<std::uint64_t> staffed(staffing.size());
+  util::Scratch<std::uint64_t, kInlineQueries> staffed(bound);
+  staffed.resize(staffing.size());
   erlang.servers_for_many(staffing, staffed);
 
-  std::vector<queueing::BlockingQuery> blocking;
+  BlockingList blocking(bound);
   (staffing_kernels.grant(staffed, blocking), ...);
-  std::vector<double> blocked(blocking.size());
+  util::Scratch<double, kInlineQueries> blocked(bound);
+  blocked.resize(blocking.size());
   erlang.eval_many(blocking, blocked);
   (staffing_kernels.write_blocking(blocked), ...);
 }
@@ -395,7 +424,8 @@ void staff_fleet(const ScenarioBatch& batch, std::size_t begin,
   // Stage 0: fill-priority tie-break column — reference-equivalents per
   // peak watt — as one dense divide stream over the shard's class rows.
   // max_watts is validated >= base_watts > 0, so the divide is safe.
-  std::vector<double> efficiency(crows);
+  util::Scratch<double, kInlineClasses> efficiency(crows);
+  efficiency.resize(crows);
   {
     const double* __restrict__ speed = batch.class_speed().data() + c0;
     const double* __restrict__ peak = batch.class_max_watts().data() + c0;
@@ -407,7 +437,7 @@ void staff_fleet(const ScenarioBatch& batch, std::size_t begin,
 
   const auto available = batch.class_available();
   const auto speeds = batch.class_speed();
-  std::vector<std::size_t> order;
+  util::Scratch<std::size_t, kInlineClasses> order(crows);
   for (std::size_t s = begin; s < end; ++s) {
     const std::size_t cb = batch.classes_begin(s);
     const std::size_t ce = batch.classes_end(s);
@@ -501,8 +531,10 @@ void derive_utility(const ScenarioBatch& batch, std::size_t begin,
   const std::size_t row0 = batch.services_begin(begin);
   const std::size_t row_end = batch.services_end(end - 1);
   const std::size_t rows = row_end - row0;
-  std::vector<double> dedicated_terms(rows);
-  std::vector<double> consolidated_terms(rows);
+  util::Scratch<double, kInlineRows> dedicated_terms(rows);
+  util::Scratch<double, kInlineRows> consolidated_terms(rows);
+  dedicated_terms.resize(rows);
+  consolidated_terms.resize(rows);
   {
     const double* __restrict__ arr = arrival.data() + row0;
     const double* __restrict__ bot = bottleneck.data() + row0;
@@ -547,8 +579,9 @@ void derive_power(const ScenarioBatch& batch, std::size_t begin,
   const std::size_t count = end - begin;
   // One scratch block, both deployments staged before any scatter: the
   // clamp loops are branch-free min-streams and watts_many runs over dense
-  // columns, so all four passes vectorize.
-  std::vector<double> scratch(count * 4);
+  // columns, so all four passes vectorize. A batch of one stages inline.
+  util::Scratch<double, 4> scratch(count * 4);
+  scratch.resize(count * 4);
   const std::span<double> dedicated_clamped(scratch.data(), count);
   const std::span<double> consolidated_clamped(scratch.data() + count, count);
   const std::span<double> dedicated_watts(scratch.data() + 2 * count, count);
@@ -609,7 +642,8 @@ void derive_power(const ScenarioBatch& batch, std::size_t begin,
   if (crows == 0) {
     return;
   }
-  std::vector<double> class_scratch(crows * 4);
+  util::Scratch<double, 4 * kInlineClasses> class_scratch(crows * 4);
+  class_scratch.resize(crows * 4);
   double* const u_ded = class_scratch.data();
   double* const u_con = class_scratch.data() + crows;
   double* const w_ded = class_scratch.data() + 2 * crows;

@@ -107,7 +107,14 @@ ModelResult UtilityAnalyticModel::solve() const {
   // lanes live, so each lane run costs its longest chain's latency, and 2
   // runs instead of 4 pay it half as often (see batch_eval.hpp for why
   // BatchEvaluator keeps one walk per kernel).
-  ScenarioBatch batch;
+  //
+  // The batch of one is this thread's batch, cleared and refilled on every
+  // call: its columns keep their capacity (about 1 KB for a few services),
+  // so a warm call stages without allocating. Every call starts with
+  // clear(), so a solve() that threw leaves nothing the next one reads; no
+  // kernel calls back into solve(), so one batch per thread suffices.
+  thread_local ScenarioBatch batch;
+  batch.clear();
   batch.append(inputs_);
   ModelResult result;
   const std::span<ModelResult> out(&result, 1);

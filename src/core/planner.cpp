@@ -49,12 +49,13 @@ PlanReport ConsolidationPlanner::plan() const { return plan_with(nullptr); }
 
 PlanReport ConsolidationPlanner::plan_with(
     queueing::ErlangKernel* kernel) const {
-  const ModelInputs inputs = make_inputs();
-  UtilityAnalyticModel model(inputs);
+  UtilityAnalyticModel model(make_inputs());
   model.use_kernel(kernel);
   PlanReport report;
   report.model = model.solve();
-  for (const auto& service : inputs.services) {
+  const std::vector<dc::ServiceSpec>& services = model.inputs().services;
+  report.arrival_rates.reserve(services.size());
+  for (const auto& service : services) {
     report.arrival_rates.push_back(service.arrival_rate);
   }
   return report;

@@ -6,11 +6,12 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <memory>
+#include <utility>
 
 #include "queueing/erlang.hpp"
 #include "util/error.hpp"
 #include "util/metrics.hpp"
+#include "util/scratch.hpp"
 #include "util/simd.hpp"
 
 namespace vmcons::queueing {
@@ -74,10 +75,23 @@ void validate(std::span<const StaffingQuery> queries) {
   }
 }
 
-/// Table slots for a span of `size` queries: a power of two, at least 2n.
+/// Table slots for `size` keys: a power of two, at least 2n, so an
+/// open-addressing table of them is at most half full.
 constexpr std::size_t group_slots(std::size_t size) {
   return std::bit_ceil(std::max<std::size_t>(2 * size, 2));
 }
+
+/// Home slot of `key` in a table of `slots` (a power of two). Fibonacci
+/// hashing: the product's top bits depend on every key bit, so loads that
+/// differ only in their low mantissa bits still spread.
+std::size_t home_slot(std::uint64_t key, std::size_t slots) {
+  return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >>
+                                  (64 - std::countr_zero(slots)));
+}
+
+/// Spans of up to this many queries (solve() on up to three services stages
+/// at most 16 per call) group and plan in inline storage: no allocation.
+constexpr std::size_t kInlineSpan = 16;
 
 /// LoadGroups' 32-bit words for a span of `size` queries.
 constexpr std::size_t group_words(std::size_t size) {
@@ -94,54 +108,43 @@ constexpr std::size_t group_words(std::size_t size) {
 ///
 /// The table is sized from the span: at most one group per query keeps it
 /// at most half full, so it never grows. A span of up to kInlineSpan
-/// queries (solve() on two services stages at most 12 per call) fits in
-/// inline storage and allocates nothing.
+/// queries fits in inline storage and allocates nothing.
 class LoadGroups {
  public:
   template <typename Query>
   explicit LoadGroups(std::span<const Query> queries)
-      : size_(queries.size()), slots_(group_slots(size_)) {
-    std::uint64_t* keys = inline_keys_.data();
-    std::uint32_t* words = inline_words_.data();
-    if (size_ > kInlineSpan) {
-      heap_keys_ = std::make_unique_for_overwrite<std::uint64_t[]>(size_);
-      heap_words_ =
-          std::make_unique_for_overwrite<std::uint32_t[]>(group_words(size_));
-      keys = heap_keys_.get();
-      words = heap_words_.get();
-    }
+      : keys_(queries.size()), words_(group_words(queries.size())) {
+    const std::size_t size = queries.size();
+    const std::size_t slots = group_slots(size);
+    words_.resize(group_words(size));
     // positions (n) | group id per query (n) | bounds (n + 2) | slots;
-    // keys[g] is group g's load bits.
-    positions_ = words;
-    std::uint32_t* const ids = positions_ + size_;
-    bounds_ = ids + size_;
+    // keys_[g] is group g's load bits.
+    positions_ = words_.data();
+    std::uint32_t* const ids = positions_ + size;
+    bounds_ = ids + size;
     // A slot holds 1 + its load's group id; 0 marks it empty.
-    std::uint32_t* const slots = bounds_ + size_ + 2;
-    std::fill_n(bounds_, size_ + 2 + slots_, std::uint32_t{0});
+    std::uint32_t* const table = bounds_ + size + 2;
+    std::fill_n(bounds_, size + 2 + slots, std::uint32_t{0});
 
-    // Fibonacci hashing: the product's top bits depend on every key bit,
-    // so loads that differ only in their low mantissa bits still spread.
-    const int shift = 64 - std::countr_zero(slots_);
-    for (std::uint32_t i = 0; i < size_; ++i) {
+    for (std::uint32_t i = 0; i < size; ++i) {
       const std::uint64_t key = std::bit_cast<std::uint64_t>(queries[i].rho);
-      std::size_t slot =
-          static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> shift);
-      while (slots[slot] != 0 && keys[slots[slot] - 1] != key) {
-        slot = (slot + 1) & (slots_ - 1);
+      std::size_t slot = home_slot(key, slots);
+      while (table[slot] != 0 && keys_[table[slot] - 1] != key) {
+        slot = (slot + 1) & (slots - 1);
       }
-      if (slots[slot] == 0) {
-        keys[groups_] = key;
-        slots[slot] = static_cast<std::uint32_t>(++groups_);
+      if (table[slot] == 0) {
+        keys_.push_back(key);
+        table[slot] = static_cast<std::uint32_t>(keys_.size());
       }
-      ids[i] = slots[slot] - 1;
+      ids[i] = table[slot] - 1;
       ++bounds_[ids[i] + 2];
     }
     // Prefix sums leave group g's first position in bounds[g + 1]; the
     // scatter advances it to g's end, which is where g + 1 begins.
-    for (std::size_t g = 2; g < groups_ + 2; ++g) {
+    for (std::size_t g = 2; g < keys_.size() + 2; ++g) {
       bounds_[g] += bounds_[g - 1];
     }
-    for (std::uint32_t i = 0; i < size_; ++i) {
+    for (std::uint32_t i = 0; i < size; ++i) {
       positions_[bounds_[ids[i] + 1]++] = i;
     }
   }
@@ -149,7 +152,10 @@ class LoadGroups {
   LoadGroups(const LoadGroups&) = delete;
   LoadGroups& operator=(const LoadGroups&) = delete;
 
-  std::size_t size() const noexcept { return groups_; }
+  std::size_t size() const noexcept { return keys_.size(); }
+
+  /// Load bits of every group, in group order.
+  std::span<const std::uint64_t> keys() const noexcept { return keys_; }
 
   /// Positions of group g; callers may reorder them in place.
   std::span<std::uint32_t> operator[](std::size_t g) noexcept {
@@ -157,17 +163,10 @@ class LoadGroups {
   }
 
  private:
-  static constexpr std::size_t kInlineSpan = 16;
-
-  std::size_t size_;
-  std::size_t slots_;
-  std::size_t groups_ = 0;
+  util::Scratch<std::uint64_t, kInlineSpan> keys_;
+  util::Scratch<std::uint32_t, group_words(kInlineSpan)> words_;
   std::uint32_t* positions_ = nullptr;
   std::uint32_t* bounds_ = nullptr;
-  std::array<std::uint64_t, kInlineSpan> inline_keys_;
-  std::array<std::uint32_t, group_words(kInlineSpan)> inline_words_;
-  std::unique_ptr<std::uint64_t[]> heap_keys_;
-  std::unique_ptr<std::uint32_t[]> heap_words_;
 };
 
 // --- Multi-lane recurrence engine ----------------------------------------
@@ -320,7 +319,7 @@ void finish_subnormal_tail(LaneTask& task, double value, double n_start) {
   task.last = value;  // exact: once zero, every later value is zero
 }
 
-void run_lane_tasks(std::vector<LaneTask>& tasks) {
+void run_lane_tasks(std::span<LaneTask> tasks) {
   using Lanes = util::simd::Pack<kLanes>;
   Lanes rho = Lanes::broadcast(1.0);
   Lanes blk = Lanes::broadcast(0.0);
@@ -484,6 +483,13 @@ void staff_from_values(std::span<const StaffingQuery> queries,
   }
 }
 
+/// The load group a lane task answers, and the walk's load it continues.
+template <typename Load>
+struct TaskOwner {
+  std::size_t group = 0;
+  Load* load = nullptr;
+};
+
 /// The point a task ended at: its start index plus the values it produced.
 std::uint64_t end_index(const LaneTask& task) {
   return static_cast<std::uint64_t>(task.start_index) + task.grown;
@@ -524,10 +530,59 @@ void ErlangTally::report() const {
 
 std::size_t ErlangWalk::kept_loads() const noexcept {
   std::size_t kept = 0;
-  for (const auto& [key, load] : loads_) {
+  for (const Load& load : loads_) {
     kept += load.values.empty() ? 0 : 1;
   }
   return kept;
+}
+
+const ErlangWalk::Load* ErlangWalk::find(std::uint64_t key) const {
+  if (loads_.empty()) {
+    return nullptr;
+  }
+  const std::size_t mask = loads_.size() - 1;
+  for (std::size_t slot = home_slot(key, loads_.size());;
+       slot = (slot + 1) & mask) {
+    if (loads_[slot].key == key) {
+      return &loads_[slot];
+    }
+    if (loads_[slot].key == 0) {
+      return nullptr;
+    }
+  }
+}
+
+ErlangWalk::Load& ErlangWalk::load_of(std::uint64_t key) {
+  const std::size_t mask = loads_.size() - 1;
+  std::size_t slot = home_slot(key, loads_.size());
+  while (loads_[slot].key != 0 && loads_[slot].key != key) {
+    slot = (slot + 1) & mask;
+  }
+  Load& load = loads_[slot];
+  if (load.key == 0) {
+    load.key = key;
+    ++occupied_;
+  }
+  return load;
+}
+
+void ErlangWalk::reserve_loads(std::span<const std::uint64_t> keys) {
+  // Counts every key the table lacks, rho = 0 too: a bound, not a count.
+  std::size_t needed = occupied_;
+  for (const std::uint64_t key : keys) {
+    needed += find(key) == nullptr ? 1 : 0;
+  }
+  if (2 * needed <= loads_.size()) {
+    return;
+  }
+  std::vector<Load> old =
+      std::exchange(loads_, std::vector<Load>(group_slots(needed)));
+  occupied_ = 0;
+  for (Load& load : old) {
+    if (load.key != 0) {
+      load_of(load.key) = std::move(load);
+    }
+  }
 }
 
 void ErlangWalk::servers_for_many(std::span<const StaffingQuery> queries,
@@ -536,8 +591,9 @@ void ErlangWalk::servers_for_many(std::span<const StaffingQuery> queries,
                  "servers_for_many needs one output slot per query");
   validate(queries);
   LoadGroups by_load(queries);
-  std::vector<LaneTask> tasks;
-  std::vector<std::pair<std::size_t, Load*>> owners;  // group, load per task
+  reserve_loads(by_load.keys());
+  util::Scratch<LaneTask, kInlineSpan> tasks(by_load.size());
+  util::Scratch<TaskOwner<Load>, kInlineSpan> owners(by_load.size());
   for (std::size_t g = 0; g < by_load.size(); ++g) {
     const std::span<const std::uint32_t> group = by_load[g];
     const double rho = queries[group.front()].rho;
@@ -577,7 +633,7 @@ void ErlangWalk::servers_for_many(std::span<const StaffingQuery> queries,
       }
       continue;
     }
-    Load& load = loads_[std::bit_cast<std::uint64_t>(rho)];
+    Load& load = load_of(by_load.keys()[g]);
     if ((several || !load.values.empty()) && keepable) {
       std::vector<double>& values = load.values;
       if (values.empty()) {
@@ -595,7 +651,7 @@ void ErlangWalk::servers_for_many(std::span<const StaffingQuery> queries,
         task.target = tightest;
         task.limit = limit;
         tasks.push_back(task);
-        owners.emplace_back(g, &load);
+        owners.push_back({g, &load});
         continue;
       }
       staff_from_values(queries, group, values, limit, out);
@@ -609,14 +665,14 @@ void ErlangWalk::servers_for_many(std::span<const StaffingQuery> queries,
     task.target = tightest;
     task.limit = limit;
     tasks.push_back(task);
-    owners.emplace_back(g, &load);
+    owners.push_back({g, &load});
   }
 
   run_lane_tasks(tasks);
   bool overflowed = false;
   for (std::size_t t = 0; t < tasks.size(); ++t) {
     const LaneTask& task = tasks[t];
-    Load& load = *owners[t].second;
+    Load& load = *owners[t].load;
     tally_.steps += task.grown;
     overflowed = overflowed || task.overflowed;
     if (end_index(task) > load.index) {
@@ -629,7 +685,7 @@ void ErlangWalk::servers_for_many(std::span<const StaffingQuery> queries,
   }
   for (std::size_t t = 0; t < tasks.size(); ++t) {
     const LaneTask& task = tasks[t];
-    const std::span<const std::uint32_t> group = by_load[owners[t].first];
+    const std::span<const std::uint32_t> group = by_load[owners[t].group];
     if (task.keep != nullptr) {
       staff_from_values(queries, group, *task.keep, task.limit, out);
       continue;
@@ -648,8 +704,9 @@ void ErlangWalk::eval_many(std::span<const BlockingQuery> queries,
                  "eval_many needs one output slot per query");
   validate(queries);
   LoadGroups by_load(queries);
-  std::vector<LaneTask> tasks;
-  std::vector<std::pair<std::size_t, Load*>> owners;  // group, load per task
+  reserve_loads(by_load.keys());
+  util::Scratch<LaneTask, kInlineSpan> tasks(by_load.size());
+  util::Scratch<TaskOwner<Load>, kInlineSpan> owners(by_load.size());
   for (std::size_t g = 0; g < by_load.size(); ++g) {
     const std::span<const std::uint32_t> group = by_load[g];
     const double rho = queries[group.front()].rho;
@@ -687,7 +744,7 @@ void ErlangWalk::eval_many(std::span<const BlockingQuery> queries,
       }
       continue;
     }
-    Load& load = loads_[std::bit_cast<std::uint64_t>(rho)];
+    Load& load = load_of(by_load.keys()[g]);
     if ((several || !load.values.empty()) && keepable) {
       std::vector<double>& values = load.values;
       if (values.empty()) {
@@ -705,7 +762,7 @@ void ErlangWalk::eval_many(std::span<const BlockingQuery> queries,
         LaneTask task = walk_from(rho, covered, values.back(), &values);
         task.remaining = static_cast<std::size_t>(deepest - covered);
         tasks.push_back(task);
-        owners.emplace_back(g, &load);
+        owners.push_back({g, &load});
         continue;
       }
       for (const std::uint32_t i : group) {
@@ -730,19 +787,19 @@ void ErlangWalk::eval_many(std::span<const BlockingQuery> queries,
     task.remaining = static_cast<std::size_t>(
         deepest - static_cast<std::uint64_t>(task.start_index));
     tasks.push_back(task);
-    owners.emplace_back(g, &load);
+    owners.push_back({g, &load});
   }
 
   run_lane_tasks(tasks);
   for (std::size_t t = 0; t < tasks.size(); ++t) {
     const LaneTask& task = tasks[t];
-    Load& load = *owners[t].second;
+    Load& load = *owners[t].load;
     tally_.steps += task.grown;
     if (end_index(task) > load.index) {
       load.index = end_index(task);
       load.value = task.last;
     }
-    for (const std::uint32_t i : by_load[owners[t].first]) {
+    for (const std::uint32_t i : by_load[owners[t].group]) {
       const std::uint64_t servers = queries[i].servers;
       if (servers > 0) {
         out[i] = task.keep != nullptr ? (*task.keep)[servers] : task.last;

@@ -42,7 +42,6 @@
 #include <atomic>
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 namespace vmcons::queueing {
@@ -99,6 +98,11 @@ struct ErlangTally {
 ///  * Loads too deep to keep (a convergence guard or depth near the
 ///    2^21-value cap, so ~2e6 erlangs) asked at more than one point
 ///    answer through the free functions instead.
+///
+/// Loads live in one flat open-addressing table over the rho bits, which a
+/// call grows at most once, before it plans, to fit the loads its span
+/// adds. A span of up to 16 queries groups and plans in inline storage, so
+/// solve()'s walk allocates its table once and nothing else.
 class ErlangWalk {
  public:
   /// out[i] = min n with E_n(queries[i].rho) <= queries[i].target_blocking.
@@ -122,12 +126,26 @@ class ErlangWalk {
   /// One offered load's recurrence: the farthest point walked, plus its
   /// values once the load has been asked at more than one point.
   struct Load {
+    std::uint64_t key = 0;    ///< rho bits; 0 (+0.0, never kept) = empty slot
     std::uint64_t index = 0;  ///< E_{index}(rho) = value, the farthest walked
     double value = 1.0;
     std::vector<double> values;  ///< E_0..E_k when kept; k <= index
   };
 
-  std::unordered_map<std::uint64_t, Load> loads_;  // key: rho bits
+  /// Grows the table, if it must, so that every key of `keys` it lacks can
+  /// be inserted without growing it again: one allocation per call at most,
+  /// and none once the walk holds a call's loads. References from load_of
+  /// stay valid until the next reserve_loads.
+  void reserve_loads(std::span<const std::uint64_t> keys);
+  /// The load of `key` (not 0), inserted if absent; never grows the table.
+  Load& load_of(std::uint64_t key);
+  /// The load of `key`, or nullptr.
+  const Load* find(std::uint64_t key) const;
+
+  /// Open addressing over the rho bits with linear probing, at most half
+  /// full, so a probe ends at an empty slot.
+  std::vector<Load> loads_;
+  std::size_t occupied_ = 0;
   ErlangTally tally_;
 };
 
